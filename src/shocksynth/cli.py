@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import click
@@ -31,11 +32,31 @@ def _fail(exc) -> None:
 
 
 def _atomic(path, write_fn) -> None:
-    """Write through a temp file in the target directory, then rename."""
+    """Write through a unique temp file in the target directory, then rename.
+
+    Concurrent writers of one target each get their own temp file, and a
+    failed write leaves no temp file behind.  ``mkstemp`` creates the file
+    0600, so it is given the mode a plain ``open`` would (0666 less the
+    umask) before the rename.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    write_fn(tmp)
-    os.replace(tmp, path)
+    fd, name = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    os.close(fd)
+    tmp = Path(name)
+    try:
+        write_fn(tmp)
+        os.chmod(tmp, 0o666 & ~_umask())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _umask() -> int:
+    """The process umask; reading it means setting it, so it is put back."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
 
 
 def _write_bode_csv(path, freqs, response) -> None:

@@ -9,9 +9,10 @@ warm-started from the per-band diagonal estimate target(fc_i)/SRS(a_i)(fc_i).
 Inside the swarm loop the SRS is evaluated through a precomputed bank of
 SDOF-filtered basis responses: SRS(A @ x) at grid frequency f is the
 segment-wise peak of R_f @ x, where R_f holds the f-oscillator response of
-every basis column.  Filtering is linear, so this is exact up to the
-float32 precision the cache is stored in; all reported numbers are
-recomputed afterwards through the canonical float64 path.
+every basis column.  Filtering is linear, so the mix needs no refiltering;
+the cache is approximate only where it drops samples (the decimation and
+the short free-decay tail), and all reported numbers are recomputed
+afterwards through the canonical full-rate path.
 """
 
 from __future__ import annotations
@@ -50,11 +51,15 @@ _SRS_FLOOR_REL = 1e-9
 # tail per frequency.
 _CACHE_TAIL_PERIODS = 2.0
 
-# In-loop peak search keeps at least this many response samples per
-# oscillator period.  Sampling a sinusoid peak at 20 points per period
-# under-reads it by at most 1 - cos(pi/20), about 1.2% or 0.11 dB, far
-# inside what the swarm needs; the canonical full-rate float64 SRS is
-# recomputed after the search.
+# In-loop peak search decimates each frequency's response by
+# step = max(int(fs / (20 * fn)), 1), which keeps 20 to 40 samples per
+# oscillator period below fs/20 (5 kHz at 100 kHz).  Above fs/20 the step
+# is 1 and every sample is kept, which is fewer than 20 per period (10 at
+# 10 kHz).  Sampling a sinusoid at fn with 20 points per period under-reads
+# its peak by at most 1 - cos(pi/20), about 1.2% or 0.11 dB, far inside
+# what the swarm needs.  Drive content well above fn is sampled more
+# coarsely, so a response dominated by such content under-reads more.  The
+# canonical full-rate SRS is recomputed after the search.
 _CACHE_SAMPLES_PER_PERIOD = 20.0
 
 
@@ -214,39 +219,51 @@ def pso_minimize(dim, eval_batch, bounds, cfg: PsoConfig, initial_positions=None
 class _BandResponseCache:
     """Per-frequency SDOF responses of every basis column, stacked.
 
-    Row block k holds the q_srs-oscillator response at grid frequency k to
-    each basis column (driven samples plus a two-period free-decay tail),
-    decimated to ~20 samples per oscillator period; SRS(A @ x) on the grid
-    is then a segmented peak of one matrix-vector product.  Stored float32:
-    the swarm only needs ~6 significant digits, and halving the memory
-    doubles the matmul throughput.
+    Row block k (rows ``starts[k]`` up to the next start) holds the
+    q_srs-oscillator response at grid frequency k to each basis column
+    (driven samples plus a two-period free-decay tail), decimated to the
+    ``_CACHE_SAMPLES_PER_PERIOD`` step; SRS(A @ x) on the grid is then the
+    per-block peak of |R_k @ x|.  Stored float64 in one Fortran-order
+    matrix: on OpenBLAS the skinny (particles x columns) products run
+    faster in dgemm than in sgemm, and each block's transpose is a strided
+    view that BLAS takes without a copy.
     """
 
     def __init__(self, basis: BasisMatrix, grid: np.ndarray, q_srs: float):
         fs = basis.sample_rate
         dt = 1.0 / fs
-        n_rows = 0
-        starts = []
-        blocks = []
-        for fn in grid:
+        n = basis.columns.shape[0]
+        tails = [int(np.ceil(_CACHE_TAIL_PERIODS * fs / fn)) for fn in grid]
+        steps = [max(int(fs / (_CACHE_SAMPLES_PER_PERIOD * fn)), 1) for fn in grid]
+        rows = [-(-(n + tail) // step) for tail, step in zip(tails, steps)]
+        edges = np.concatenate([[0], np.cumsum(rows)]).astype(np.intp)
+        self.matrix = np.empty((edges[-1], basis.n_columns), order="F")
+        for fn, tail, step, s, e in zip(grid, tails, steps, edges[:-1], edges[1:]):
             b, a = _sdof_coeffs(fn, q_srs, dt)
-            tail = int(np.ceil(_CACHE_TAIL_PERIODS * fs / fn))
             drive = np.vstack([basis.columns, np.zeros((tail, basis.n_columns))])
-            block = _sci_signal.lfilter(b, a, drive, axis=0)
-            step = max(int(fs / (_CACHE_SAMPLES_PER_PERIOD * fn)), 1)
-            block = block[::step]
-            starts.append(n_rows)
-            n_rows += block.shape[0]
-            blocks.append(block.astype(np.float32))
-        self.matrix = np.vstack(blocks)
-        self.starts = np.asarray(starts, dtype=np.intp)
+            self.matrix[s:e] = _sci_signal.lfilter(b, a, drive, axis=0)[::step]
+        self.starts = edges[:-1]
+        self._ends = edges[1:]
         self.grid = grid
 
     def srs_values(self, coeff_block: np.ndarray) -> np.ndarray:
-        """(n_particles, dim) coefficients -> (n_grid, n_particles) SRS."""
-        y = self.matrix @ coeff_block.astype(np.float32).T
-        np.abs(y, out=y)
-        return np.maximum.reduceat(y, self.starts, axis=0).astype(float)
+        """(n_particles, dim) coefficients -> (n_grid, n_particles) SRS.
+
+        Every particle's values are bit-identical whatever batch it comes
+        in: a lone particle is evaluated as a two-row block, because numpy
+        sends a one-row product to gemv, which rounds differently from
+        gemm.
+        """
+        x = np.asarray(coeff_block, dtype=float)
+        n_particles = x.shape[0]
+        if n_particles == 1:
+            x = np.vstack([x, x])
+        out = np.empty((self.starts.size, x.shape[0]))
+        for k, (s, e) in enumerate(zip(self.starts, self._ends)):
+            y = x @ self.matrix[s:e].T
+            np.abs(y, out=y)
+            y.max(axis=1, out=out[k])
+        return out[:, :n_particles]
 
 
 def _diag_refine(cache, warm, s_target, center_idx, steps=12, relax=0.7):

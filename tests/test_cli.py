@@ -182,3 +182,32 @@ def test_malformed_csv_exits_2(workdir, run_cli, tmp_path):
     )
     assert r2.returncode == 2
     assert "error:" in r2.stderr
+
+
+def test_atomic_unique_temp_and_cleanup(tmp_path):
+    from shocksynth.cli import _atomic
+
+    target = tmp_path / "out.txt"
+
+    def outer(p):
+        # a second writer of the same target finishes while this one is
+        # still writing; with a shared temp name the outer rename would fail
+        p.write_text("outer", encoding="utf-8")
+        _atomic(target, lambda q: q.write_text("inner", encoding="utf-8"))
+
+    _atomic(target, outer)
+    assert target.read_text(encoding="utf-8") == "outer"
+    _atomic(target, lambda p: p.write_text("again", encoding="utf-8"))
+    assert target.read_text(encoding="utf-8") == "again"
+    plain = tmp_path / "plain.txt"
+    plain.write_text("x", encoding="utf-8")
+    assert target.stat().st_mode == plain.stat().st_mode
+    plain.unlink()
+
+    def broken(p):
+        p.write_text("partial", encoding="utf-8")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        _atomic(tmp_path / "failed.txt", broken)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shocksynth import (
     PsoConfig,
@@ -150,6 +152,79 @@ def test_cache_batch_matches_single(small_problem):
     batch = cache.srs_values(block)
     for j in range(5):
         np.testing.assert_array_equal(batch[:, j], cache.srs_values(block[j][None, :])[:, 0])
+
+
+@pytest.fixture(scope="module")
+def small_cache(small_problem):
+    _, layout, spec, basis = small_problem
+    return _BandResponseCache(basis, verification_grid(spec, layout), 10.0)
+
+
+def test_cache_matches_unfused_peak(small_problem, small_cache):
+    # the per-block peak equals the segmented max of the whole product
+    basis, cache = small_problem[3], small_cache
+    block = np.random.default_rng(9).normal(size=(32, basis.n_columns)) * 50.0
+    unfused = np.maximum.reduceat(np.abs(cache.matrix @ block.T), cache.starts, axis=0)
+    np.testing.assert_allclose(cache.srs_values(block), unfused, rtol=1e-12, atol=0.0)
+
+
+def test_cache_batch_slices_exact(small_problem, small_cache):
+    basis, cache = small_problem[3], small_cache
+    block = np.random.default_rng(10).normal(size=(64, basis.n_columns))
+    full = cache.srs_values(block)
+    for n_particles in (1, 2, 41):
+        np.testing.assert_array_equal(cache.srs_values(block[:n_particles]), full[:, :n_particles])
+    # the diagonal probe that synthesize() makes, against one column at a time
+    eye = np.eye(basis.n_columns)
+    diag = cache.srs_values(eye)
+    for j in range(basis.n_columns):
+        np.testing.assert_array_equal(diag[:, j], cache.srs_values(eye[j : j + 1])[:, 0])
+
+
+def _cache_and_canonical(cache, basis, x):
+    fast = cache.srs_values(x[None, :])[:, 0]
+    slow = srs(Signal(basis.sample_rate, basis.columns @ x), cache.grid).values
+    return fast, slow
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_cache_tracks_canonical_srs_property(small_problem, small_cache, data):
+    # every column mixed in, none more than 20 dB below the largest
+    basis = small_problem[3]
+    n = basis.n_columns
+    mags = data.draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
+    negative = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    x = np.where(negative, -50.0, 50.0) * np.array(mags)
+    fast, slow = _cache_and_canonical(small_cache, basis, x)
+    assert np.max(np.abs(fast - slow) / slow) < 2.5e-2
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_cache_never_over_reads_property(small_problem, small_cache, data):
+    # the cache keeps a subset of the canonical response samples
+    basis = small_problem[3]
+    n = basis.n_columns
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    x = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
+    assume(np.max(np.abs(x)) > 0.1)
+    fast, slow = _cache_and_canonical(small_cache, basis, 50.0 * x)
+    assert np.all(fast <= slow * (1.0 + 1e-9))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="decimation keeps ~20 samples per period of the grid frequency, "
+    "so it under-reads a response dominated by a column tuned well above it",
+)
+def test_cache_tracks_single_off_resonance_column(small_problem, small_cache):
+    basis, grid = small_problem[3], small_cache.grid
+    x = np.zeros(basis.n_columns)
+    x[np.searchsorted(small_problem[1].centers, 2519.0)] = 50.0
+    fast, slow = _cache_and_canonical(small_cache, basis, x)
+    k = np.searchsorted(grid, 1000.0)
+    assert abs(fast[k] - slow[k]) / slow[k] < 2.5e-2
 
 
 _SMALL_CFG = PsoConfig(swarm_size=16, max_iters=60, stall_iters=30, seed=5)
