@@ -13,6 +13,13 @@ every basis column.  Filtering is linear, so the mix needs no refiltering;
 the cache is approximate only where it drops samples (the decimation and
 the short free-decay tail), and all reported numbers are recomputed
 afterwards through the canonical full-rate path.
+
+The peak search skips most of the cache exactly.  Each block is cut into
+fixed chunks of rows, and the cache keeps each chunk's per-column envelope
+env[c, j] = max |R[r, j]| over its rows r.  By the triangle inequality
+|R_r @ x| <= env[c] @ |x| for every row r of chunk c, so a chunk whose bound
+does not exceed a peak already found in its block cannot hold the block's
+maximum, and skipping it leaves the peak unchanged.
 """
 
 from __future__ import annotations
@@ -61,6 +68,21 @@ _CACHE_TAIL_PERIODS = 2.0
 # coarsely, so a response dominated by such content under-reads more.  The
 # canonical full-rate SRS is recomputed after the search.
 _CACHE_SAMPLES_PER_PERIOD = 20.0
+
+# Largest response cache allowed, in bytes, checked before it is allocated.
+# The 100 Hz to 10 kHz launcher spec needs about 153 MB at 100 kHz; a 10 Hz
+# lowest frequency would need about 1.6 GB.
+_CACHE_MAX_BYTES = 1 << 30
+
+# Rows per chunk of the cache's peak envelope: about a thousand chunks on
+# the launcher spec, each still a gemm of useful size when it is not skipped.
+_CHUNK_ROWS = 512
+
+# Relative slack on a chunk's envelope bound.  Rounding moves the bound and
+# each row's product by at most about n_columns * 2**-53 times the bound
+# (under 1e-13 for a few hundred columns), so a chunk whose bound times
+# 1 + slack does not exceed the running peak holds no larger computed value.
+_BOUND_SLACK = 1e-9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -125,9 +147,13 @@ def objective(x, basis: BasisMatrix, target: SrsCurve, q_srs: float = 10.0) -> f
     if x.shape != (basis.n_columns,):
         raise ValueError(f"x must have shape ({basis.n_columns},), got {x.shape}")
     sig = Signal(basis.sample_rate, basis.columns @ x)
-    vals = srs(sig, target.freqs, q_srs).values
+    return _log_error_norm(srs(sig, target.freqs, q_srs).values, target)
+
+
+def _log_error_norm(values, target: SrsCurve) -> float:
+    """Norm of log10(values) - log10(target), values floored below the target peak."""
     floor = _SRS_FLOOR_REL * float(np.max(target.values))
-    vals = np.maximum(vals, floor)
+    vals = np.maximum(values, floor)
     return float(np.linalg.norm(np.log10(vals) - np.log10(target.values)))
 
 
@@ -227,6 +253,13 @@ class _BandResponseCache:
     matrix: on OpenBLAS the skinny (particles x columns) products run
     faster in dgemm than in sgemm, and each block's transpose is a strided
     view that BLAS takes without a copy.
+
+    Each block is split into ``_CHUNK_ROWS``-row chunks, and ``_env`` holds
+    every chunk's column-wise peak magnitude.  ``_env @ |x|`` then bounds
+    |R_r @ x| over each chunk's rows, and ``srs_values`` multiplies out only
+    the chunks whose bound, with a rounding slack, beats the peak of the
+    best-bounded chunk of their block; a skipped chunk cannot hold the
+    maximum, so the result equals the full scan's.
     """
 
     def __init__(self, basis: BasisMatrix, grid: np.ndarray, q_srs: float):
@@ -237,33 +270,80 @@ class _BandResponseCache:
         steps = [max(int(fs / (_CACHE_SAMPLES_PER_PERIOD * fn)), 1) for fn in grid]
         rows = [-(-(n + tail) // step) for tail, step in zip(tails, steps)]
         edges = np.concatenate([[0], np.cumsum(rows)]).astype(np.intp)
+        n_bytes = int(edges[-1]) * basis.n_columns * 8
+        if n_bytes > _CACHE_MAX_BYTES:
+            raise ValueError(
+                f"response cache would take {n_bytes:,} bytes ({edges[-1]:,} rows x "
+                f"{basis.n_columns} columns), over the {_CACHE_MAX_BYTES:,}-byte budget; "
+                "raise the lowest spec frequency or use fewer points per octave"
+            )
+        # Chunks of _CHUNK_ROWS rows; a block's last chunk takes any one-row
+        # remainder, since numpy sends a one-row operand to gemv, which
+        # rounds differently from the gemm of the full block.
+        chunks = [np.arange(s, e - 1, _CHUNK_ROWS) for s, e in zip(edges[:-1], edges[1:])]
+        counts = [c.size for c in chunks]
+        self._chunk_edges = np.append(np.concatenate(chunks), edges[-1])
+        self._block_chunks = np.concatenate([[0], np.cumsum(counts)])
+        self._chunk_block = np.repeat(np.arange(grid.size), counts)
+        self._env = np.empty((self._chunk_block.size, basis.n_columns))
         self.matrix = np.empty((edges[-1], basis.n_columns), order="F")
-        for fn, tail, step, s, e in zip(grid, tails, steps, edges[:-1], edges[1:]):
+        for k, (fn, tail, step, s, e) in enumerate(zip(grid, tails, steps, edges[:-1], edges[1:])):
             b, a = _sdof_coeffs(fn, q_srs, dt)
             drive = np.vstack([basis.columns, np.zeros((tail, basis.n_columns))])
             self.matrix[s:e] = _sci_signal.lfilter(b, a, drive, axis=0)[::step]
+            c0, c1 = self._block_chunks[k], self._block_chunks[k + 1]
+            # the abs temporary is freed at once, before the next block's filter
+            self._env[c0:c1] = np.maximum.reduceat(
+                np.abs(self.matrix[s:e]), chunks[k] - s, axis=0
+            )
         self.starts = edges[:-1]
-        self._ends = edges[1:]
         self.grid = grid
 
     def srs_values(self, coeff_block: np.ndarray) -> np.ndarray:
         """(n_particles, dim) coefficients -> (n_grid, n_particles) SRS.
 
-        Every particle's values are bit-identical whatever batch it comes
-        in: a lone particle is evaluated as a two-row block, because numpy
-        sends a one-row product to gemv, which rounds differently from
-        gemm.
+        Equal to the per-block peak of |matrix @ x| over every row, but only
+        the chunks whose envelope bound can still beat a peak already found
+        are multiplied out.  Every particle's values are bit-identical
+        whatever batch it comes in: a lone particle is evaluated as a
+        two-row block, because numpy sends a one-row product to gemv, which
+        rounds differently from gemm.
         """
         x = np.asarray(coeff_block, dtype=float)
         n_particles = x.shape[0]
         if n_particles == 1:
             x = np.vstack([x, x])
+        bound = self._env @ np.abs(x).T
+        score = bound.max(axis=1)
         out = np.empty((self.starts.size, x.shape[0]))
-        for k, (s, e) in enumerate(zip(self.starts, self._ends)):
-            y = x @ self.matrix[s:e].T
-            np.abs(y, out=y)
-            y.max(axis=1, out=out[k])
+        # Pass 1: the chunk with the largest bound sets each block's running
+        # peak.  A NaN coefficient makes that peak NaN, and NaN compares
+        # False against every bound in pass 2, so it reaches the output.
+        lead = np.empty(self.starts.size, dtype=np.intp)
+        for k, (c0, c1) in enumerate(zip(self._block_chunks[:-1], self._block_chunks[1:])):
+            lead[k] = c0 + np.argmax(score[c0:c1])
+            self._peak(x, lead[k], lead[k] + 1, out[k])
+        # Pass 2: every other chunk that could still hold a larger peak,
+        # multiplied out in runs of adjacent chunks of one block.
+        live = np.any(bound * (1.0 + _BOUND_SLACK) > out[self._chunk_block], axis=1)
+        live[lead] = False
+        first, last = self._block_chunks[:-1], self._block_chunks[1:] - 1
+        begins = live & ~np.concatenate([[False], live[:-1]])
+        begins[first] = live[first]
+        ends = live & ~np.concatenate([live[1:], [False]])
+        ends[last] = live[last]
+        peak = np.empty(x.shape[0])
+        for c0, c1 in zip(np.flatnonzero(begins), np.flatnonzero(ends) + 1):
+            k = self._chunk_block[c0]
+            self._peak(x, c0, c1, peak)
+            np.maximum(out[k], peak, out=out[k])
         return out[:, :n_particles]
+
+    def _peak(self, x, c0, c1, out):
+        """Row max of |x @ R.T| over the rows of chunks c0 up to c1."""
+        y = x @ self.matrix[self._chunk_edges[c0] : self._chunk_edges[c1]].T
+        np.abs(y, out=y)
+        y.max(axis=1, out=out)
 
 
 def _diag_refine(cache, warm, s_target, center_idx, steps=12, relax=0.7):
@@ -324,7 +404,7 @@ def synthesize(
     achieved = srs(synthesized, grid, q_srs)
     report = db_error(achieved, target, spec.tolerance_db)
     residuals = residual_motion(synthesized, 1e-3)
-    obj_value = objective(x_best, basis, target, q_srs)
+    obj_value = _log_error_norm(achieved.values, target)
     return SynthesisResult(
         coefficients=x_best,
         synthesized=synthesized,

@@ -184,6 +184,19 @@ def test_malformed_csv_exits_2(workdir, run_cli, tmp_path):
     assert "error:" in r2.stderr
 
 
+def test_synth_over_cache_budget_exits_2(workdir, run_cli, tmp_path):
+    # a 5 Hz lowest frequency would need a ~1.4 GB response cache
+    spec = tmp_path / "low.csv"
+    write_spec_csv(spec, [(5.0, 10.0), (2000.0, 800.0), (4000.0, 600.0)])
+    out = tmp_path / "s.csv"
+    r = run_cli(
+        "synth", spec, workdir / "ref.csv", "--out-signal", out, "--out-report", tmp_path / "r.json",
+    )
+    assert r.returncode == 2
+    assert "budget" in r.stderr
+    assert not out.exists()
+
+
 def test_atomic_unique_temp_and_cleanup(tmp_path):
     from shocksynth.cli import _atomic
 

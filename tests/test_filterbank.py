@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shocksynth import (
     NoBandEnergyError,
@@ -13,6 +15,7 @@ from shocksynth import (
     four_coordinate_check,
     impulse_response,
     make_layout,
+    residual_motion,
     synth_reference,
     write_basis,
 )
@@ -83,6 +86,20 @@ def test_basis_deterministic(small_case):
     again = build_basis(ref, layout)
     np.testing.assert_array_equal(basis.columns, again.columns)
     np.testing.assert_array_equal(basis.norms, again.norms)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_any_basis_mix_is_net_zero_property(small_case, data):
+    # every column is net-zero and the mix is linear, so any mix is too
+    _, _, basis = small_case
+    n = basis.n_columns
+    weight = st.floats(-1.0, 1.0).filter(lambda w: abs(w) >= 1e-3)
+    mix = data.draw(st.dictionaries(st.integers(0, n - 1), weight, min_size=1))
+    x = np.zeros(n)
+    x[list(mix)] = list(mix.values())
+    report = residual_motion(Signal(basis.sample_rate, basis.columns @ x), 1e-3)
+    assert report.passed, (report.residual_velocity_ratio, report.residual_displacement_ratio)
 
 
 def test_basis_rate_guards():

@@ -25,6 +25,7 @@ from shocksynth import (
     verify,
     write_report,
 )
+from shocksynth import synthesis
 from shocksynth.synthesis import _BandResponseCache
 
 
@@ -181,6 +182,85 @@ def test_cache_batch_slices_exact(small_problem, small_cache):
         np.testing.assert_array_equal(diag[:, j], cache.srs_values(eye[j : j + 1])[:, 0])
 
 
+def _full_scan(cache, block):
+    return np.maximum.reduceat(np.abs(cache.matrix @ block.T), cache.starts, axis=0)
+
+
+def _block_peaks(cache, block):
+    """Unpruned reference: every row of every block multiplied out."""
+    x = np.vstack([block, block]) if len(block) == 1 else block
+    edges = np.append(cache.starts, cache.matrix.shape[0])
+    peaks = [np.abs(x @ cache.matrix[s:e].T).max(axis=1) for s, e in zip(edges[:-1], edges[1:])]
+    return np.array(peaks)[:, : len(block)]
+
+
+@pytest.fixture(scope="module")
+def fine_cache(small_problem, small_cache):
+    # 22-row chunks put 44 to 87 chunks in each block, so pass 2 does real
+    # work, and the first block's 969 rows (44 x 22 + 1) end on a one-row
+    # remainder
+    assert small_cache.starts[1] % 22 == 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthesis, "_CHUNK_ROWS", 22)
+        return _BandResponseCache(small_problem[3], small_cache.grid, 10.0)
+
+
+def test_fine_cache_has_no_one_row_chunk(fine_cache):
+    # numpy sends a one-row operand to gemv, which rounds unlike gemm
+    assert np.diff(fine_cache._chunk_edges).min() >= 2
+
+
+def _block_of_kind(n, kind):
+    """1 to 33 coefficient rows, all of one kind."""
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    rows = {
+        "sparse": st.dictionaries(st.integers(0, n - 1), unit, max_size=3).map(
+            lambda d: [d.get(j, 0.0) for j in range(n)]
+        ),
+        "one_hot": st.tuples(st.integers(0, n - 1), st.sampled_from([-1.0, 1.0])).map(
+            lambda t: [t[1] if j == t[0] else 0.0 for j in range(n)]
+        ),
+        "sign_mixed": st.lists(unit, min_size=n, max_size=n),
+        "zero": st.just([0.0] * n),
+    }[kind]
+    return st.lists(rows, min_size=1, max_size=33)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_pruned_peak_matches_full_scan_property(small_problem, small_cache, fine_cache, data):
+    # skipping chunks whose envelope bound cannot win is exact
+    kind = data.draw(st.sampled_from(["sparse", "one_hot", "sign_mixed", "zero"]))
+    n = small_problem[3].n_columns
+    block = 50.0 * np.array(data.draw(_block_of_kind(n, kind)))
+    for cache in (small_cache, fine_cache):
+        vals = cache.srs_values(block)
+        np.testing.assert_allclose(vals, _full_scan(cache, block), rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(vals, _block_peaks(cache, block))
+
+
+@pytest.mark.parametrize("cache_name", ["small_cache", "fine_cache"])
+def test_nan_coefficient_reaches_every_frequency(small_problem, cache_name, request):
+    cache = request.getfixturevalue(cache_name)
+    block = np.random.default_rng(11).normal(size=(4, small_problem[3].n_columns)) * 50.0
+    block[1, 3] = np.nan
+    vals, full = cache.srs_values(block), _full_scan(cache, block)
+    assert np.all(np.isnan(vals[:, 1])) and np.all(np.isnan(full[:, 1]))
+    assert np.all(np.isnan(cache.srs_values(block[1:2])))
+    keep = [0, 2, 3]
+    np.testing.assert_allclose(vals[:, keep], full[:, keep], rtol=1e-12, atol=0.0)
+
+
+def test_cache_rejects_over_budget(small_problem, small_cache, monkeypatch):
+    basis = small_problem[3]
+    need = small_cache.matrix.nbytes
+    monkeypatch.setattr(synthesis, "_CACHE_MAX_BYTES", need - 1)
+    with pytest.raises(ValueError, match=f"{need:,} bytes"):
+        _BandResponseCache(basis, small_cache.grid, 10.0)
+    monkeypatch.setattr(synthesis, "_CACHE_MAX_BYTES", need)
+    assert _BandResponseCache(basis, small_cache.grid, 10.0).matrix.nbytes == need
+
+
 def _cache_and_canonical(cache, basis, x):
     fast = cache.srs_values(x[None, :])[:, 0]
     slow = srs(Signal(basis.sample_rate, basis.columns @ x), cache.grid).values
@@ -253,6 +333,13 @@ def test_synthesize_deterministic(small_problem, small_result):
     again = synthesize(spec, ref, layout, _SMALL_CFG)
     assert np.array_equal(again.coefficients, small_result.coefficients)
     assert np.array_equal(again.synthesized.samples, small_result.synthesized.samples)
+
+
+def test_objective_value_matches_objective(small_problem, small_result):
+    # synthesize() scores its canonical SRS rather than recomputing it
+    basis = small_problem[3]
+    again = objective(small_result.coefficients, basis, small_result.target)
+    assert small_result.objective_value == again
 
 
 def test_verify_agrees_with_synthesize(small_problem, small_result):
