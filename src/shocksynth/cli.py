@@ -19,7 +19,7 @@ import numpy as np
 
 from .filterbank import NoBandEnergyError, make_layout
 from .nzdf import NzdfParams, apply_filter, discretize
-from .signal_core import Signal, SignalFormatError, read_signal, synth_reference, write_signal
+from .signal_core import Signal, SignalFormatError, _write_table, read_signal, synth_reference, write_signal
 from .srs import SrsCurve, read_spec, spec_interpolate, srs, write_curve
 from .synthesis import PsoConfig, build_report, synthesize, verification_grid, verify, write_report
 
@@ -62,10 +62,7 @@ def _umask() -> int:
 def _write_bode_csv(path, freqs, response) -> None:
     mag_db = 20.0 * np.log10(np.maximum(np.abs(response), 1e-300))
     phase_deg = np.degrees(np.angle(response))
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("freq_hz,mag_db,phase_deg\n")
-        for f, m, p in zip(freqs, mag_db, phase_deg):
-            fh.write(f"{f:.12g},{m:.12g},{p:.12g}\n")
+    _write_table(path, "freq_hz,mag_db,phase_deg", np.column_stack([freqs, mag_db, phase_deg]))
 
 
 @click.group()
@@ -132,14 +129,8 @@ def cmd_bank(fmin, fmax, ppo, fs, q, out):
         mags = np.column_stack(
             [20.0 * np.log10(np.maximum(np.abs(f.frequency_response(freqs)), 1e-300)) for f in filts]
         )
-
-        def write(p):
-            with Path(p).open("w", encoding="utf-8", newline="\n") as fh:
-                fh.write("freq_hz," + ",".join(f"mag_db_{fc:.12g}" for fc in layout.centers) + "\n")
-                for f, row in zip(freqs, mags):
-                    fh.write(f"{f:.12g}," + ",".join(f"{m:.12g}" for m in row) + "\n")
-
-        _atomic(out, write)
+        header = "freq_hz," + ",".join(f"mag_db_{fc:.12g}" for fc in layout.centers)
+        _atomic(out, lambda p: _write_table(p, header, np.column_stack([freqs, mags])))
     except _INPUT_ERRORS as exc:
         _fail(exc)
     click.echo(f"wrote {layout.centers.size} filter responses to {out}")

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
-from pathlib import Path
 
 import numpy as np
 
 from .nzdf import NzdfParams, apply_filter, discretize
-from .signal_core import Signal, motion_of
+from .signal_core import Signal, _write_table, motion_of
 
 __all__ = [
     "BankLayout",
@@ -205,9 +204,4 @@ def four_coordinate_check(column: Signal, fc: float) -> tuple[float, float]:
 
 def write_basis(basis: BasisMatrix, path) -> None:
     """CSV dump of the basis, one column per center, centers in the header."""
-    path = Path(path)
-    header = ",".join(f"{fc:.12g}" for fc in basis.layout.centers)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in basis.columns:
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+    _write_table(path, ",".join(f"{fc:.12g}" for fc in basis.layout.centers), basis.columns)

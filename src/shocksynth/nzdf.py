@@ -30,9 +30,8 @@ import dataclasses
 import warnings
 
 import numpy as np
-from scipy import signal as _sci_signal
 
-from .signal_core import Signal
+from .signal_core import Signal, _iir2
 
 __all__ = [
     "NzdfParams",
@@ -205,9 +204,10 @@ def _numerator_powers(params: NzdfParams) -> list[int]:
 class DigitalNzdf:
     """Bilinear-transform image of :class:`NzdfParams` at a fixed rate.
 
-    ``sos`` holds second-order sections in scipy's (b0, b1, b2, a0, a1, a2)
-    layout with a0 = 1, ready for ``scipy.signal.sosfilt``.  Construction
-    validates that every pole lies strictly inside the unit circle.
+    ``sos`` holds the cascade's second-order sections, one per row, as
+    (b0, b1, b2, a0, a1, a2) with a0 = 1 (scipy's ``sos`` layout).
+    Construction validates a0 = 1 and that every pole lies strictly inside
+    the unit circle.
     """
 
     params: NzdfParams
@@ -218,6 +218,8 @@ class DigitalNzdf:
         sos = np.array(self.sos, dtype=float)
         if sos.ndim != 2 or sos.shape[1] != 6:
             raise ValueError(f"sos must have shape (n_sections, 6), got {sos.shape}")
+        if np.any(sos[:, 3] != 1.0):
+            raise ValueError("every section's a0 (sos[:, 3]) must be 1")
         for section in sos:
             poles = np.roots(section[3:])
             if np.any(np.abs(poles) >= 1.0):
@@ -229,8 +231,20 @@ class DigitalNzdf:
     def frequency_response(self, freqs) -> np.ndarray:
         """Complex response of the cascade at the given frequencies in Hz."""
         w = TWO_PI * np.asarray(freqs, dtype=float) / self.sample_rate
-        _, h = _sci_signal.sosfreqz(self.sos, worN=w, fs=TWO_PI)
-        return h
+        return _sos_response(self.sos, w)
+
+
+def _sos_response(sos: np.ndarray, w) -> np.ndarray:
+    """Complex response of a second-order-section cascade at ``w`` rad/sample.
+
+    The product of every section's b(z^-1) / a(z^-1), each polynomial
+    evaluated by Horner's rule at z^-1 = exp(-jw).
+    """
+    zm1 = np.exp(-1j * np.asarray(w, dtype=float))
+    h = np.ones_like(zm1)
+    for b0, b1, b2, a0, a1, a2 in sos:
+        h *= (b0 + (b1 + b2 * zm1) * zm1) / (a0 + (a1 + a2 * zm1) * zm1)
+    return h
 
 
 def discretize(params: NzdfParams, fs: float) -> DigitalNzdf:
@@ -271,8 +285,7 @@ def discretize(params: NzdfParams, fs: float) -> DigitalNzdf:
     sos = np.asarray(sections)
 
     # Pin exact unity gain at the center against accumulated rounding.
-    _, h = _sci_signal.sosfreqz(sos, worN=[w0], fs=TWO_PI)
-    sos[0, :3] /= np.abs(h[0])
+    sos[0, :3] /= np.abs(_sos_response(sos, [w0])[0])
     return DigitalNzdf(params, fs, sos)
 
 
@@ -289,9 +302,9 @@ def apply_filter(filt: DigitalNzdf, sig: Signal) -> Signal:
             f"{filt.sample_rate:.6g} Hz"
         )
     n_pad = int(np.ceil(filt.params.ring_down_time * sig.sample_rate))
-    x = np.concatenate([sig.samples, np.zeros(n_pad)])
-    # sosfilt wants writable coefficient memory; the stored array is frozen.
-    y = _sci_signal.sosfilt(filt.sos.copy(), x)
+    y = np.concatenate([sig.samples, np.zeros(n_pad)])
+    for section in filt.sos:
+        y = _iir2(section[:3], section[3:], y)
     return Signal(sig.sample_rate, y, t0=sig.t0)
 
 

@@ -6,6 +6,10 @@ The module provides cumulative trapezoidal integration to velocity and
 displacement, net-zero residual checks on the terminal motion, CSV
 import/export, and a deterministic synthetic reference generator used when
 no measured shock is available.
+
+It also holds the one recursive-filter kernel of the package, ``_iir2``:
+every SDOF oscillator of the SRS, every NZDF section and the reference's
+drift high-pass run through it.
 """
 
 from __future__ import annotations
@@ -14,8 +18,7 @@ import dataclasses
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate as _sci_integrate
-from scipy import signal as _sci_signal
+from scipy.linalg.lapack import dtbtrs as _dtbtrs
 
 __all__ = [
     "Signal",
@@ -140,8 +143,16 @@ def integrate(sig: Signal, initial_value: float = 0.0) -> Signal:
     The result has the same rate and length; its first sample equals
     ``initial_value``.
     """
-    vals = _sci_integrate.cumulative_trapezoid(sig.samples, dx=sig.dt, initial=0.0)
-    return sig.with_samples(vals + initial_value)
+    return sig.with_samples(_cumulative_trapezoid(sig.samples, sig.dt) + initial_value)
+
+
+def _cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
+    """Running trapezoid-rule integral of ``y`` from 0, same length as ``y``.
+
+    The same operations in the same order as scipy's
+    ``cumulative_trapezoid(y, dx=dx, initial=0)``, so the same bits.
+    """
+    return np.concatenate([[0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)])
 
 
 def motion_of(accel: Signal) -> MotionTriple:
@@ -174,6 +185,68 @@ def residual_motion(accel: Signal, tolerance: float = 1e-3) -> ResidualReport:
     return ResidualReport(rv, rd, tolerance, rv <= tolerance and rd <= tolerance)
 
 
+def _read_pairs(path: Path, header: str) -> np.ndarray:
+    """Parse a two-column numeric CSV file into an (n, 2) float array.
+
+    Blank lines are skipped, and line 1 may be ``header`` (compared without
+    case or spaces).  Every other line must hold exactly two finite
+    numbers; :class:`SignalFormatError` names the first line that does not.
+    """
+    lines = list(map(str.strip, path.read_text(encoding="utf-8").split("\n")))
+    skip = int(lines[0].lower().replace(" ", "") == header)
+    body = list(filter(None, lines[skip:]))
+    # Field counts are checked line by line, never over the joined tokens,
+    # where a 3-field line and a 1-field line would balance out.
+    commas = np.fromiter((line.count(",") for line in body), dtype=np.intp, count=len(body))
+    wrong = np.flatnonzero(commas != 1)
+    end = int(wrong[0]) if wrong.size else len(body)
+    try:
+        values = _parse_floats(body[:end])
+    except ValueError:
+        end = next(k for k in range(end) if not _is_numeric(body[k]))
+        values = _parse_floats(body[:end])
+    # Every line before ``end`` is two numbers; the first fault in line
+    # order is a non-finite one among them, else the one at ``end``.
+    not_finite = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if not_finite.size:
+        bad = int(not_finite[0])
+    elif end < len(body):
+        bad = end
+    else:
+        return values
+    lineno = [no for no, line in enumerate(lines, start=1) if line][skip + bad]
+    if not_finite.size:
+        problem = f"non-finite value on line {lineno}"
+    elif commas[bad] != 1:
+        problem = f"expected 2 comma-separated fields on line {lineno}, got {commas[bad] + 1}"
+    else:
+        problem = f"non-numeric value on line {lineno}: {body[bad]!r}"
+    raise SignalFormatError(f"{path.name}: {problem}")
+
+
+def _parse_floats(lines: list) -> np.ndarray:
+    tokens = ",".join(lines).split(",") if lines else []
+    return np.fromiter(map(float, tokens), dtype=float, count=len(tokens)).reshape(-1, 2)
+
+
+def _is_numeric(line: str) -> bool:
+    first, second = line.split(",")
+    try:
+        float(first), float(second)
+    except ValueError:
+        return False
+    return True
+
+
+def _write_table(path, header: str, table) -> None:
+    """Write a 2-D array as CSV under a header line: ``%.12g``, LF, UTF-8."""
+    table = np.asarray(table, dtype=float)
+    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.write((row * table.shape[0]) % tuple(table.ravel().tolist()))
+
+
 def read_signal(path) -> Signal:
     """Read a signal from a two-column CSV file (``time_s,accel_m_s2``).
 
@@ -183,39 +256,12 @@ def read_signal(path) -> Signal:
     offending line number.
     """
     path = Path(path)
-    times = []
-    accels = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if lineno == 1 and line.lower().replace(" ", "") == "time_s,accel_m_s2":
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise SignalFormatError(
-                    f"{path.name}: expected 2 comma-separated fields on line {lineno}, "
-                    f"got {len(parts)}"
-                )
-            try:
-                t = float(parts[0])
-                a = float(parts[1])
-            except ValueError:
-                raise SignalFormatError(
-                    f"{path.name}: non-numeric value on line {lineno}: {line!r}"
-                ) from None
-            if not (np.isfinite(t) and np.isfinite(a)):
-                raise SignalFormatError(
-                    f"{path.name}: non-finite value on line {lineno}"
-                )
-            times.append(t)
-            accels.append(a)
-    if not accels:
+    pairs = _read_pairs(path, "time_s,accel_m_s2")
+    if not len(pairs):
         raise SignalFormatError(f"{path.name}: no samples found")
-    if len(accels) == 1:
+    if len(pairs) == 1:
         raise SignalFormatError(f"{path.name}: need at least 2 samples to fix a rate")
-    t_arr = np.asarray(times)
+    t_arr = pairs[:, 0]
     steps = np.diff(t_arr)
     dt = float(np.median(steps))
     if dt <= 0.0:
@@ -227,7 +273,7 @@ def read_signal(path) -> Signal:
             f"{path.name}: non-uniform time step near line {int(bad[0]) + 3} "
             f"(step {steps[bad[0]]:.6g} s vs median {dt:.6g} s)"
         )
-    return Signal(1.0 / dt, np.asarray(accels), t0=float(t_arr[0]))
+    return Signal(1.0 / dt, pairs[:, 1], t0=float(t_arr[0]))
 
 
 def write_signal(sig: Signal, path) -> None:
@@ -235,15 +281,36 @@ def write_signal(sig: Signal, path) -> None:
 
     Values are formatted with ``%.12g``, LF line endings, UTF-8.
     """
-    path = Path(path)
-    t = sig.times()
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("time_s,accel_m_s2\n")
-        for ti, ai in zip(t, sig.samples):
-            fh.write(f"{ti:.12g},{ai:.12g}\n")
+    _write_table(path, "time_s,accel_m_s2", np.column_stack([sig.times(), sig.samples]))
 
 
-def _highpass_sos(corner_hz: float, fs: float) -> np.ndarray:
+def _iir2(b, a, x, step: int = 1) -> np.ndarray:
+    """Second-order IIR filter along axis 0, from zero initial state.
+
+    Computes y[n] = b0 w[n] + b1 w[n-1] + b2 w[n-2], where
+    w[n] + a1 w[n-1] + a2 w[n-2] = x[n] and a0 = ``a[0]`` must be 1, for an
+    (n,) or (n, m) input, and returns the rows n = 0, step, 2*step, ...
+    of y.
+
+    The all-pole part is a unit lower-triangular banded system, solved by
+    LAPACK's ``dtbtrs`` in place on a Fortran-order copy of ``x``, so each
+    column is one compiled forward substitution.  The numerator is a 3-tap
+    FIR applied after the solve (the two parts commute), on the kept rows
+    only.
+    """
+    w = np.array(x, dtype=float, order="F")
+    n = w.shape[0]
+    ab = np.empty((3, n), order="F")
+    ab[0], ab[1], ab[2] = 1.0, a[1], a[2]
+    w, _ = _dtbtrs(ab, w, uplo="L", diag="U", overwrite_b=1)
+    y = b[0] * w[::step]
+    for lag in (1, 2):
+        k0 = -(-lag // step)  # first kept row k with k * step - lag >= 0
+        y[k0:] += b[lag] * w[k0 * step - lag : n - lag : step]
+    return y
+
+
+def _highpass_ba(corner_hz: float, fs: float) -> tuple[np.ndarray, np.ndarray]:
     """Second order high-pass with a double zero at z = 1.
 
     Bilinear image of s^2 / (s^2 + (w/q) s + w^2) with q = 1/sqrt(2),
@@ -259,7 +326,7 @@ def _highpass_sos(corner_hz: float, fs: float) -> np.ndarray:
     a0 = c * c + (w / q) * c + w * w
     b = np.array([c * c, -2.0 * c * c, c * c]) / a0
     a = np.array([a0, 2.0 * (w * w - c * c), c * c - (w / q) * c + w * w]) / a0
-    return np.hstack([b, a])[None, :]
+    return b, a
 
 
 def synth_reference(
@@ -331,7 +398,7 @@ def synth_reference(
         color += c[m] * np.cos(2.0 * np.pi * (m + 1) * t_sweep / sweep_end + ph[m])
     env *= np.exp(color)
 
-    x = _sci_signal.sosfilt(_highpass_sos(45.0, fs), env * np.cos(theta))
+    x = _iir2(*_highpass_ba(45.0, fs), env * np.cos(theta))
 
     # Cancel the terminal velocity and displacement exactly with an even and
     # an odd smooth bump over the middle of the record (2x2 linear solve).
@@ -341,8 +408,8 @@ def synth_reference(
     tilt = bump * (t - 0.5 * (t1 + t2)) / (0.5 * (t2 - t1))
 
     def _end_moments(y):
-        v = _sci_integrate.cumulative_trapezoid(y, dx=1.0 / fs, initial=0.0)
-        u = _sci_integrate.cumulative_trapezoid(v, dx=1.0 / fs, initial=0.0)
+        v = _cumulative_trapezoid(y, 1.0 / fs)
+        u = _cumulative_trapezoid(v, 1.0 / fs)
         return v[-1], u[-1]
 
     vx, ux = _end_moments(x)

@@ -18,9 +18,8 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as _sci_signal
 
-from .signal_core import Signal, SignalFormatError
+from .signal_core import Signal, SignalFormatError, _iir2, _read_pairs, _write_table
 
 __all__ = [
     "SrsSpec",
@@ -168,13 +167,14 @@ def srs(sig: Signal, freqs, q_srs: float = 10.0) -> SrsCurve:
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     fs = sig.sample_rate
     _check_freqs(freqs, fs, q_srs)
-    dt = sig.dt
+    n = len(sig)
+    pads = [_ring_down_samples(fn, q_srs, fs) for fn in freqs]
+    padded = np.zeros(n + max(pads, default=0))
+    padded[:n] = sig.samples
     values = np.empty(freqs.size)
-    for i, fn in enumerate(freqs):
-        b, a = _sdof_coeffs(fn, q_srs, dt)
-        x = np.concatenate([sig.samples, np.zeros(_ring_down_samples(fn, q_srs, fs))])
-        y = _sci_signal.lfilter(b, a, x)
-        values[i] = np.max(np.abs(y))
+    for i, (fn, pad) in enumerate(zip(freqs, pads)):
+        b, a = _sdof_coeffs(fn, q_srs, sig.dt)
+        values[i] = np.max(np.abs(_iir2(b, a, padded[: n + pad])))
     return SrsCurve(freqs, values, q_srs)
 
 
@@ -281,38 +281,15 @@ def db_error(actual: SrsCurve, target: SrsCurve, tolerance_db: float = 3.0) -> D
 def read_spec(path, tolerance_db: float = 3.0) -> SrsSpec:
     """Read a breakpoint spec CSV (``freq_hz,peak_accel_m_s2``)."""
     path = Path(path)
-    rows = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if lineno == 1 and line.lower().replace(" ", "") == "freq_hz,peak_accel_m_s2":
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise SignalFormatError(
-                    f"{path.name}: expected 2 comma-separated fields on line {lineno}, "
-                    f"got {len(parts)}"
-                )
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise SignalFormatError(
-                    f"{path.name}: non-numeric value on line {lineno}: {line!r}"
-                ) from None
+    rows = _read_pairs(path, "freq_hz,peak_accel_m_s2")
     if len(rows) < 2:
         raise SignalFormatError(f"{path.name}: need at least 2 breakpoints")
     try:
-        return SrsSpec(np.asarray(rows), tolerance_db)
+        return SrsSpec(rows, tolerance_db)
     except ValueError as exc:
         raise SignalFormatError(f"{path.name}: {exc}") from None
 
 
 def write_curve(curve: SrsCurve, path) -> None:
     """Write an SRS curve as CSV (``freq_hz,srs_m_s2``), %.12g, LF, UTF-8."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("freq_hz,srs_m_s2\n")
-        for f, v in zip(curve.freqs, curve.values):
-            fh.write(f"{f:.12g},{v:.12g}\n")
+    _write_table(path, "freq_hz,srs_m_s2", np.column_stack([curve.freqs, curve.values]))

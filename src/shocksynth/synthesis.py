@@ -29,10 +29,9 @@ import json
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as _sci_signal
 
 from .filterbank import BankLayout, BasisMatrix, build_basis, make_layout
-from .signal_core import ResidualReport, Signal, residual_motion
+from .signal_core import ResidualReport, Signal, _iir2, residual_motion
 from .srs import DbErrorReport, SrsCurve, SrsSpec, _sdof_coeffs, db_error, spec_interpolate, srs
 
 __all__ = [
@@ -287,10 +286,11 @@ class _BandResponseCache:
         self._chunk_block = np.repeat(np.arange(grid.size), counts)
         self._env = np.empty((self._chunk_block.size, basis.n_columns))
         self.matrix = np.empty((edges[-1], basis.n_columns), order="F")
+        drive = np.zeros((n + max(tails), basis.n_columns), order="F")
+        drive[:n] = basis.columns
         for k, (fn, tail, step, s, e) in enumerate(zip(grid, tails, steps, edges[:-1], edges[1:])):
             b, a = _sdof_coeffs(fn, q_srs, dt)
-            drive = np.vstack([basis.columns, np.zeros((tail, basis.n_columns))])
-            self.matrix[s:e] = _sci_signal.lfilter(b, a, drive, axis=0)[::step]
+            self.matrix[s:e] = _iir2(b, a, drive[: n + tail], step)
             c0, c1 = self._block_chunks[k], self._block_chunks[k + 1]
             # the abs temporary is freed at once, before the next block's filter
             self._env[c0:c1] = np.maximum.reduceat(

@@ -1,6 +1,8 @@
 """End-to-end command-line checks through real subprocesses."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -163,6 +165,17 @@ def test_synth_zero_reference_infeasible(workdir, run_cli, tmp_path):
     )
     assert r.returncode == 1
     assert "infeasible" in r.stderr
+
+
+def test_cli_import_leaves_out_scipy_signal_and_integrate(cli_env):
+    # scipy.signal alone costs about a second of start-up on every call
+    code = (
+        "import sys, shocksynth.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.integrate'))))"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 def test_missing_input_exits_2(run_cli, tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import signal as sci_signal
 
 from shocksynth import (
     DigitalNzdf,
@@ -174,6 +175,39 @@ def test_digital_sos_pole_check():
     unstable = np.array([[1.0, 0.0, 0.0, 1.0, -2.1, 1.1]])
     with pytest.raises(ValueError, match="unit circle"):
         DigitalNzdf(p, 100_000.0, unstable)
+    unnormalized = np.array([[1.0, 0.0, 0.0, 2.0, -1.0, 0.25]])
+    with pytest.raises(ValueError, match="a0"):
+        DigitalNzdf(p, 100_000.0, unnormalized)
+
+
+_SCIPY_CASES = [NzdfParams(fc) for fc in (100.0, 1000.0, 9000.0)] + [
+    NzdfParams(1000.0, q=12.0, order=3, numerator_power=5),
+    NzdfParams(500.0, q=2.0, order=3, numerator_power=2),
+]
+
+
+def test_apply_filter_matches_sosfilt():
+    # scipy's cascade as the reference; error relative to the output peak
+    fs = 100_000.0
+    impulse = np.zeros(5001)
+    impulse[0] = 1.0
+    noise = np.random.default_rng(3).normal(size=5001)
+    for params in _SCIPY_CASES:
+        filt = discretize(params, fs)
+        for x in (impulse, noise):
+            got = apply_filter(filt, Signal(fs, x)).samples
+            ref = sci_signal.sosfilt(filt.sos.copy(), np.r_[x, np.zeros(got.size - x.size)])
+            assert np.max(np.abs(got - ref)) <= 2e-12 * np.max(np.abs(ref)), params
+
+
+def test_frequency_response_matches_sosfreqz():
+    fs = 100_000.0
+    f = np.geomspace(10.0, 0.49 * fs, 200)
+    for params in _SCIPY_CASES:
+        filt = discretize(params, fs)
+        _, ref = sci_signal.sosfreqz(filt.sos, worN=2.0 * np.pi * f / fs, fs=2.0 * np.pi)
+        got = filt.frequency_response(f)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12, params
 
 
 def test_apply_filter_contract():

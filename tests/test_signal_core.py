@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate as sci_integrate
+from scipy import signal as sci_signal
 
 from shocksynth import (
     Signal,
@@ -14,6 +18,8 @@ from shocksynth import (
     synth_reference,
     write_signal,
 )
+from shocksynth.signal_core import _cumulative_trapezoid, _iir2, _write_table
+from shocksynth.srs import _sdof_coeffs
 
 
 def test_signal_validation():
@@ -154,6 +160,59 @@ def test_read_signal_line_numbers(tmp_path):
         read_signal(path)
 
 
+def test_read_signal_first_fault_in_line_order(tmp_path):
+    cases = [
+        # a 3-field line then a 1-field line: 4 tokens over 2 lines, still wrong
+        ("0,1\n1e-5,2,3\n2e-5\n", "expected 2 comma-separated fields on line 2, got 3"),
+        ("0,1\n1e-5,inf\n2e-5,2,3\n", "non-finite value on line 2"),
+        ("0,1\n1e-5,nan\n2e-5,abc\n", "non-finite value on line 2"),
+        ("0,1\n1e-5,2,3\n2e-5,abc\n", "expected 2 comma-separated fields on line 2, got 3"),
+        ("0,1\n1e-5,abc\n2e-5,inf\n", "non-numeric value on line 2: '1e-5,abc'"),
+        ("0,1\n1e-5,{x}\n", "non-numeric value on line 2: '1e-5,{x}'"),
+        ("0,1\n\n \n1e-5,oops\n", "non-numeric value on line 4: '1e-5,oops'"),
+        # the header is recognized on line 1 only
+        ("\ntime_s,accel_m_s2\n0,1\n1e-5,2\n", "non-numeric value on line 2: 'time_s,accel_m_s2'"),
+    ]
+    for i, (content, message) in enumerate(cases):
+        path = tmp_path / f"bad{i}.csv"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(SignalFormatError) as info:
+            read_signal(path)
+        assert str(info.value) == f"{path.name}: {message}"
+
+
+def test_read_signal_line_endings_and_blank_lines(tmp_path):
+    for i, content in enumerate(
+        ["Time_S, Accel_M_S2\r\n0,1\r\n\r\n0.001,2\r\n", "0,1\r0.001,2\r", " 0 , 1 \n\n0.001,2"]
+    ):
+        path = tmp_path / f"ok{i}.csv"
+        path.write_bytes(content.encode("utf-8"))
+        sig = read_signal(path)
+        np.testing.assert_array_equal(sig.samples, [1.0, 2.0])
+        assert sig.sample_rate == pytest.approx(1000.0)
+
+
+def test_write_signal_matches_per_value_format(tmp_path):
+    # the old per-line writer, kept as the byte-level reference
+    rng = np.random.default_rng(8)
+    values = np.concatenate(
+        [rng.normal(size=200) * 10.0 ** rng.integers(-12, 12, 200), [0.0, -0.0, 1.0, 1e21, -123456789.0]]
+    )
+    sig = Signal(48_000.0, values, t0=-0.01)
+    path = tmp_path / "sig.csv"
+    write_signal(sig, path)
+    expected = "time_s,accel_m_s2\n" + "".join(
+        f"{ti:.12g},{ai:.12g}\n" for ti, ai in zip(sig.times(), sig.samples)
+    )
+    assert path.read_bytes() == expected.encode("utf-8")
+    table = tmp_path / "table.csv"
+    _write_table(table, "a,b,c", values[:201].reshape(67, 3))
+    rows = values[:201].reshape(67, 3)
+    assert table.read_text(encoding="utf-8") == "a,b,c\n" + "".join(
+        ",".join(f"{v:.12g}" for v in row) + "\n" for row in rows
+    )
+
+
 def test_read_signal_header_optional(tmp_path):
     path = tmp_path / "noheader.csv"
     path.write_text("0,1\n0.001,2\n0.002,3\n", encoding="utf-8")
@@ -202,3 +261,98 @@ def test_synth_reference_validation():
         synth_reference(duration=0.0)
     with pytest.raises(ValueError):
         synth_reference(fmax=150.0)
+
+
+def test_cumulative_trapezoid_is_scipys():
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3, 1000, 100_001):
+        y = rng.normal(size=n) * 1e3
+        ref = sci_integrate.cumulative_trapezoid(y, dx=1e-5, initial=0.0)
+        np.testing.assert_array_equal(_cumulative_trapezoid(y, 1e-5), ref)
+
+
+def _sdof_bank(fs):
+    return [_sdof_coeffs(fn, 10.0, 1.0 / fs) for fn in np.geomspace(100.0, 0.45 * fs, 13)]
+
+
+def test_iir2_matches_lfilter():
+    # scipy's direct-form filter as the reference, on records as long as the
+    # default reference shock (5,001 samples at 100 kHz); the error is
+    # relative to each output column's peak.  Over 41 random columns the
+    # gap reaches about 1.2e-12 at 100 Hz, most of it lfilter's own
+    # rounding (see the next test), so the block gets twice the bound.
+    fs = 100_000.0
+    rng = np.random.default_rng(6)
+    impulse = np.zeros(5001)
+    impulse[0] = 1.0
+    inputs = [impulse, rng.normal(size=5001), rng.normal(size=(5001, 41))]
+    for b, a in _sdof_bank(fs):
+        for x in inputs:
+            ref = sci_signal.lfilter(b, a, x, axis=0)
+            got = _iir2(b, a, x)
+            assert got.shape == x.shape
+            peak = np.max(np.abs(ref), axis=0)
+            bound = (1e-12 if x.ndim == 1 else 2e-12) * peak
+            assert np.all(np.max(np.abs(got - ref), axis=0) <= bound)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="needs an extended long double"
+)
+def test_iir2_at_least_as_accurate_as_lfilter():
+    # Over longer records at the lowest, most resonant frequencies the two
+    # filters drift apart by up to about 1e-12 of the peak; against a
+    # long-double recursion with the same coefficients the kernel is the
+    # closer one.
+    fs = 100_000.0
+    x = np.random.default_rng(9).normal(size=20_001)
+    for fn in (100.0, 300.0):
+        b, a = _sdof_coeffs(fn, 10.0, 1.0 / fs)
+        bl, al, xl = b.astype(np.longdouble), a.astype(np.longdouble), x.astype(np.longdouble)
+        exact = np.zeros(x.size, dtype=np.longdouble)
+        for i in range(x.size):
+            acc = bl[0] * xl[i]
+            for k in (1, 2):
+                if i >= k:
+                    acc += bl[k] * xl[i - k] - al[k] * exact[i - k]
+            exact[i] = acc
+        peak = float(np.max(np.abs(exact)))
+        ours = float(np.max(np.abs(_iir2(b, a, x) - exact))) / peak
+        theirs = float(np.max(np.abs(sci_signal.lfilter(b, a, x) - exact))) / peak
+        assert ours <= theirs and ours <= 1e-12, (fn, ours, theirs)
+
+
+def test_iir2_step_keeps_every_step_th_row_exactly():
+    # the response cache keeps every step-th row; the numerator runs on
+    # those rows only, with the same operations as on the full output
+    x = np.random.default_rng(7).normal(size=(1003, 5))
+    x0 = x.copy()
+    for b, a in _sdof_bank(100_000.0)[::4]:
+        full = _iir2(b, a, x)
+        for step in (1, 2, 3, 7, 1002, 1003, 5000):
+            np.testing.assert_array_equal(_iir2(b, a, x, step), full[::step])
+            for n in (1, 2, 3):
+                np.testing.assert_array_equal(_iir2(b, a, x[:n], step), full[:n:step])
+        np.testing.assert_array_equal(_iir2(b, a, x[:, 0]), full[:, 0])
+    np.testing.assert_array_equal(x, x0)  # the input is never overwritten
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 2000),
+    fn=st.floats(100.0, 45_000.0),
+    scale_x=st.floats(-3.0, 3.0),
+    scale_y=st.floats(-3.0, 3.0),
+    spike=st.booleans(),
+)
+def test_iir2_superposition(seed, n, fn, scale_x, scale_y, spike):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n) * 10.0**scale_x
+    y = rng.normal(size=n) * 10.0**scale_y
+    if spike:
+        y[rng.integers(n)] += 1e3
+    b, a = _sdof_coeffs(fn, 10.0, 1e-5)
+    fx, fy = _iir2(b, a, x), _iir2(b, a, y)
+    err = np.max(np.abs(_iir2(b, a, x + y) - (fx + fy)))
+    assert err <= 1e-12 * (np.max(np.abs(fx)) + np.max(np.abs(fy)))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shocksynth import (
     Signal,
@@ -131,14 +133,23 @@ def test_srs_resonant_tone_amplification():
     assert srs(tone, [fn], 10.0).values[0] == pytest.approx(10.0, rel=0.05)
 
 
-def test_srs_homogeneity():
-    rng = np.random.default_rng(1)
-    sig = Signal(20_000.0, rng.normal(size=600))
-    freqs = [100.0, 700.0, 3000.0]
-    base = srs(sig, freqs).values
-    for alpha in (2.5, -3.0):
-        scaled = srs(sig.with_samples(alpha * sig.samples), freqs).values
-        np.testing.assert_allclose(scaled, abs(alpha) * base, rtol=1e-9)
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 2000),
+    fn=st.floats(100.0, 9000.0),
+    scale=st.floats(1e-3, 1e3),
+    negative=st.booleans(),
+)
+@example(seed=1, n=600, fn=700.0, scale=2.5, negative=False)
+@example(seed=1, n=600, fn=3000.0, scale=3.0, negative=True)
+def test_srs_homogeneity(seed, n, fn, scale, negative):
+    # srs(c x) = |c| srs(x): scaling commutes with the linear filter and the peak
+    sig = Signal(20_000.0, np.random.default_rng(seed).normal(size=n))
+    c = -scale if negative else scale
+    base = srs(sig, [fn]).values
+    scaled = srs(sig.with_samples(c * sig.samples), [fn]).values
+    np.testing.assert_allclose(scaled, abs(c) * base, rtol=1e-12, atol=0.0)
 
 
 def _smooth_noise(rng, n, fs):
@@ -189,6 +200,8 @@ def test_spec_csv_errors(tmp_path):
         ("100,300\n200\n", "expected 2"),
         ("100,300\n200,abc\n", "non-numeric"),
         ("200,300\n100,400\n", "strictly increasing"),
+        ("100,300\n200,inf\n", "non-finite value on line 2"),
+        ("100,300\n200,400,1\n300\n", "expected 2 comma-separated fields on line 2"),
     ]
     for i, (content, fragment) in enumerate(cases):
         path = tmp_path / f"spec{i}.csv"
