@@ -15,10 +15,12 @@ drift high-pass run through it.
 from __future__ import annotations
 
 import dataclasses
+import importlib.machinery
+import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs as _dtbtrs
 
 __all__ = [
     "Signal",
@@ -192,12 +194,16 @@ def _read_pairs(path: Path, header: str) -> np.ndarray:
     case or spaces).  Every other line must hold exactly two finite
     numbers; :class:`SignalFormatError` names the first line that does not.
     """
-    lines = list(map(str.strip, path.read_text(encoding="utf-8").split("\n")))
+    # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes.
+    lines = list(map(str.strip, path.read_text(encoding="utf-8-sig").split("\n")))
     skip = int(lines[0].lower().replace(" ", "") == header)
     body = list(filter(None, lines[skip:]))
     # Field counts are checked line by line, never over the joined tokens,
-    # where a 3-field line and a 1-field line would balance out.
-    commas = np.fromiter((line.count(",") for line in body), dtype=np.intp, count=len(body))
+    # where a 3-field line and a 1-field line would balance out: commas are
+    # summed over each line's UTF-8 bytes, from one line start to the next.
+    raw = np.frombuffer("\n".join(body).encode("utf-8"), dtype=np.uint8)
+    starts = np.r_[0, np.flatnonzero(raw == ord("\n")) + 1]
+    commas = np.add.reduceat(raw == ord(","), starts, dtype=np.intp) if body else np.zeros(0, np.intp)
     wrong = np.flatnonzero(commas != 1)
     end = int(wrong[0]) if wrong.size else len(body)
     try:
@@ -282,6 +288,36 @@ def write_signal(sig: Signal, path) -> None:
     Values are formatted with ``%.12g``, LF line endings, UTF-8.
     """
     _write_table(path, "time_s,accel_m_s2", np.column_stack([sig.times(), sig.samples]))
+
+
+def _load_dtbtrs(directory: str):
+    """LAPACK's ``dtbtrs`` from scipy's compiled ``_flapack`` in ``directory``.
+
+    ``scipy.linalg.lapack.dtbtrs`` is this same f2py routine, but importing
+    it runs ``scipy/linalg/__init__.py``, whose array-API shim pulls in
+    ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``: about 0.2 s of
+    start-up for one function.  The extension is loaded straight from its
+    file instead and left out of ``sys.modules``, so a later
+    ``import scipy.linalg`` runs unchanged.
+    """
+    name = "scipy.linalg._flapack"
+    loaders = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    spec = importlib.machinery.FileFinder(directory, loaders).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no LAPACK extension {name} in {directory}")
+    imported = name in sys.modules
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    if not imported:
+        # CPython files a single-phase extension in sys.modules as it loads
+        # it; without this, a later ``import scipy.linalg`` would find it
+        # there and never bind it as the package's ``_flapack`` attribute.
+        sys.modules.pop(name, None)
+    return flapack.dtbtrs
+
+
+# find_spec imports only the parent package ``scipy``, not ``scipy.linalg``.
+_dtbtrs = _load_dtbtrs(importlib.util.find_spec("scipy.linalg").submodule_search_locations[0])
 
 
 def _iir2(b, a, x, step: int = 1) -> np.ndarray:

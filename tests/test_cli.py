@@ -178,6 +178,31 @@ def test_cli_import_leaves_out_scipy_signal_and_integrate(cli_env):
     assert r.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_out_scipy_linalg_package(cli_env):
+    # scipy.linalg's package init pulls in numpy.f2py, numpy.testing and
+    # numpy.ma, about 0.2 s of start-up; only its compiled _flapack is used
+    names = ("scipy.linalg", "scipy._lib._array_api", "numpy.f2py", "numpy.testing", "numpy.ma")
+    code = (
+        f"import sys, shocksynth.cli; names = {names!r}; "
+        "print(sorted(m for m in sys.modules if m in names or m.startswith(tuple(n + '.' for n in names))))"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
+def test_srs_command_reads_byte_order_mark(workdir, run_cli, tmp_path):
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + (workdir / "ref.csv").read_bytes())
+    outs = []
+    for src in (workdir / "ref.csv", bom):
+        out = tmp_path / f"{src.stem}-srs.csv"
+        r = run_cli("srs", src, "--fmax", 8000, "--out", out)
+        assert r.returncode == 0, r.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_missing_input_exits_2(run_cli, tmp_path):
     r = run_cli("srs", tmp_path / "nope.csv", "--out", tmp_path / "o.csv")
     assert r.returncode == 2

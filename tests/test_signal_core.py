@@ -1,11 +1,18 @@
 """Signal container, integration, residual checks, CSV I/O, surrogate."""
 
+import hashlib
+import math
+import re
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sci_integrate
 from scipy import signal as sci_signal
+from scipy.linalg import lapack as sci_lapack
 
 from shocksynth import (
     Signal,
@@ -18,7 +25,14 @@ from shocksynth import (
     synth_reference,
     write_signal,
 )
-from shocksynth.signal_core import _cumulative_trapezoid, _iir2, _write_table
+from shocksynth.signal_core import (
+    _cumulative_trapezoid,
+    _dtbtrs,
+    _iir2,
+    _load_dtbtrs,
+    _read_pairs,
+    _write_table,
+)
 from shocksynth.srs import _sdof_coeffs
 
 
@@ -192,6 +206,102 @@ def test_read_signal_line_endings_and_blank_lines(tmp_path):
         assert sig.sample_rate == pytest.approx(1000.0)
 
 
+def test_read_signal_skips_utf8_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with a byte-order mark
+    for i, content in enumerate(["time_s,accel_m_s2\r\n0,1\r\n0.001,2\r\n", "0,1\n0.001,2\n"]):
+        path = tmp_path / f"bom{i}.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + content.encode("utf-8"))
+        sig = read_signal(path)
+        np.testing.assert_array_equal(sig.samples, [1.0, 2.0])
+        assert sig.sample_rate == pytest.approx(1000.0)
+        assert sig.t0 == 0.0
+
+
+_HEADER = "time_s,accel_m_s2"
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(table=st.lists(st.tuples(_finite, _finite), max_size=40))
+def test_write_table_reads_back_at_12_digits(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    _write_table(path, _HEADER, np.array(table, dtype=float).reshape(-1, 2))
+    expected = np.array([[float(f"{v:.12g}") for v in row] for row in table]).reshape(-1, 2)
+    assert _read_pairs(path, _HEADER).tobytes() == expected.tobytes()
+
+
+def _csv_oracle(data: bytes, header: str):
+    """Plain line-by-line reading of a 2-column CSV: (rows, None) or (None, message)."""
+    text = data.decode("utf-8").removeprefix("\ufeff").replace("\r\n", "\n")
+    rows = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or (lineno == 1 and line.lower().replace(" ", "") == header):
+            continue
+        fields = line.split(",")
+        if len(fields) != 2:
+            return None, f"expected 2 comma-separated fields on line {lineno}, got {len(fields)}"
+        try:
+            pair = [float(field) for field in fields]
+        except ValueError:
+            return None, f"non-numeric value on line {lineno}: {line!r}"
+        if not all(map(math.isfinite, pair)):
+            return None, f"non-finite value on line {lineno}"
+        rows.append(pair)
+    return rows, None
+
+
+_number = st.one_of(
+    _finite.map(repr),
+    _finite.map("{:.12g}".format),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from([" 1.5 ", "+2", "-0", "1E3"]),
+)
+_non_numeric = st.sampled_from(["abc", "", "1e", "--1", "0x10", "1.2.3", "1\u00e9"])
+_non_finite = st.sampled_from(["inf", "-inf", "nan", "NaN", "-Infinity", "1e999"])
+_good_line = st.builds("{},{}".format, _number, _number)
+_fault_line = st.one_of(
+    st.builds("{},{},{}".format, _number, _number, _number),
+    st.builds("{},{},".format, _number, _number),
+    _number,
+    st.sampled_from(["", "  ", _HEADER, "Time_S, Accel_M_S2"]),
+    st.builds("{},{}".format, _number, _non_numeric),
+    st.builds("{},{}".format, _non_numeric, _number),
+    st.builds("{},{}".format, _number, _non_finite),
+    st.builds("{},{}".format, _non_finite, _non_numeric),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    lines=st.lists(_good_line, max_size=12),
+    faults=st.lists(st.tuples(st.integers(0, 12), _fault_line), max_size=3),
+    header=st.booleans(),
+    bom=st.booleans(),
+    crlf=st.booleans(),
+    final_newline=st.booleans(),
+)
+def test_read_pairs_matches_line_by_line_oracle(
+    tmp_path_factory, lines, faults, header, bom, crlf, final_newline
+):
+    for at, line in faults:
+        lines.insert(at, line)
+    if header:
+        lines.insert(0, _HEADER)
+    newline = "\r\n" if crlf else "\n"
+    text = ("\ufeff" if bom else "") + newline.join(lines) + (newline if final_newline else "")
+    data = text.encode("utf-8")
+    path = tmp_path_factory.mktemp("faults") / "f.csv"
+    path.write_bytes(data)
+    rows, message = _csv_oracle(data, _HEADER)
+    if message is None:
+        np.testing.assert_array_equal(_read_pairs(path, _HEADER), np.array(rows).reshape(-1, 2))
+    else:
+        with pytest.raises(SignalFormatError) as info:
+            _read_pairs(path, _HEADER)
+        assert str(info.value) == f"{path.name}: {message}"
+
+
 def test_write_signal_matches_per_value_format(tmp_path):
     # the old per-line writer, kept as the byte-level reference
     rng = np.random.default_rng(8)
@@ -356,3 +466,49 @@ def test_iir2_superposition(seed, n, fn, scale_x, scale_y, spike):
     fx, fy = _iir2(b, a, x), _iir2(b, a, y)
     err = np.max(np.abs(_iir2(b, a, x + y) - (fx + fy)))
     assert err <= 1e-12 * (np.max(np.abs(fx)) + np.max(np.abs(fy)))
+
+
+def test_loaded_dtbtrs_matches_scipy_linalg_lapack():
+    rng = np.random.default_rng(11)
+    for shape in [(5001,), (5001, 41)]:
+        rhs = np.asfortranarray(rng.normal(size=shape))
+        # the unit lower-banded matrix _iir2 hands to dtbtrs
+        ab = np.empty((3, shape[0]), order="F")
+        ab[0], ab[1], ab[2] = 1.0, -1.99, 0.995
+        ours, info = _dtbtrs(ab, rhs, uplo="L", diag="U")
+        ref, ref_info = sci_lapack.dtbtrs(ab, rhs, uplo="L", diag="U")
+        assert info == ref_info == 0
+        assert ours.tobytes() == ref.tobytes()
+
+
+_FILTER_BITS = """
+import hashlib, sys
+import numpy as np
+{before}
+from shocksynth.signal_core import _iir2
+from shocksynth.srs import _sdof_coeffs
+{after}
+x = np.random.default_rng(12).normal(size=(5001, 41))
+b, a = _sdof_coeffs(100.0, 10.0, 1e-5)
+y = np.concatenate([_iir2(b, a, x).ravel(), _iir2(b, a, x[:, 7])])
+print(hashlib.sha256(y.tobytes()).hexdigest())
+"""
+
+
+def test_filter_bits_do_not_depend_on_import_order(cli_env):
+    # loading _flapack before scipy.linalg, or after it, gives the same kernel
+    digests = []
+    for before, after in [("import scipy.linalg", ""), ("", "import scipy.linalg")]:
+        code = _FILTER_BITS.format(before=before, after=after)
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env)
+        assert r.returncode == 0, r.stderr
+        digests.append(r.stdout.strip())
+    x = np.random.default_rng(12).normal(size=(5001, 41))
+    b, a = _sdof_coeffs(100.0, 10.0, 1e-5)
+    here = np.concatenate([_iir2(b, a, x).ravel(), _iir2(b, a, x[:, 7])])
+    assert digests == [hashlib.sha256(here.tobytes()).hexdigest()] * 2
+
+
+def test_load_dtbtrs_names_the_directory_without_flapack(tmp_path):
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
+        _load_dtbtrs(str(tmp_path))

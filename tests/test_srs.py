@@ -194,6 +194,14 @@ def test_spec_csv_roundtrip(tmp_path):
     assert spec.tolerance_db == 2.5
 
 
+def test_spec_csv_skips_utf8_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbffreq_hz,peak_accel_m_s2\r\n100,300\r\n1800,1e4\r\n")
+    spec = read_spec(path)
+    np.testing.assert_array_equal(spec.freqs, [100.0, 1800.0])
+    np.testing.assert_array_equal(spec.peaks, [300.0, 10_000.0])
+
+
 def test_spec_csv_errors(tmp_path):
     cases = [
         ("freq_hz,peak_accel_m_s2\n100,300\n", "at least 2"),
