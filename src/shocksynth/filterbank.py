@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from .nzdf import NzdfParams, apply_filter, discretize
-from .signal_core import Signal, _write_table, motion_of
+from .signal_core import Signal, motion_of
 
 __all__ = [
     "BankLayout",
@@ -24,7 +24,6 @@ __all__ = [
     "make_layout",
     "build_basis",
     "four_coordinate_check",
-    "write_basis",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -201,7 +200,3 @@ def four_coordinate_check(column: Signal, fc: float) -> tuple[float, float]:
         raise ValueError("velocity and displacement peaks must be nonzero")
     return peak_a / (w * peak_v), peak_a / (w * w * peak_d)
 
-
-def write_basis(basis: BasisMatrix, path) -> None:
-    """CSV dump of the basis, one column per center, centers in the header."""
-    _write_table(path, ",".join(f"{fc:.12g}" for fc in basis.layout.centers), basis.columns)

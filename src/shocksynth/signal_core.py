@@ -17,7 +17,9 @@ from __future__ import annotations
 import dataclasses
 import importlib.machinery
 import importlib.util
+import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -193,55 +195,54 @@ def _read_pairs(path: Path, header: str) -> np.ndarray:
     Blank lines are skipped, and line 1 may be ``header`` (compared without
     case or spaces).  Every other line must hold exactly two finite
     numbers; :class:`SignalFormatError` names the first line that does not.
+
+    numpy's compiled text reader parses every file it accepts whole: two
+    columns, at least one row, finite values.  Anything else, whitespace-only
+    lines and numbers only ``float`` reads (``1_000``) among them, goes to
+    the per-line pass :func:`_parse_lines`, which finds the first fault.
     """
-    # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes.
-    lines = list(map(str.strip, path.read_text(encoding="utf-8-sig").split("\n")))
-    skip = int(lines[0].lower().replace(" ", "") == header)
-    body = list(filter(None, lines[skip:]))
-    # Field counts are checked line by line, never over the joined tokens,
-    # where a 3-field line and a 1-field line would balance out: commas are
-    # summed over each line's UTF-8 bytes, from one line start to the next.
-    raw = np.frombuffer("\n".join(body).encode("utf-8"), dtype=np.uint8)
-    starts = np.r_[0, np.flatnonzero(raw == ord("\n")) + 1]
-    commas = np.add.reduceat(raw == ord(","), starts, dtype=np.intp) if body else np.zeros(0, np.intp)
-    wrong = np.flatnonzero(commas != 1)
-    end = int(wrong[0]) if wrong.size else len(body)
-    try:
-        values = _parse_floats(body[:end])
-    except ValueError:
-        end = next(k for k in range(end) if not _is_numeric(body[k]))
-        values = _parse_floats(body[:end])
-    # Every line before ``end`` is two numbers; the first fault in line
-    # order is a non-finite one among them, else the one at ``end``.
-    not_finite = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    if not_finite.size:
-        bad = int(not_finite[0])
-    elif end < len(body):
-        bad = end
-    else:
-        return values
-    lineno = [no for no, line in enumerate(lines, start=1) if line][skip + bad]
-    if not_finite.size:
-        problem = f"non-finite value on line {lineno}"
-    elif commas[bad] != 1:
-        problem = f"expected 2 comma-separated fields on line {lineno}, got {commas[bad] + 1}"
-    else:
-        problem = f"non-numeric value on line {lineno}: {body[bad]!r}"
-    raise SignalFormatError(f"{path.name}: {problem}")
+    # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes;
+    # universal newlines make a lone \r a line break, as in read_text.
+    with path.open(encoding="utf-8-sig") as fh:
+        try:
+            skip = int(_is_header(fh.readline(), header))
+            fh.seek(0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an empty file only warns
+                pairs = np.loadtxt(fh, delimiter=",", comments=None, skiprows=skip, ndmin=2)
+            if pairs.shape[1] == 2 and np.isfinite(pairs).all():
+                return pairs
+        except (ValueError, Warning):
+            pass
+        fh.seek(0)
+        text = fh.read()
+    return _parse_lines(text, header, path.name)
 
 
-def _parse_floats(lines: list) -> np.ndarray:
-    tokens = ",".join(lines).split(",") if lines else []
-    return np.fromiter(map(float, tokens), dtype=float, count=len(tokens)).reshape(-1, 2)
+def _is_header(line: str, header: str) -> bool:
+    return line.strip().lower().replace(" ", "") == header
 
 
-def _is_numeric(line: str) -> bool:
-    first, second = line.split(",")
-    try:
-        float(first), float(second)
-    except ValueError:
-        return False
-    return True
+def _parse_lines(text: str, header: str, name: str) -> np.ndarray:
+    """The line-by-line reading of :func:`_read_pairs`; raises on the first fault."""
+    rows = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or (lineno == 1 and _is_header(line, header)):
+            continue
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise SignalFormatError(
+                f"{name}: expected 2 comma-separated fields on line {lineno}, got {len(fields)}"
+            )
+        try:
+            pair = (float(fields[0]), float(fields[1]))
+        except ValueError:
+            raise SignalFormatError(f"{name}: non-numeric value on line {lineno}: {line!r}") from None
+        if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
+            raise SignalFormatError(f"{name}: non-finite value on line {lineno}")
+        rows.append(pair)
+    return np.array(rows, dtype=float).reshape(-1, 2)
 
 
 def _write_table(path, header: str, table) -> None:
@@ -269,7 +270,7 @@ def read_signal(path) -> Signal:
         raise SignalFormatError(f"{path.name}: need at least 2 samples to fix a rate")
     t_arr = pairs[:, 0]
     steps = np.diff(t_arr)
-    dt = float(np.median(steps))
+    dt = float(_median(steps))
     if dt <= 0.0:
         raise SignalFormatError(f"{path.name}: time column must be increasing")
     bad = np.nonzero(np.abs(steps - dt) > _DT_REL_TOL * dt)[0]
@@ -280,6 +281,16 @@ def read_signal(path) -> Signal:
             f"(step {steps[bad[0]]:.6g} s vs median {dt:.6g} s)"
         )
     return Signal(1.0 / dt, pairs[:, 1], t0=float(t_arr[0]))
+
+
+def _median(values: np.ndarray) -> np.float64:
+    """``np.median`` of a 1-D array without NaNs, bit for bit.
+
+    The same partition and the same mean of the middle one or two values;
+    ``np.median`` itself imports ``numpy.ma`` for its NaN check.
+    """
+    lo, hi = (values.size - 1) // 2, values.size // 2
+    return np.partition(values, [lo, hi])[lo : hi + 1].mean()
 
 
 def write_signal(sig: Signal, path) -> None:
@@ -316,8 +327,9 @@ def _load_dtbtrs(directory: str):
     return flapack.dtbtrs
 
 
-# find_spec imports only the parent package ``scipy``, not ``scipy.linalg``.
-_dtbtrs = _load_dtbtrs(importlib.util.find_spec("scipy.linalg").submodule_search_locations[0])
+# A top-level find_spec runs no package code; ``scipy/__init__.py`` does
+# (subprocess, scipy._lib._testutils and more) before it finds a submodule.
+_dtbtrs = _load_dtbtrs(str(Path(importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")))
 
 
 def _iir2(b, a, x, step: int = 1) -> np.ndarray:

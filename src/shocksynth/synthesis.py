@@ -136,8 +136,12 @@ class SynthesisResult:
 
 
 def verification_grid(spec: SrsSpec, layout: BankLayout) -> np.ndarray:
-    """Union of the bank centers and the spec breakpoint frequencies."""
-    return np.unique(np.concatenate([layout.centers, spec.freqs]))
+    """Union of the bank centers and the spec breakpoint frequencies, sorted.
+
+    ``np.unique``'s result, without the ``numpy.ma`` import it makes.
+    """
+    freqs = np.sort(np.concatenate([layout.centers, spec.freqs]))
+    return freqs[np.r_[True, freqs[1:] != freqs[:-1]]]
 
 
 def objective(x, basis: BasisMatrix, target: SrsCurve, q_srs: float = 10.0) -> float:

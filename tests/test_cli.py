@@ -191,6 +191,47 @@ def test_cli_import_leaves_out_scipy_linalg_package(cli_env):
     assert r.stdout.strip() == "[]"
 
 
+_RUN_EVERY_COMMAND = """
+import json
+import sys
+from shocksynth import cli
+
+d = sys.argv[1]
+names = ("numpy.ma", "scipy", "scipy.linalg", "scipy.signal", "scipy.integrate")
+runs = [
+    ["demo-ref", "--fs", "50000", "--duration", "0.02", "--fmax", "5000", "--out", d + "/ref.csv"],
+    ["srs", d + "/ref.csv", "--fmin", "1000", "--fmax", "4000", "--out", d + "/srs.csv"],
+    ["filter", d + "/ref.csv", "--fc", "2000", "--out", d + "/f.csv"],
+    ["bank", "--fmin", "1000", "--fmax", "4000", "--out", d + "/bank.csv"],
+    ["synth", d + "/spec.csv", d + "/ref.csv", "--swarm-size", "10", "--max-iters", "3",
+     "--out-signal", d + "/s.csv", "--out-report", d + "/r.json"],
+    ["verify", d + "/s.csv", d + "/spec.csv", "--out-report", d + "/v.json"],
+]
+after = []
+for argv in runs:
+    try:
+        code = cli.main(argv, standalone_mode=False)
+    except SystemExit as exc:
+        code = exc.code
+    after.append([argv[0], code or 0, [m for m in names if m in sys.modules]])
+print(json.dumps(after))
+"""
+
+
+def test_commands_leave_out_numpy_ma_and_scipy_packages(cli_env, tmp_path):
+    # np.median and np.unique import numpy.ma lazily, after import time,
+    # and scipy/__init__ runs whenever a scipy submodule is looked up by name
+    write_spec_csv(tmp_path / "spec.csv", [(1000.0, 500.0), (2000.0, 800.0), (4000.0, 600.0)])
+    r = subprocess.run(
+        [sys.executable, "-c", _RUN_EVERY_COMMAND, str(tmp_path)], capture_output=True, text=True, env=cli_env
+    )
+    assert r.returncode == 0, r.stderr
+    after = json.loads(r.stdout.splitlines()[-1])
+    assert [command for command, _, _ in after] == ["demo-ref", "srs", "filter", "bank", "synth", "verify"]
+    for command, code, modules in after:
+        assert code in (0, 1) and modules == [], (command, code, modules)
+
+
 def test_srs_command_reads_byte_order_mark(workdir, run_cli, tmp_path):
     bom = tmp_path / "bom.csv"
     bom.write_bytes(b"\xef\xbb\xbf" + (workdir / "ref.csv").read_bytes())

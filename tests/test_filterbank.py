@@ -17,7 +17,6 @@ from shocksynth import (
     make_layout,
     residual_motion,
     synth_reference,
-    write_basis,
 )
 
 
@@ -140,18 +139,6 @@ def test_four_coordinate_validation():
         four_coordinate_check(sig, 0.0)
     with pytest.raises(ValueError, match="nonzero"):
         four_coordinate_check(Signal(1000.0, np.zeros(8)), 100.0)
-
-
-def test_write_basis(tmp_path, small_case):
-    _, layout, basis = small_case
-    path = tmp_path / "basis.csv"
-    write_basis(basis, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    header = np.array([float(tok) for tok in lines[0].split(",")])
-    np.testing.assert_allclose(header, layout.centers, rtol=1e-11)
-    assert len(lines) == 1 + basis.columns.shape[0]
-    row = np.array([float(tok) for tok in lines[1 + 137].split(",")])
-    np.testing.assert_allclose(row, basis.columns[137], rtol=1e-11, atol=1e-13)
 
 
 def test_column_spectra_peak_near_centers(small_case):

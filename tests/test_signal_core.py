@@ -25,11 +25,13 @@ from shocksynth import (
     synth_reference,
     write_signal,
 )
+from shocksynth import signal_core
 from shocksynth.signal_core import (
     _cumulative_trapezoid,
     _dtbtrs,
     _iir2,
     _load_dtbtrs,
+    _median,
     _read_pairs,
     _write_table,
 )
@@ -232,7 +234,8 @@ def test_write_table_reads_back_at_12_digits(tmp_path_factory, table):
 
 def _csv_oracle(data: bytes, header: str):
     """Plain line-by-line reading of a 2-column CSV: (rows, None) or (None, message)."""
-    text = data.decode("utf-8").removeprefix("\ufeff").replace("\r\n", "\n")
+    # universal newlines, as read_text: \r\n and a lone \r are line breaks
+    text = data.decode("utf-8").removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
     rows = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
@@ -300,6 +303,84 @@ def test_read_pairs_matches_line_by_line_oracle(
         with pytest.raises(SignalFormatError) as info:
             _read_pairs(path, _HEADER)
         assert str(info.value) == f"{path.name}: {message}"
+
+
+# float() reads these and numpy's text reader does not, so they take the
+# per-line pass; so do the lines below, which numpy rejects as a whole file.
+_float_only = st.sampled_from(["1_000", "-2_5.0_1", "\u0661\u0662", "\u0967.\u0968", "\uff13e2"])
+_numpy_rejects = st.sampled_from(
+    ["   ", "\t", " \t ", "# comment", "#1,2", '"1",2', '1,"2"', "1,2,", "1,2,,", "\u3000"]
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    lines=st.lists(st.builds("{},{}".format, st.one_of(_number, _float_only), _number), max_size=12),
+    extras=st.lists(st.tuples(st.integers(0, 12), st.one_of(_numpy_rejects, _fault_line)), max_size=3),
+    breaks=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=16, max_size=16),
+    header=st.booleans(),
+    bom=st.booleans(),
+)
+def test_read_pairs_matches_oracle_where_numpy_and_float_differ(
+    tmp_path_factory, lines, extras, breaks, header, bom
+):
+    for at, line in extras:
+        lines.insert(at, line)
+    if header:
+        lines.insert(0, _HEADER)
+    text = ("\ufeff" if bom else "") + "".join(line + end for line, end in zip(lines, breaks))
+    data = text.encode("utf-8")
+    path = tmp_path_factory.mktemp("mixed") / "m.csv"
+    path.write_bytes(data)
+    rows, message = _csv_oracle(data, _HEADER)
+    if message is None:
+        assert _read_pairs(path, _HEADER).tobytes() == np.array(rows, dtype=float).reshape(-1, 2).tobytes()
+    else:
+        with pytest.raises(SignalFormatError) as info:
+            _read_pairs(path, _HEADER)
+        assert str(info.value) == f"{path.name}: {message}"
+
+
+def test_long_valid_record_never_reaches_the_per_line_pass(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    path = tmp_path / "long.csv"
+    write_signal(Signal(100_000.0, rng.normal(size=100_001) * 10.0 ** rng.integers(-6, 6, 100_001)), path)
+    per_line = signal_core._parse_lines(path.read_text(encoding="utf-8"), _HEADER, path.name)
+
+    def refuse(*args):
+        raise AssertionError("the per-line pass ran on a valid file")
+
+    monkeypatch.setattr(signal_core, "_parse_lines", refuse)
+    assert _read_pairs(path, _HEADER).tobytes() == per_line.tobytes()
+    assert len(read_signal(path)) == 100_001
+
+
+def test_malformed_file_reaches_the_per_line_pass(tmp_path, monkeypatch):
+    seen = []
+    parse_lines = signal_core._parse_lines
+    monkeypatch.setattr(signal_core, "_parse_lines", lambda *args: seen.append(args[2]) or parse_lines(*args))
+    cases = [("u.csv", "0,1_000\n1e-5,2\n"), ("w.csv", "0,1\n \n1e-5,2\n"), ("e.csv", "")]
+    for name, content in cases:
+        (tmp_path / name).write_text(content, encoding="utf-8")
+    np.testing.assert_array_equal(_read_pairs(tmp_path / "u.csv", _HEADER), [[0.0, 1000.0], [1e-5, 2.0]])
+    np.testing.assert_array_equal(_read_pairs(tmp_path / "w.csv", _HEADER), [[0.0, 1.0], [1e-5, 2.0]])
+    assert _read_pairs(tmp_path / "e.csv", _HEADER).shape == (0, 2)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("0,1\n1e-5,2,3\n", encoding="utf-8")
+    with pytest.raises(SignalFormatError, match="expected 2 comma-separated fields on line 2, got 3"):
+        read_signal(bad)
+    assert seen == ["u.csv", "w.csv", "e.csv", "bad.csv"]
+
+
+def test_median_is_numpys_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 3, 4, 7, 10, 101, 1000):
+        for values in (
+            rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, n),
+            rng.integers(-2, 3, n) * 0.5,  # many duplicates
+            rng.choice([-0.0, 0.0, 1e-5], n),
+        ):
+            assert _median(values).tobytes() == np.median(values).tobytes(), (n, values)
 
 
 def test_write_signal_matches_per_value_format(tmp_path):

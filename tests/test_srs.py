@@ -17,6 +17,7 @@ from shocksynth import (
     srs_oracle,
     write_curve,
 )
+from shocksynth.signal_core import _write_table
 
 
 def test_spec_validation():
@@ -216,6 +217,41 @@ def test_spec_csv_errors(tmp_path):
         path.write_text(content, encoding="utf-8")
         with pytest.raises(SignalFormatError, match=fragment):
             read_spec(path)
+
+
+_breakpoint = st.one_of(st.floats(-1e3, 1e5, allow_nan=False), st.sampled_from([0.0, -0.0, 1e-300]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    freqs=st.lists(_breakpoint, max_size=8),
+    peaks=st.lists(_breakpoint, min_size=8, max_size=8),
+    shape=st.sampled_from(["as drawn", "sorted", "valid"]),
+)
+def test_read_spec_checks_random_tables(tmp_path_factory, freqs, peaks, shape):
+    if shape != "as drawn":
+        freqs = sorted(set(freqs))
+    if shape == "valid":  # valid unless %.12g merges two frequencies
+        freqs = sorted({abs(f) + 1.0 for f in freqs})
+        peaks = [abs(a) + 1.0 for a in peaks]
+    table = np.array(list(zip(freqs, peaks)), dtype=float).reshape(-1, 2)
+    path = tmp_path_factory.mktemp("spec") / "s.csv"
+    _write_table(path, "freq_hz,peak_accel_m_s2", table)
+    rows = [[float(f"{v:.12g}") for v in row] for row in table]
+    f, a = [r[0] for r in rows], [r[1] for r in rows]
+    if len(rows) < 2:
+        message = "need at least 2 breakpoints"
+    elif any(hi <= lo for lo, hi in zip(f, f[1:])):
+        message = "breakpoint frequencies must be strictly increasing"
+    elif min(f) <= 0.0 or min(a) <= 0.0:
+        message = "breakpoint frequencies and accelerations must be positive"
+    else:
+        spec = read_spec(path)
+        assert spec.breakpoints.tobytes() == np.array(rows).tobytes()
+        return
+    with pytest.raises(SignalFormatError) as info:
+        read_spec(path)
+    assert str(info.value) == f"{path.name}: {message}"
 
 
 def test_write_curve(tmp_path):

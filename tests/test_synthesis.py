@@ -1,6 +1,7 @@
 """Swarm optimizer, response cache, end-to-end synthesis, and reports."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -108,6 +109,19 @@ def small_problem():
     layout = make_layout(1000.0, 4000.0, 3)
     spec = SrsSpec([[1000.0, 500.0], [2000.0, 800.0], [4000.0, 600.0]])
     return ref, layout, spec, build_basis(ref, layout)
+
+
+def test_verification_grid_is_np_unique_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3, 8, 41, 200):
+        for pool in (
+            rng.uniform(50.0, 1e4, n),
+            rng.choice(rng.uniform(50.0, 1e4, 5), n),  # duplicates
+            rng.integers(1, 4, n) * 100.0,
+        ):
+            k = int(rng.integers(0, n + 1))
+            grid = verification_grid(SimpleNamespace(freqs=pool[:k]), SimpleNamespace(centers=pool[k:]))
+            assert grid.tobytes() == np.unique(pool).tobytes(), (n, k, pool)
 
 
 def test_verification_grid_union(small_problem):
