@@ -1,113 +1,19 @@
 """Shock time-history synthesis under an SRS specification.
 
-Public API re-exports; see the module docstrings for the math.
+Public API: every name in each module's ``__all__``; see the module
+docstrings for the math.
 """
 
-from .signal_core import (
-    MotionTriple,
-    ResidualReport,
-    Signal,
-    SignalFormatError,
-    integrate,
-    motion_of,
-    read_signal,
-    residual_motion,
-    synth_reference,
-    write_signal,
-)
-from .nzdf import (
-    DigitalNzdf,
-    GammatoneParams,
-    NzdfParams,
-    apply_filter,
-    beta_to_q,
-    discretize,
-    gammatone_impulse,
-    group_delay,
-    impulse_response,
-    nzdf_gain,
-    q_to_beta,
-    validate_order,
-)
-from .filterbank import (
-    BankLayout,
-    BasisMatrix,
-    NoBandEnergyError,
-    build_basis,
-    four_coordinate_check,
-    make_layout,
-)
-from .srs import (
-    DbErrorReport,
-    SrsCurve,
-    SrsSpec,
-    db_error,
-    read_spec,
-    spec_interpolate,
-    srs,
-    srs_oracle,
-    write_curve,
-)
-from .synthesis import (
-    PsoConfig,
-    SynthesisResult,
-    build_report,
-    objective,
-    pso_minimize,
-    synthesize,
-    verification_grid,
-    verify,
-    write_report,
-)
+from . import filterbank, nzdf, signal_core, srs, synthesis
+
+_MODULES = (signal_core, nzdf, filterbank, srs, synthesis)
+
+from .signal_core import *  # noqa: E402, F403
+from .nzdf import *  # noqa: E402, F403
+from .filterbank import *  # noqa: E402, F403
+from .srs import *  # noqa: E402, F403  (``shocksynth.srs`` is the function from here on)
+from .synthesis import *  # noqa: E402, F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Signal",
-    "MotionTriple",
-    "ResidualReport",
-    "SignalFormatError",
-    "integrate",
-    "motion_of",
-    "residual_motion",
-    "read_signal",
-    "write_signal",
-    "synth_reference",
-    "NzdfParams",
-    "DigitalNzdf",
-    "GammatoneParams",
-    "validate_order",
-    "nzdf_gain",
-    "q_to_beta",
-    "beta_to_q",
-    "group_delay",
-    "discretize",
-    "apply_filter",
-    "impulse_response",
-    "gammatone_impulse",
-    "BankLayout",
-    "BasisMatrix",
-    "NoBandEnergyError",
-    "make_layout",
-    "build_basis",
-    "four_coordinate_check",
-    "SrsSpec",
-    "SrsCurve",
-    "DbErrorReport",
-    "srs",
-    "srs_oracle",
-    "spec_interpolate",
-    "db_error",
-    "read_spec",
-    "write_curve",
-    "PsoConfig",
-    "SynthesisResult",
-    "objective",
-    "pso_minimize",
-    "synthesize",
-    "verify",
-    "verification_grid",
-    "build_report",
-    "write_report",
-    "__version__",
-]
+__all__ = [name for module in _MODULES for name in module.__all__] + ["__version__"]

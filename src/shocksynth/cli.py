@@ -20,8 +20,8 @@ import numpy as np
 from .filterbank import NoBandEnergyError, make_layout
 from .nzdf import NzdfParams, apply_filter, discretize
 from .signal_core import Signal, SignalFormatError, _write_table, read_signal, synth_reference, write_signal
-from .srs import SrsCurve, read_spec, spec_interpolate, srs, write_curve
-from .synthesis import PsoConfig, build_report, synthesize, verification_grid, verify, write_report
+from .srs import read_spec, srs, write_curve
+from .synthesis import PsoConfig, _target_curve, build_report, synthesize, verify, write_report
 
 _INPUT_ERRORS = (SignalFormatError, ValueError, OSError)
 
@@ -202,11 +202,8 @@ def cmd_verify(signal_csv, spec_csv, tolerance_db, q_srs, ppo, net_zero_tol, out
         sig = read_signal(signal_csv)
         spec = read_spec(spec_csv, tolerance_db)
         srs_report, residuals = verify(sig, spec, q_srs, net_zero_tol, ppo)
-        layout = make_layout(spec.freqs[0], spec.freqs[-1], ppo)
-        grid = verification_grid(spec, layout)
-        achieved = srs(sig, grid, q_srs)
-        target = spec_interpolate(spec, grid)
-        report = build_report(achieved, target, srs_report, residuals)
+        target = _target_curve(spec, make_layout(spec.freqs[0], spec.freqs[-1], ppo))
+        report = build_report(srs(sig, target.freqs, q_srs), target, srs_report, residuals)
         _atomic(out_report, lambda p: write_report(report, p))
     except _INPUT_ERRORS as exc:
         _fail(exc)

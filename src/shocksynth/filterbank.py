@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from .nzdf import NzdfParams, apply_filter, discretize
-from .signal_core import Signal, motion_of
+from .signal_core import TWO_PI, Signal, _frozen, motion_of
 
 __all__ = [
     "BankLayout",
@@ -25,8 +25,6 @@ __all__ = [
     "build_basis",
     "four_coordinate_check",
 ]
-
-TWO_PI = 2.0 * np.pi
 
 # Columns whose peak falls below this fraction of the reference peak carry
 # no usable band energy.
@@ -55,11 +53,9 @@ class BankLayout:
     centers: np.ndarray
 
     def __post_init__(self):
-        centers = np.asarray(self.centers, dtype=float)
+        centers = _frozen(self.centers)
         if centers.ndim != 1 or centers.size == 0:
             raise ValueError("centers must be a non-empty 1-D array")
-        centers = centers.copy()
-        centers.setflags(write=False)
         object.__setattr__(self, "centers", centers)
 
 
@@ -96,18 +92,14 @@ class BasisMatrix:
     norms: np.ndarray
 
     def __post_init__(self):
-        cols = np.asarray(self.columns, dtype=float)
-        norms = np.asarray(self.norms, dtype=float)
+        cols = _frozen(self.columns)
+        norms = _frozen(self.norms)
         if cols.ndim != 2 or cols.shape[1] != self.layout.centers.size:
             raise ValueError(
                 f"columns must be (n_samples, {self.layout.centers.size}), got {cols.shape}"
             )
         if norms.shape != (cols.shape[1],):
             raise ValueError("norms must hold one value per column")
-        cols = cols.copy()
-        cols.setflags(write=False)
-        norms = norms.copy()
-        norms.setflags(write=False)
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "norms", norms)
         object.__setattr__(self, "sample_rate", float(self.sample_rate))
@@ -120,19 +112,16 @@ class BasisMatrix:
         return Signal(self.sample_rate, self.columns[:, i])
 
 
-def build_basis(
-    reference: Signal,
-    layout: BankLayout,
-    q: float = 5.0,
-    order: int = 2,
-    numerator_power: int = 2,
-) -> BasisMatrix:
+def build_basis(reference: Signal, layout: BankLayout) -> BasisMatrix:
     """Filter the reference at every bank center and assemble the matrix.
 
-    Each column gets the filter's own ring-down pad; all columns are then
-    brought to the common length set by the lowest center (the longest
-    ring-down) by pre-extending the filter input, so every tail is the
-    filter's natural decay rather than a truncation.
+    Every filter is the default NZDF, ``NzdfParams(fc)`` (Q = 5, N = 2,
+    M = 2).  Each column gets the filter's own ring-down pad,
+    ``ring_down_time``: 10.5 time constants of 2 Q / w, where the envelope
+    t exp(-w t / (2 Q)) has fallen 60 dB (``signal_core._ring_down_factor``).
+    All columns are then brought to the common length set by the lowest
+    center (the longest ring-down) by pre-extending the filter input, so
+    every tail is the filter's natural decay rather than a truncation.
     """
     top = float(layout.centers[-1])
     fs = reference.sample_rate
@@ -147,10 +136,7 @@ def build_basis(
             stacklevel=2,
         )
 
-    params = [
-        NzdfParams(fc, q=q, order=order, numerator_power=numerator_power)
-        for fc in layout.centers
-    ]
+    params = [NzdfParams(fc) for fc in layout.centers]
     pads = [int(np.ceil(p.ring_down_time * fs)) for p in params]
     pad_max = max(pads)
     n_common = len(reference) + pad_max

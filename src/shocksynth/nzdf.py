@@ -31,7 +31,7 @@ import warnings
 
 import numpy as np
 
-from .signal_core import Signal, _iir2
+from .signal_core import TWO_PI, Signal, _bilinear_pole_pair, _frozen, _iir2, _ring_down_factor
 
 __all__ = [
     "NzdfParams",
@@ -47,14 +47,6 @@ __all__ = [
     "impulse_response",
     "gammatone_impulse",
 ]
-
-TWO_PI = 2.0 * np.pi
-
-# Ring-down pad length in units of 2 Q / w.  The default filter has a
-# repeated pole pair, so its envelope decays like t * exp(-w t / (2 Q))
-# rather than a bare exponential; solving b t = 1 + ln(1000) + ln(b t)
-# gives b t ~ 10.3 for a 60 dB drop below the envelope peak.
-_DECAY_FACTOR = 10.5
 
 _BISECT_LO = 0.8
 _BISECT_HI = 1.0e4
@@ -128,8 +120,11 @@ class NzdfParams:
 
     @property
     def ring_down_time(self) -> float:
-        """Seconds for the envelope to decay below 1/1000 of its peak."""
-        return _DECAY_FACTOR * 2.0 * self.q / self.omega
+        """Seconds for the envelope to decay below 1/1000 of its peak.
+
+        ``_ring_down_factor(order)`` time constants of 2 Q / w (10.5 at N = 2).
+        """
+        return _ring_down_factor(self.order) * 2.0 * self.q / self.omega
 
 
 def nzdf_gain(f_eval, params: NzdfParams):
@@ -215,7 +210,7 @@ class DigitalNzdf:
     sos: np.ndarray
 
     def __post_init__(self):
-        sos = np.array(self.sos, dtype=float)
+        sos = _frozen(self.sos)
         if sos.ndim != 2 or sos.shape[1] != 6:
             raise ValueError(f"sos must have shape (n_sections, 6), got {sos.shape}")
         if np.any(sos[:, 3] != 1.0):
@@ -224,7 +219,6 @@ class DigitalNzdf:
             poles = np.roots(section[3:])
             if np.any(np.abs(poles) >= 1.0):
                 raise ValueError("discretized section has a pole on or outside the unit circle")
-        sos.setflags(write=False)
         object.__setattr__(self, "sos", sos)
         object.__setattr__(self, "sample_rate", float(self.sample_rate))
 
@@ -267,8 +261,7 @@ def discretize(params: NzdfParams, fs: float) -> DigitalNzdf:
         )
     w = params.omega
     q = params.q
-    w0 = w / fs
-    c = w / np.tan(w0 / 2.0)  # pre-warp: s = c (1 - 1/z) / (1 + 1/z) hits j*w at fc
+    c, den = _bilinear_pole_pair(w, q, fs)
 
     sections = []
     for m in _numerator_powers(params):
@@ -279,13 +272,11 @@ def discretize(params: NzdfParams, fs: float) -> DigitalNzdf:
             num = g * c * np.array([1.0, 0.0, -1.0])
         else:
             num = g * c * c * np.array([1.0, -2.0, 1.0])
-        a0 = c * c + (w / q) * c + w * w
-        den = np.array([a0, 2.0 * (w * w - c * c), c * c - (w / q) * c + w * w])
-        sections.append(np.hstack([num / a0, den / a0]))
+        sections.append(np.hstack([num / den[0], den / den[0]]))
     sos = np.asarray(sections)
 
     # Pin exact unity gain at the center against accumulated rounding.
-    sos[0, :3] /= np.abs(_sos_response(sos, [w0])[0])
+    sos[0, :3] /= np.abs(_sos_response(sos, [w / fs])[0])
     return DigitalNzdf(params, fs, sos)
 
 

@@ -37,6 +37,8 @@ __all__ = [
     "synth_reference",
 ]
 
+TWO_PI = 2.0 * np.pi
+
 # Relative tolerance on time-step jitter when importing CSV data.
 _DT_REL_TOL = 1e-6
 
@@ -45,10 +47,29 @@ class SignalFormatError(ValueError):
     """Raised when a signal CSV file cannot be parsed."""
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
+def _frozen(values) -> np.ndarray:
+    """A read-only float64 copy of ``values``: the arrays of every value type."""
+    out = np.array(values, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _ring_down_factor(order: int) -> float:
+    """The package's one ring-down rule, in time constants tau = 2 Q / w.
+
+    N pole pairs at w with quality factor Q ring down under the envelope
+    t^(N-1) exp(-t / tau).  The factor is the time at which that envelope
+    has fallen 60 dB below its peak, rounded up to half a time constant: 7
+    for one pair (the SRS oscillator), 10.5 for two (the default NZDF).
+    """
+    # Past the peak at k = N - 1, u = t / tau solves u - k ln u =
+    # ln 1000 + k - k ln k; the iteration u <- c + k ln u contracts there.
+    k = order - 1
+    c = math.log(1000.0) + (k - k * math.log(k) if k else 0.0)
+    u = c + k
+    for _ in range(50):
+        u = c + k * math.log(u)
+    return math.ceil(2.0 * u) / 2.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,7 +103,7 @@ class Signal:
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
         object.__setattr__(self, "sample_rate", rate)
-        object.__setattr__(self, "samples", _frozen_array(samples))
+        object.__setattr__(self, "samples", _frozen(samples))
         object.__setattr__(self, "t0", float(self.t0))
 
     def __len__(self) -> int:
@@ -358,6 +379,18 @@ def _iir2(b, a, x, step: int = 1) -> np.ndarray:
     return y
 
 
+def _bilinear_pole_pair(w: float, q: float, fs: float) -> tuple[float, np.ndarray]:
+    """Pre-warped bilinear image of the pole pair s^2 + (w/q) s + w^2 at rate ``fs``.
+
+    Returns the warp constant c = w / tan(w / (2 fs)), with which
+    s = c (1 - 1/z) / (1 + 1/z) maps j*w exactly onto exp(j w / fs), and
+    the image's z^-1 coefficients (a0, a1, a2), not yet divided by a0.
+    """
+    c = w / np.tan(w / fs / 2.0)
+    den = np.array([c * c + (w / q) * c + w * w, 2.0 * (w * w - c * c), c * c - (w / q) * c + w * w])
+    return c, den
+
+
 def _highpass_ba(corner_hz: float, fs: float) -> tuple[np.ndarray, np.ndarray]:
     """Second order high-pass with a double zero at z = 1.
 
@@ -367,14 +400,8 @@ def _highpass_ba(corner_hz: float, fs: float) -> tuple[np.ndarray, np.ndarray]:
     to vanish, which is what makes the corrected reference integrate back
     to zero net velocity and displacement.
     """
-    q = 1.0 / np.sqrt(2.0)
-    w0 = 2.0 * np.pi * corner_hz / fs
-    c = (2.0 * np.pi * corner_hz) / np.tan(w0 / 2.0)
-    w = 2.0 * np.pi * corner_hz
-    a0 = c * c + (w / q) * c + w * w
-    b = np.array([c * c, -2.0 * c * c, c * c]) / a0
-    a = np.array([a0, 2.0 * (w * w - c * c), c * c - (w / q) * c + w * w]) / a0
-    return b, a
+    c, den = _bilinear_pole_pair(TWO_PI * corner_hz, 1.0 / np.sqrt(2.0), fs)
+    return c * c * np.array([1.0, -2.0, 1.0]) / den[0], den / den[0]
 
 
 def synth_reference(
@@ -420,9 +447,9 @@ def synth_reference(
     f_hi = fmax * 2.0 ** (1.0 / 6.0)
     rate = np.log(f_hi / f_lo) / sweep_end
     t_sweep = np.minimum(t, sweep_end)
-    theta = 2.0 * np.pi * f_lo * np.expm1(rate * t_sweep) / rate
-    theta += 2.0 * np.pi * f_hi * np.maximum(t - sweep_end, 0.0)
-    theta += rng.uniform(0.0, 2.0 * np.pi)
+    theta = TWO_PI * f_lo * np.expm1(rate * t_sweep) / rate
+    theta += TWO_PI * f_hi * np.maximum(t - sweep_end, 0.0)
+    theta += rng.uniform(0.0, TWO_PI)
 
     # The envelope rises with the sweep (amplitude ~ f^0.6) so that the
     # early low-frequency content stays weak; what little drift it causes
@@ -440,10 +467,10 @@ def synth_reference(
     # Gentle random coloring: a few slow cosines on the log envelope.
     n_modes = 6
     c = rng.normal(0.0, 0.10 / np.sqrt(n_modes), n_modes)
-    ph = rng.uniform(0.0, 2.0 * np.pi, n_modes)
+    ph = rng.uniform(0.0, TWO_PI, n_modes)
     color = np.zeros(n)
     for m in range(n_modes):
-        color += c[m] * np.cos(2.0 * np.pi * (m + 1) * t_sweep / sweep_end + ph[m])
+        color += c[m] * np.cos(TWO_PI * (m + 1) * t_sweep / sweep_end + ph[m])
     env *= np.exp(color)
 
     x = _iir2(*_highpass_ba(45.0, fs), env * np.cos(theta))

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .signal_core import Signal, SignalFormatError, _iir2, _read_pairs, _write_table
+from .signal_core import TWO_PI, Signal, SignalFormatError, _frozen, _iir2, _read_pairs, _ring_down_factor, _write_table
 
 __all__ = [
     "SrsSpec",
@@ -32,16 +32,6 @@ __all__ = [
     "read_spec",
     "write_curve",
 ]
-
-TWO_PI = 2.0 * np.pi
-_DECAY_LOG = float(np.log(1000.0))
-
-
-def _frozen(values) -> np.ndarray:
-    out = np.array(values, dtype=float)
-    out.setflags(write=False)
-    return out
-
 
 @dataclasses.dataclass(frozen=True)
 class SrsSpec:
@@ -154,15 +144,20 @@ def _check_freqs(freqs: np.ndarray, fs: float, q_srs: float) -> None:
 
 
 def _ring_down_samples(fn: float, q_srs: float, fs: float) -> int:
-    return int(np.ceil(_DECAY_LOG * 2.0 * q_srs / (TWO_PI * fn) * fs))
+    """Samples of free decay after the record, by the package's one ring-down rule.
+
+    ``_ring_down_factor(1)`` = 7 time constants of 2 q_srs / wn: 60 dB down.
+    """
+    return int(np.ceil(_ring_down_factor(1) * 2.0 * q_srs / (TWO_PI * fn) * fs))
 
 
 def srs(sig: Signal, freqs, q_srs: float = 10.0) -> SrsCurve:
     """Maximax absolute-acceleration SRS via the ramp-invariant recursion.
 
-    Each natural frequency's oscillator runs over the record plus a
-    ring-down pad of ln(1000)*2*q_srs/wn seconds, so late response peaks
-    of lightly damped oscillators are not cut off.
+    Each natural frequency's oscillator runs over the record plus the
+    ring-down pad of :func:`_ring_down_samples`, 7 * 2 * q_srs / wn
+    seconds, so late response peaks of lightly damped oscillators are not
+    cut off.
     """
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     fs = sig.sample_rate

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .filterbank import BankLayout, BasisMatrix, build_basis, make_layout
-from .signal_core import ResidualReport, Signal, _iir2, residual_motion
+from .signal_core import ResidualReport, Signal, _frozen, _iir2, residual_motion
 from .srs import DbErrorReport, SrsCurve, SrsSpec, _sdof_coeffs, db_error, spec_interpolate, srs
 
 __all__ = [
@@ -54,7 +54,8 @@ _SRS_FLOOR_REL = 1e-9
 # the next two oscillation periods (the envelope loses e^(-2*pi*0.05) per
 # period at q_srs >= 10, less than the worst sampling loss at >= 10
 # samples per period), so the in-loop response cache only needs this much
-# tail per frequency.
+# tail per frequency.  It is a peak-search tail, not a ring-down rule; the
+# canonical SRS runs the full ring-down of ``signal_core._ring_down_factor``.
 _CACHE_TAIL_PERIODS = 2.0
 
 # In-loop peak search decimates each frequency's response by
@@ -130,9 +131,7 @@ class SynthesisResult:
     target: SrsCurve
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=float).copy()
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "coefficients", _frozen(self.coefficients))
 
 
 def verification_grid(spec: SrsSpec, layout: BankLayout) -> np.ndarray:
@@ -142,6 +141,15 @@ def verification_grid(spec: SrsSpec, layout: BankLayout) -> np.ndarray:
     """
     freqs = np.sort(np.concatenate([layout.centers, spec.freqs]))
     return freqs[np.r_[True, freqs[1:] != freqs[:-1]]]
+
+
+def _target_curve(spec: SrsSpec, layout: BankLayout) -> SrsCurve:
+    """The spec interpolated onto the verification grid (the curve's ``freqs``).
+
+    The one call of ``spec_interpolate`` on that grid, so Python's default
+    filter (once per source line) shows its clamping warning once per process.
+    """
+    return spec_interpolate(spec, verification_grid(spec, layout))
 
 
 def objective(x, basis: BasisMatrix, target: SrsCurve, q_srs: float = 10.0) -> float:
@@ -380,8 +388,8 @@ def synthesize(
     error; it is reported through ``srs_report.passed``.
     """
     basis = build_basis(reference, layout)
-    grid = verification_grid(spec, layout)
-    target = spec_interpolate(spec, grid)
+    target = _target_curve(spec, layout)
+    grid = target.freqs
     cache = _BandResponseCache(basis, grid, q_srs)
 
     # Per-band diagonal estimate: each column's SRS at its own center.
@@ -429,10 +437,8 @@ def verify(
     ppo: int = 6,
 ) -> tuple[DbErrorReport, ResidualReport]:
     """Standalone re-verification of any signal against a spec."""
-    layout = make_layout(spec.freqs[0], spec.freqs[-1], ppo)
-    grid = verification_grid(spec, layout)
-    target = spec_interpolate(spec, grid)
-    achieved = srs(sig, grid, q_srs)
+    target = _target_curve(spec, make_layout(spec.freqs[0], spec.freqs[-1], ppo))
+    achieved = srs(sig, target.freqs, q_srs)
     return db_error(achieved, target, spec.tolerance_db), residual_motion(sig, net_zero_tol)
 
 

@@ -152,6 +152,20 @@ def test_verify_command_fails_out_of_tolerance(workdir, run_cli, tmp_path):
     assert report["pass_srs"] is False
 
 
+def test_verify_command_warns_once_about_clamping(workdir, cli_env, tmp_path):
+    # the README plateau spec ends at 10 kHz, below the top bank center
+    # (10,159 Hz), so the verification grid is clamped at its top end
+    write_spec_csv(tmp_path / "plateau.csv", [(100.0, 300.0), (1800.0, 1e4), (10_000.0, 1e4)])
+    env = {k: v for k, v in cli_env.items() if k != "PYTHONWARNINGS"}
+    r = subprocess.run(
+        [sys.executable, "-m", "shocksynth.cli", "verify", str(workdir / "ref.csv"),
+         str(tmp_path / "plateau.csv"), "--out-report", str(tmp_path / "v.json")],
+        capture_output=True, text=True, env=env,
+    )
+    assert r.returncode in (0, 1), r.stderr
+    assert r.stderr.count("are clamped to the end values") == 1
+
+
 def test_synth_zero_reference_infeasible(workdir, run_cli, tmp_path):
     zero = tmp_path / "zero.csv"
     with open(zero, "w", encoding="utf-8", newline="\n") as fh:

@@ -19,7 +19,7 @@ from shocksynth import (
     residual_motion,
     validate_order,
 )
-from shocksynth.signal_core import Signal
+from shocksynth.signal_core import Signal, _ring_down_factor
 
 
 def test_validate_order_table():
@@ -282,6 +282,27 @@ def test_impulse_response_peak_and_ring_down():
     # which is exactly what the filtering pad relies on
     n_ring = int(np.ceil(filt.params.ring_down_time * fs))
     assert np.max(np.abs(h.samples[n_ring:])) < 1e-3 * peak
+
+
+def test_ring_down_factor_values():
+    assert _ring_down_factor(1) == 7.0
+    assert _ring_down_factor(2) == 10.5
+
+
+@pytest.mark.parametrize("order,numerator_power", [(3, 2), (3, 4), (4, 2), (4, 7)])
+def test_ring_down_pad_holds_higher_orders(order, numerator_power):
+    # The pad must grow with the envelope t^(N-1) exp(-t / tau), which peaks
+    # later and decays slower as N grows.  With 1 ms of record before the
+    # pad, its last 5% is 60 dB below the response's peak.  The rule measures
+    # the 60 dB from the envelope's peak, not the response's, so with the
+    # impulse right at the pad start the tail reads about 1.2e-3 of the peak
+    # for every order, N = 2 included.
+    fs = 100_000.0
+    filt = discretize(NzdfParams(1000.0, q=5.0, order=order, numerator_power=numerator_power), fs)
+    n_tail = int(np.ceil(0.05 * np.ceil(filt.params.ring_down_time * fs)))
+    for duration, bound in ((1e-3, 1e-3), (1.0 / fs, 1.5e-3)):
+        h = impulse_response(filt, duration=duration).samples
+        assert np.max(np.abs(h[-n_tail:])) <= bound * np.max(np.abs(h)), duration
 
 
 def test_impulse_response_velocity_net_zero():
