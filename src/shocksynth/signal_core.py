@@ -361,21 +361,41 @@ def _iir2(b, a, x, step: int = 1) -> np.ndarray:
     (n,) or (n, m) input, and returns the rows n = 0, step, 2*step, ...
     of y.
 
-    The all-pole part is a unit lower-triangular banded system, solved by
-    LAPACK's ``dtbtrs`` in place on a Fortran-order copy of ``x``, so each
-    column is one compiled forward substitution.  The numerator is a 3-tap
-    FIR applied after the solve (the two parts commute), on the kept rows
-    only.
+    The all-pole part :func:`_allpole` comes first; the numerator is the
+    3-tap FIR :func:`_fir3`, applied after it (the two parts commute) on
+    the kept rows only.
     """
-    w = np.array(x, dtype=float, order="F")
-    n = w.shape[0]
-    ab = np.empty((3, n), order="F")
+    return _fir3(b, _allpole(a, x), step)
+
+
+def _allpole(a, x, seed=None) -> np.ndarray:
+    """w[n] + a1 w[n-1] + a2 w[n-2] = x[n] along axis 0, from zero state or a seed.
+
+    LAPACK's banded ``dtbtrs``, in place on a Fortran-order copy of ``x``.  A
+    2-row ``seed`` (w of the two samples before x[0]) leads the system and the
+    result, with ``ab[1, 0] = 0``: a split solve continues bit for bit, save
+    the sign of a zero in the seed's second row.
+    """
+    x = np.asarray(x, dtype=float)
+    lead = 0 if seed is None else 2
+    w = np.empty((lead + x.shape[0],) + x.shape[1:], order="F")
+    w[lead:] = x
+    ab = np.empty((3, w.shape[0]), order="F")
     ab[0], ab[1], ab[2] = 1.0, a[1], a[2]
+    if seed is not None:
+        w[:2] = seed
+        ab[1, 0] = 0.0
     w, _ = _dtbtrs(ab, w, uplo="L", diag="U", overwrite_b=1)
-    y = b[0] * w[::step]
+    return w
+
+
+def _fir3(b, w, step: int = 1, lead: int = 0) -> np.ndarray:
+    """Rows k of b0 w[i] + b1 w[i-1] + b2 w[i-2] at i = lead + k * step, taps before w[0] dropped."""
+    n = w.shape[0]
+    y = b[0] * w[lead::step]
     for lag in (1, 2):
-        k0 = -(-lag // step)  # first kept row k with k * step - lag >= 0
-        y[k0:] += b[lag] * w[k0 * step - lag : n - lag : step]
+        k0 = max(-((lead - lag) // step), 0)  # first kept row k with lead + k * step - lag >= 0
+        y[k0:] += b[lag] * w[lead + k0 * step - lag : n - lag : step]
     return y
 
 

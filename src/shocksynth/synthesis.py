@@ -20,18 +20,23 @@ env[c, j] = max |R[r, j]| over its rows r.  By the triangle inequality
 |R_r @ x| <= env[c] @ |x| for every row r of chunk c, so a chunk whose bound
 does not exceed a peak already found in its block cannot hold the block's
 maximum, and skipping it leaves the peak unchanged.
+
+A skipped chunk is never read either, so memory is committed only for the
+chunks the search multiplies out: about a fifth of the rows on the
+acceptance specs.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import mmap
 from pathlib import Path
 
 import numpy as np
 
 from .filterbank import BankLayout, BasisMatrix, build_basis, make_layout
-from .signal_core import ResidualReport, Signal, _frozen, _iir2, residual_motion
+from .signal_core import ResidualReport, Signal, _allpole, _fir3, _frozen, residual_motion
 from .srs import DbErrorReport, SrsCurve, SrsSpec, _sdof_coeffs, db_error, spec_interpolate, srs
 
 __all__ = [
@@ -69,8 +74,8 @@ _CACHE_TAIL_PERIODS = 2.0
 # canonical full-rate SRS is recomputed after the search.
 _CACHE_SAMPLES_PER_PERIOD = 20.0
 
-# Largest response cache allowed, in bytes, checked before it is allocated.
-# The 100 Hz to 10 kHz launcher spec needs about 153 MB at 100 kHz; a 10 Hz
+# Largest response cache allowed, in bytes reserved, checked before reserving.
+# The 100 Hz to 10 kHz launcher spec reserves about 153 MB at 100 kHz; a 10 Hz
 # lowest frequency would need about 1.6 GB.
 _CACHE_MAX_BYTES = 1 << 30
 
@@ -271,21 +276,28 @@ class _BandResponseCache:
     the chunks whose bound, with a rounding slack, beats the peak of the
     best-bounded chunk of their block; a skipped chunk cannot hold the
     maximum, so the result equals the full scan's.
+
+    ``matrix`` reserves every row, but commits a chunk only once written.
+    The build filters each block whole, keeps each chunk's envelope and seed
+    (the all-pole state w of the two samples before it), and stores the
+    chunks holding a column's peak, which the diagonal probe reads.  Any
+    other chunk is filtered from its seed, bit for bit as in the whole
+    block, when the search first multiplies it out.
     """
 
     def __init__(self, basis: BasisMatrix, grid: np.ndarray, q_srs: float):
         fs = basis.sample_rate
         dt = 1.0 / fs
-        n = basis.columns.shape[0]
+        n, m = basis.columns.shape
         tails = [int(np.ceil(_CACHE_TAIL_PERIODS * fs / fn)) for fn in grid]
         steps = [max(int(fs / (_CACHE_SAMPLES_PER_PERIOD * fn)), 1) for fn in grid]
         rows = [-(-(n + tail) // step) for tail, step in zip(tails, steps)]
         edges = np.concatenate([[0], np.cumsum(rows)]).astype(np.intp)
-        n_bytes = int(edges[-1]) * basis.n_columns * 8
+        n_bytes = int(edges[-1]) * m * 8
         if n_bytes > _CACHE_MAX_BYTES:
             raise ValueError(
                 f"response cache would take {n_bytes:,} bytes ({edges[-1]:,} rows x "
-                f"{basis.n_columns} columns), over the {_CACHE_MAX_BYTES:,}-byte budget; "
+                f"{m} columns), over the {_CACHE_MAX_BYTES:,}-byte budget; "
                 "raise the lowest spec frequency or use fewer points per octave"
             )
         # Chunks of _CHUNK_ROWS rows; a block's last chunk takes any one-row
@@ -296,20 +308,46 @@ class _BandResponseCache:
         self._chunk_edges = np.append(np.concatenate(chunks), edges[-1])
         self._block_chunks = np.concatenate([[0], np.cumsum(counts)])
         self._chunk_block = np.repeat(np.arange(grid.size), counts)
-        self._env = np.empty((self._chunk_block.size, basis.n_columns))
-        self.matrix = np.empty((edges[-1], basis.n_columns), order="F")
-        drive = np.zeros((n + max(tails), basis.n_columns), order="F")
-        drive[:n] = basis.columns
-        for k, (fn, tail, step, s, e) in enumerate(zip(grid, tails, steps, edges[:-1], edges[1:])):
-            b, a = _sdof_coeffs(fn, q_srs, dt)
-            self.matrix[s:e] = _iir2(b, a, drive[: n + tail], step)
+        self._env = np.empty((self._chunk_block.size, m))
+        self._seeds = np.zeros((self._chunk_block.size, 2, m))
+        self._filled = np.zeros(self._chunk_block.size, dtype=bool)
+        self._filters = [_sdof_coeffs(fn, q_srs, dt) for fn in grid]
+        self._steps, self.starts, self.grid = steps, edges[:-1], grid
+        # Anonymous memory, committed a page at a time on first write, without
+        # the 2 MiB huge pages numpy asks for on arrays of 4 MiB and more.
+        try:
+            buf = mmap.mmap(-1, n_bytes)
+        except OSError as exc:
+            raise ValueError(f"could not reserve {n_bytes:,} bytes for the response cache: {exc}") from None
+        if hasattr(mmap, "MADV_NOHUGEPAGE"):
+            buf.madvise(mmap.MADV_NOHUGEPAGE)
+        self.matrix = np.ndarray((edges[-1], m), buffer=buf, order="F")
+        self._drive = np.zeros((n + max(tails), m), order="F")
+        self._drive[:n] = basis.columns
+        for k, ((b, a), tail, step) in enumerate(zip(self._filters, tails, steps)):
             c0, c1 = self._block_chunks[k], self._block_chunks[k + 1]
-            # the abs temporary is freed at once, before the next block's filter
-            self._env[c0:c1] = np.maximum.reduceat(
-                np.abs(self.matrix[s:e]), chunks[k] - s, axis=0
-            )
-        self.starts = edges[:-1]
-        self.grid = grid
+            first = self._chunk_edges[c0 : c1 + 1] - edges[k]
+            w = _allpole(a, self._drive[: n + tail])
+            self._seeds[c0 + 1 : c1] = w[first[1:-1, None] * step - [2, 1]]
+            block = _fir3(b, w, step)
+            del w  # before the abs temporary
+            self._env[c0:c1] = np.maximum.reduceat(np.abs(block), first[:-1], axis=0)
+            for c in set(np.argmax(self._env[c0:c1], axis=0).tolist()):
+                self._store(c0 + c, block[first[c] : first[c + 1]])
+            del block
+
+    def _fill(self, chunks):
+        """Commit each chunk's rows, filtered from its seed alone."""
+        for c in chunks:
+            k = self._chunk_block[c]
+            r0, r1 = self._chunk_edges[c : c + 2] - self.starts[k]
+            (b, a), step = self._filters[k], self._steps[k]
+            w = _allpole(a, self._drive[r0 * step : (r1 - 1) * step + 1], self._seeds[c] if r0 else None)
+            self._store(c, _fir3(b, w, step, 2 if r0 else 0))
+
+    def _store(self, c, rows):
+        self.matrix[self._chunk_edges[c] : self._chunk_edges[c + 1]] = rows
+        self._filled[c] = True
 
     def srs_values(self, coeff_block: np.ndarray) -> np.ndarray:
         """(n_particles, dim) coefficients -> (n_grid, n_particles) SRS.
@@ -331,14 +369,16 @@ class _BandResponseCache:
         # Pass 1: the chunk with the largest bound sets each block's running
         # peak.  A NaN coefficient makes that peak NaN, and NaN compares
         # False against every bound in pass 2, so it reaches the output.
-        lead = np.empty(self.starts.size, dtype=np.intp)
-        for k, (c0, c1) in enumerate(zip(self._block_chunks[:-1], self._block_chunks[1:])):
-            lead[k] = c0 + np.argmax(score[c0:c1])
-            self._peak(x, lead[k], lead[k] + 1, out[k])
+        pairs = zip(self._block_chunks[:-1], self._block_chunks[1:])
+        lead = np.array([c0 + np.argmax(score[c0:c1]) for c0, c1 in pairs])
+        self._fill(lead[~self._filled[lead]])
+        for k, c in enumerate(lead):
+            self._peak(x, c, c + 1, out[k])
         # Pass 2: every other chunk that could still hold a larger peak,
         # multiplied out in runs of adjacent chunks of one block.
         live = np.any(bound * (1.0 + _BOUND_SLACK) > out[self._chunk_block], axis=1)
         live[lead] = False
+        self._fill(np.flatnonzero(live & ~self._filled))
         first, last = self._block_chunks[:-1], self._block_chunks[1:] - 1
         begins = live & ~np.concatenate([[False], live[:-1]])
         begins[first] = live[first]

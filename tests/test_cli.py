@@ -1,6 +1,9 @@
 """End-to-end command-line checks through real subprocesses."""
 
+import errno
 import json
+import mmap
+import re
 import subprocess
 import sys
 
@@ -288,6 +291,51 @@ def test_synth_over_cache_budget_exits_2(workdir, run_cli, tmp_path):
     assert r.returncode == 2
     assert "budget" in r.stderr
     assert not out.exists()
+
+
+def test_synth_refused_reservation_exits_2(workdir, tmp_path, monkeypatch, capsys):
+    from shocksynth.cli import main
+
+    def refuse(*args, **kwargs):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    out = tmp_path / "s.csv"
+    args = ["synth", workdir / "spec.csv", workdir / "ref.csv", "--out-signal", out, "--out-report", tmp_path / "r.json"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(map(str, args)))
+    assert exit_info.value.code == 2
+    assert re.search(r"^error: could not reserve [\d,]+ bytes for the response cache", capsys.readouterr().err, re.M)
+    assert not out.exists()
+
+
+# Runs a command and prints its exit code and peak resident size.  It
+# imports no numpy: on Linux a child's ru_maxrss also counts the resident
+# size of the process that started it, as it stood before the exec.
+_RSS_LAUNCHER = """
+import resource, subprocess, sys
+code = subprocess.run(sys.argv[1:]).returncode
+print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_synth_peak_resident_size(run_cli, cli_env, tmp_path):
+    # the README plateau run: the response cache reserves 136 MB, but the
+    # peak search reads about a fifth of it, and only that is committed
+    assert run_cli("demo-ref", "--seed", 1, "--out", tmp_path / "ref.csv").returncode == 0
+    write_spec_csv(tmp_path / "spec.csv", [(100.0, 300.0), (1800.0, 10_000.0), (10_000.0, 10_000.0)])
+    r = subprocess.run(
+        [
+            sys.executable, "-c", _RSS_LAUNCHER, sys.executable, "-m", "shocksynth.cli", "synth",
+            tmp_path / "spec.csv", tmp_path / "ref.csv", "--seed", "1",
+            "--out-signal", tmp_path / "s.csv", "--out-report", tmp_path / "r.json",
+        ],
+        capture_output=True, text=True, env=cli_env,
+    )
+    code, max_rss_kib = map(int, r.stdout.split()[-2:])
+    assert code == 0, r.stderr
+    assert max_rss_kib / 1024.0 < 160.0
 
 
 def test_atomic_unique_temp_and_cleanup(tmp_path):

@@ -29,6 +29,8 @@ from shocksynth import signal_core
 from shocksynth.signal_core import (
     _cumulative_trapezoid,
     _dtbtrs,
+    _allpole,
+    _fir3,
     _iir2,
     _load_dtbtrs,
     _median,
@@ -547,6 +549,61 @@ def test_iir2_superposition(seed, n, fn, scale_x, scale_y, spike):
     fx, fy = _iir2(b, a, x), _iir2(b, a, y)
     err = np.max(np.abs(_iir2(b, a, x + y) - (fx + fy)))
     assert err <= 1e-12 * (np.max(np.abs(fx)) + np.max(np.abs(fy)))
+
+
+def _iir2_in_one(b, a, x, step):
+    """The kernel written as one function, the oracle for its two halves."""
+    w = np.array(x, dtype=float, order="F")
+    n = w.shape[0]
+    ab = np.empty((3, n), order="F")
+    ab[0], ab[1], ab[2] = 1.0, a[1], a[2]
+    w, _ = _dtbtrs(ab, w, uplo="L", diag="U", overwrite_b=1)
+    y = b[0] * w[::step]
+    for lag in (1, 2):
+        k0 = -(-lag // step)
+        y[k0:] += b[lag] * w[k0 * step - lag : n - lag : step]
+    return y
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    radius=st.floats(0.0, 0.9999),
+    angle=st.floats(0.0, np.pi),
+    b=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    m=st.integers(1, 6),
+    k=st.integers(16, 600),
+    step=st.sampled_from([1, 2, 7]),
+    zeros=st.sampled_from([0.0, 0.3, 0.9]),
+    data=st.data(),
+)
+def test_allpole_seeded_continuation_property(seed, radius, angle, b, m, k, step, zeros, data):
+    # a stable pole pair r exp(+-j angle); some inputs are exact signed zeros
+    a = np.array([1.0, -2.0 * radius * np.cos(angle), radius * radius])
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(k, m))
+    x[rng.random((k, m)) < zeros] = 0.0
+    x *= np.where(rng.random((k, m)) < 0.5, -1.0, 1.0)
+    whole = _allpole(a, x)
+    np.testing.assert_array_equal(_bits(_iir2(b, a, x, step)), _bits(_iir2_in_one(b, a, x, step)))
+    # a split at kept row r, solved in two pieces, the second seeded with the
+    # first's last two rows
+    r = data.draw(st.integers(max(2 // step, 1), (k - 1) // step), label="split row")
+    head = _allpole(a, x[: r * step])
+    tail = _allpole(a, x[r * step :], seed=head[-2:])
+    np.testing.assert_array_equal(tail[:2], head[-2:])
+    np.testing.assert_array_equal(tail[2:], whole[r * step :])
+    rows = _fir3(b, tail, step, lead=2)
+    np.testing.assert_array_equal(rows, _iir2(b, a, x, step)[r:])
+    # bit for bit, signed zeros too, unless the second seed row holds an exact
+    # zero: dtbtrs adds (first seed row) * 0 to it, so -0.0 may come out +0.0
+    if np.all(head[-1] != 0.0):
+        np.testing.assert_array_equal(_bits(tail[2:]), _bits(whole[r * step :]))
+        np.testing.assert_array_equal(_bits(rows), _bits(_iir2(b, a, x, step)[r:]))
 
 
 def test_loaded_dtbtrs_matches_scipy_linalg_lapack():

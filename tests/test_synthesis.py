@@ -1,5 +1,6 @@
 """Swarm optimizer, response cache, end-to-end synthesis, and reports."""
 
+import errno
 import json
 from types import SimpleNamespace
 
@@ -27,6 +28,8 @@ from shocksynth import (
     write_report,
 )
 from shocksynth import synthesis
+from shocksynth.signal_core import _iir2
+from shocksynth.srs import _sdof_coeffs
 from shocksynth.synthesis import _BandResponseCache
 
 
@@ -175,11 +178,31 @@ def small_cache(small_problem):
     return _BandResponseCache(basis, verification_grid(spec, layout), 10.0)
 
 
-def test_cache_matches_unfused_peak(small_problem, small_cache):
+@pytest.fixture(scope="module")
+def eager(small_problem, small_cache):
+    """The cache's full layout as one uninterrupted ``_iir2`` per block computes it.
+
+    The cache itself commits only the chunks its peak search reads, so its
+    ``matrix`` is no reference for the rows it never filled.
+    """
+    basis, grid = small_problem[3], small_cache.grid
+    fs, n = basis.sample_rate, basis.columns.shape[0]
+    blocks = []
+    for fn in grid:
+        tail = int(np.ceil(synthesis._CACHE_TAIL_PERIODS * fs / fn))
+        step = max(int(fs / (synthesis._CACHE_SAMPLES_PER_PERIOD * fn)), 1)
+        drive = np.zeros((n + tail, basis.n_columns))
+        drive[:n] = basis.columns
+        blocks.append(_iir2(*_sdof_coeffs(fn, 10.0, 1.0 / fs), drive, step))
+    np.testing.assert_array_equal(np.cumsum([0] + [len(b) for b in blocks[:-1]]), small_cache.starts)
+    return np.asfortranarray(np.concatenate(blocks))
+
+
+def test_cache_matches_unfused_peak(small_problem, small_cache, eager):
     # the per-block peak equals the segmented max of the whole product
     basis, cache = small_problem[3], small_cache
     block = np.random.default_rng(9).normal(size=(32, basis.n_columns)) * 50.0
-    unfused = np.maximum.reduceat(np.abs(cache.matrix @ block.T), cache.starts, axis=0)
+    unfused = np.maximum.reduceat(np.abs(eager @ block.T), cache.starts, axis=0)
     np.testing.assert_allclose(cache.srs_values(block), unfused, rtol=1e-12, atol=0.0)
 
 
@@ -196,16 +219,55 @@ def test_cache_batch_slices_exact(small_problem, small_cache):
         np.testing.assert_array_equal(diag[:, j], cache.srs_values(eye[j : j + 1])[:, 0])
 
 
-def _full_scan(cache, block):
-    return np.maximum.reduceat(np.abs(cache.matrix @ block.T), cache.starts, axis=0)
+def _full_scan(matrix, cache, block):
+    return np.maximum.reduceat(np.abs(matrix @ block.T), cache.starts, axis=0)
 
 
-def _block_peaks(cache, block):
+def _block_peaks(matrix, cache, block):
     """Unpruned reference: every row of every block multiplied out."""
     x = np.vstack([block, block]) if len(block) == 1 else block
-    edges = np.append(cache.starts, cache.matrix.shape[0])
-    peaks = [np.abs(x @ cache.matrix[s:e].T).max(axis=1) for s, e in zip(edges[:-1], edges[1:])]
+    edges = np.append(cache.starts, matrix.shape[0])
+    peaks = [np.abs(x @ matrix[s:e].T).max(axis=1) for s, e in zip(edges[:-1], edges[1:])]
     return np.array(peaks)[:, : len(block)]
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+@pytest.mark.parametrize("chunk_rows", [512, 22])
+def test_forcing_every_chunk_gives_eager_rows(small_problem, small_cache, eager, chunk_rows, monkeypatch):
+    monkeypatch.setattr(synthesis, "_CHUNK_ROWS", chunk_rows)
+    cache = _BandResponseCache(small_problem[3], small_cache.grid, 10.0)
+    stored = cache._filled.copy()
+    assert stored.any() and not stored.all()
+    # the build stores each block's chunks that hold some column's peak
+    for k in range(cache.starts.size):
+        c0, c1 = cache._block_chunks[k : k + 2]
+        peaks = c0 + np.argmax(cache._env[c0:c1], axis=0)
+        assert set(np.flatnonzero(stored[c0:c1]) + c0) == set(peaks)
+    cache._fill(np.flatnonzero(~stored))
+    assert cache._filled.all()
+    np.testing.assert_array_equal(_bits(cache.matrix), _bits(eager))
+    np.testing.assert_array_equal(
+        cache._env, np.maximum.reduceat(np.abs(eager), cache._chunk_edges[:-1], axis=0)
+    )
+
+
+def test_query_fills_a_chunk_the_build_did_not_store(small_problem, small_cache, eager, monkeypatch):
+    # 22-row chunks, as in fine_cache: a 512-row chunk is most of a block here
+    monkeypatch.setattr(synthesis, "_CHUNK_ROWS", 22)
+    cache = _BandResponseCache(small_problem[3], small_cache.grid, 10.0)
+    stored = cache._filled.copy()
+    block = np.random.default_rng(12).normal(size=(6, small_problem[3].n_columns)) * 50.0
+    vals = cache.srs_values(block)
+    new = np.flatnonzero(cache._filled & ~stored)
+    assert new.size
+    np.testing.assert_array_equal(vals, _block_peaks(eager, cache, block))
+    np.testing.assert_allclose(vals, _full_scan(eager, cache, block), rtol=1e-12, atol=0.0)
+    for c in new:
+        rows = slice(cache._chunk_edges[c], cache._chunk_edges[c + 1])
+        np.testing.assert_array_equal(_bits(cache.matrix[rows]), _bits(eager[rows]))
 
 
 @pytest.fixture(scope="module")
@@ -242,23 +304,23 @@ def _block_of_kind(n, kind):
 
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(data=st.data())
-def test_pruned_peak_matches_full_scan_property(small_problem, small_cache, fine_cache, data):
+def test_pruned_peak_matches_full_scan_property(small_problem, small_cache, fine_cache, eager, data):
     # skipping chunks whose envelope bound cannot win is exact
     kind = data.draw(st.sampled_from(["sparse", "one_hot", "sign_mixed", "zero"]))
     n = small_problem[3].n_columns
     block = 50.0 * np.array(data.draw(_block_of_kind(n, kind)))
     for cache in (small_cache, fine_cache):
         vals = cache.srs_values(block)
-        np.testing.assert_allclose(vals, _full_scan(cache, block), rtol=1e-12, atol=0.0)
-        np.testing.assert_array_equal(vals, _block_peaks(cache, block))
+        np.testing.assert_allclose(vals, _full_scan(eager, cache, block), rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(vals, _block_peaks(eager, cache, block))
 
 
 @pytest.mark.parametrize("cache_name", ["small_cache", "fine_cache"])
-def test_nan_coefficient_reaches_every_frequency(small_problem, cache_name, request):
+def test_nan_coefficient_reaches_every_frequency(small_problem, eager, cache_name, request):
     cache = request.getfixturevalue(cache_name)
     block = np.random.default_rng(11).normal(size=(4, small_problem[3].n_columns)) * 50.0
     block[1, 3] = np.nan
-    vals, full = cache.srs_values(block), _full_scan(cache, block)
+    vals, full = cache.srs_values(block), _full_scan(eager, cache, block)
     assert np.all(np.isnan(vals[:, 1])) and np.all(np.isnan(full[:, 1]))
     assert np.all(np.isnan(cache.srs_values(block[1:2])))
     keep = [0, 2, 3]
@@ -273,6 +335,16 @@ def test_cache_rejects_over_budget(small_problem, small_cache, monkeypatch):
         _BandResponseCache(basis, small_cache.grid, 10.0)
     monkeypatch.setattr(synthesis, "_CACHE_MAX_BYTES", need)
     assert _BandResponseCache(basis, small_cache.grid, 10.0).matrix.nbytes == need
+
+
+def test_cache_names_the_bytes_a_refused_reservation_asked_for(small_problem, small_cache, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    monkeypatch.setattr(synthesis.mmap, "mmap", refuse)
+    need = small_cache.matrix.nbytes
+    with pytest.raises(ValueError, match=f"could not reserve {need:,} bytes for the response cache"):
+        _BandResponseCache(small_problem[3], small_cache.grid, 10.0)
 
 
 def _cache_and_canonical(cache, basis, x):
