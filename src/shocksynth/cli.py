@@ -2,9 +2,11 @@
 synthesis, verification, and surrogate generation.
 
 Exit codes: 0 success (all pass flags true), 1 completed but tolerance or
-net-zero unmet (including an infeasible spec), 2 usage or input errors.
-All outputs are written atomically (temp file + rename) and are
-byte-reproducible given identical flags and seeds.
+net-zero unmet (including an infeasible spec), 2 usage or input errors,
+numbers that are not finite or are out of range among them.  One handler
+around command dispatch maps errors to exit codes.  All outputs are written
+atomically (temp file + rename) and are byte-reproducible given identical
+flags and seeds.
 """
 
 from __future__ import annotations
@@ -19,16 +21,26 @@ import numpy as np
 
 from .filterbank import NoBandEnergyError, make_layout
 from .nzdf import NzdfParams, apply_filter, discretize
-from .signal_core import Signal, SignalFormatError, _write_table, read_signal, synth_reference, write_signal
+from .signal_core import _write_table, read_signal, synth_reference, write_signal
 from .srs import read_spec, srs, write_curve
 from .synthesis import PsoConfig, _target_curve, build_report, synthesize, verify, write_report
 
-_INPUT_ERRORS = (SignalFormatError, ValueError, OSError)
+# SignalFormatError and NoBandEnergyError are ValueErrors.
+_INPUT_ERRORS = (ValueError, OSError)
 
 
-def _fail(exc) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(2)
+class _Commands(click.Group):
+    """The command group, with the one mapping of errors to exit codes."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except NoBandEnergyError as exc:
+            click.echo(f"synthesis infeasible: {exc}", err=True)
+            sys.exit(1)
+        except _INPUT_ERRORS as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
 
 
 def _atomic(path, write_fn) -> None:
@@ -65,7 +77,7 @@ def _write_bode_csv(path, freqs, response) -> None:
     _write_table(path, "freq_hz,mag_db,phase_deg", np.column_stack([freqs, mag_db, phase_deg]))
 
 
-@click.group()
+@click.group(cls=_Commands)
 def main():
     """Shock synthesis under an SRS specification with net-zero filters."""
 
@@ -79,13 +91,9 @@ def main():
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="Output SRS CSV path.")
 def cmd_srs(input_csv, fmin, fmax, ppo, q_srs, out):
     """Compute the maximax SRS of a signal on an octave-fraction grid."""
-    try:
-        sig = read_signal(input_csv)
-        layout = make_layout(fmin, fmax, ppo)
-        curve = srs(sig, layout.centers, q_srs)
-        _atomic(out, lambda p: write_curve(curve, p))
-    except _INPUT_ERRORS as exc:
-        _fail(exc)
+    layout = make_layout(fmin, fmax, ppo)
+    curve = srs(read_signal(input_csv), layout.centers, q_srs)
+    _atomic(out, lambda p: write_curve(curve, p))
     click.echo(f"wrote SRS at {layout.centers.size} frequencies to {out}")
 
 
@@ -98,18 +106,16 @@ def cmd_srs(input_csv, fmin, fmax, ppo, q_srs, out):
               help="Bode CSV sidecar path [default: <out stem>_bode.csv].")
 def cmd_filter(input_csv, fc, q, out, bode_out):
     """Filter a signal through a single net-zero band-pass at --fc."""
-    try:
-        sig = read_signal(input_csv)
-        filt = discretize(NzdfParams(fc, q=q), sig.sample_rate)
-        result = apply_filter(filt, sig)
-        _atomic(out, lambda p: write_signal(result, p))
-        if bode_out is None:
-            out_path = Path(out)
-            bode_out = out_path.with_name(out_path.stem + "_bode.csv")
-        freqs = np.geomspace(fc / 100.0, min(100.0 * fc, 0.49 * sig.sample_rate), 481)
-        _atomic(bode_out, lambda p: _write_bode_csv(p, freqs, filt.frequency_response(freqs)))
-    except _INPUT_ERRORS as exc:
-        _fail(exc)
+    params = NzdfParams(fc, q=q)
+    sig = read_signal(input_csv)
+    filt = discretize(params, sig.sample_rate)
+    result = apply_filter(filt, sig)
+    _atomic(out, lambda p: write_signal(result, p))
+    if bode_out is None:
+        out_path = Path(out)
+        bode_out = out_path.with_name(out_path.stem + "_bode.csv")
+    freqs = np.geomspace(fc / 100.0, min(100.0 * fc, 0.49 * sig.sample_rate), 481)
+    _atomic(bode_out, lambda p: _write_bode_csv(p, freqs, filt.frequency_response(freqs)))
     click.echo(f"wrote filtered signal to {out} and Bode data to {bode_out}")
 
 
@@ -122,17 +128,14 @@ def cmd_filter(input_csv, fc, q, out, bode_out):
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="Output magnitude-grid CSV path.")
 def cmd_bank(fmin, fmax, ppo, fs, q, out):
     """Dump the bank layout and each filter's magnitude response."""
-    try:
-        layout = make_layout(fmin, fmax, ppo)
-        filts = [discretize(NzdfParams(fc, q=q), fs) for fc in layout.centers]
-        freqs = np.geomspace(fmin / 4.0, min(4.0 * fmax, 0.49 * fs), 481)
-        mags = np.column_stack(
-            [20.0 * np.log10(np.maximum(np.abs(f.frequency_response(freqs)), 1e-300)) for f in filts]
-        )
-        header = "freq_hz," + ",".join(f"mag_db_{fc:.12g}" for fc in layout.centers)
-        _atomic(out, lambda p: _write_table(p, header, np.column_stack([freqs, mags])))
-    except _INPUT_ERRORS as exc:
-        _fail(exc)
+    layout = make_layout(fmin, fmax, ppo)
+    filts = [discretize(NzdfParams(fc, q=q), fs) for fc in layout.centers]
+    freqs = np.geomspace(fmin / 4.0, min(4.0 * fmax, 0.49 * fs), 481)
+    mags = np.column_stack(
+        [20.0 * np.log10(np.maximum(np.abs(f.frequency_response(freqs)), 1e-300)) for f in filts]
+    )
+    header = "freq_hz," + ",".join(f"mag_db_{fc:.12g}" for fc in layout.centers)
+    _atomic(out, lambda p: _write_table(p, header, np.column_stack([freqs, mags])))
     click.echo(f"wrote {layout.centers.size} filter responses to {out}")
 
 
@@ -150,20 +153,11 @@ def cmd_bank(fmin, fmax, ppo, fs, q, out):
 def cmd_synth(spec_csv, ref_csv, tolerance_db, seed, q_srs, ppo, swarm_size, max_iters,
               out_signal, out_report):
     """Synthesize a shock matching SPEC_CSV from the reference REF_CSV."""
-    try:
-        spec = read_spec(spec_csv, tolerance_db)
-        ref = read_signal(ref_csv)
-        layout = make_layout(spec.freqs[0], spec.freqs[-1], ppo)
-        cfg = PsoConfig(swarm_size=swarm_size, max_iters=max_iters, seed=seed)
-    except _INPUT_ERRORS as exc:
-        _fail(exc)
-    try:
-        result = synthesize(spec, ref, layout, cfg, q_srs)
-    except NoBandEnergyError as exc:
-        click.echo(f"synthesis infeasible: {exc}", err=True)
-        sys.exit(1)
-    except _INPUT_ERRORS as exc:
-        _fail(exc)
+    spec = read_spec(spec_csv, tolerance_db)
+    ref = read_signal(ref_csv)
+    layout = make_layout(spec.freqs[0], spec.freqs[-1], ppo)
+    cfg = PsoConfig(swarm_size=swarm_size, max_iters=max_iters, seed=seed)
+    result = synthesize(spec, ref, layout, cfg, q_srs)
     report = build_report(
         result.achieved,
         result.target,
@@ -173,11 +167,8 @@ def cmd_synth(spec_csv, ref_csv, tolerance_db, seed, q_srs, ppo, swarm_size, max
         iterations=result.iterations_used,
         seed=seed,
     )
-    try:
-        _atomic(out_signal, lambda p: write_signal(result.synthesized, p))
-        _atomic(out_report, lambda p: write_report(report, p))
-    except OSError as exc:
-        _fail(exc)
+    _atomic(out_signal, lambda p: write_signal(result.synthesized, p))
+    _atomic(out_report, lambda p: write_report(report, p))
     ok = result.srs_report.passed and result.residuals.passed
     click.echo(
         f"max |SRS error| {result.srs_report.max_abs_db:.3f} dB "
@@ -198,15 +189,12 @@ def cmd_synth(spec_csv, ref_csv, tolerance_db, seed, q_srs, ppo, swarm_size, max
 @click.option("--out-report", type=click.Path(dir_okay=False), required=True, help="Report JSON path.")
 def cmd_verify(signal_csv, spec_csv, tolerance_db, q_srs, ppo, net_zero_tol, out_report):
     """Verify an existing signal file against a spec file."""
-    try:
-        sig = read_signal(signal_csv)
-        spec = read_spec(spec_csv, tolerance_db)
-        srs_report, residuals = verify(sig, spec, q_srs, net_zero_tol, ppo)
-        target = _target_curve(spec, make_layout(spec.freqs[0], spec.freqs[-1], ppo))
-        report = build_report(srs(sig, target.freqs, q_srs), target, srs_report, residuals)
-        _atomic(out_report, lambda p: write_report(report, p))
-    except _INPUT_ERRORS as exc:
-        _fail(exc)
+    sig = read_signal(signal_csv)
+    spec = read_spec(spec_csv, tolerance_db)
+    srs_report, residuals = verify(sig, spec, q_srs, net_zero_tol, ppo)
+    target = _target_curve(spec, make_layout(spec.freqs[0], spec.freqs[-1], ppo))
+    report = build_report(srs(sig, target.freqs, q_srs), target, srs_report, residuals)
+    _atomic(out_report, lambda p: write_report(report, p))
     ok = srs_report.passed and residuals.passed
     max_db = srs_report.max_abs_db
     click.echo(
@@ -224,11 +212,8 @@ def cmd_verify(signal_csv, spec_csv, tolerance_db, q_srs, ppo, net_zero_tol, out
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="Output signal CSV path.")
 def cmd_demo_ref(fs, duration, fmax, seed, out):
     """Generate a deterministic surrogate reference shock."""
-    try:
-        sig = synth_reference(fs, duration, fmax, seed)
-        _atomic(out, lambda p: write_signal(sig, p))
-    except _INPUT_ERRORS as exc:
-        _fail(exc)
+    sig = synth_reference(fs, duration, fmax, seed)
+    _atomic(out, lambda p: write_signal(sig, p))
     click.echo(f"wrote {len(sig)} samples at {fs:.12g} Hz to {out}")
 
 

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from .nzdf import NzdfParams, apply_filter, discretize
-from .signal_core import TWO_PI, Signal, _frozen, motion_of
+from .signal_core import TWO_PI, Signal, _frozen, _scalar, motion_of
 
 __all__ = [
     "BankLayout",
@@ -54,24 +54,23 @@ class BankLayout:
 
     def __post_init__(self):
         centers = _frozen(self.centers)
-        if centers.ndim != 1 or centers.size == 0:
-            raise ValueError("centers must be a non-empty 1-D array")
+        if centers.ndim != 1 or centers.size == 0 or not np.isfinite(centers).all():
+            raise ValueError("centers must be a non-empty 1-D array of finite values")
         object.__setattr__(self, "centers", centers)
 
 
 def make_layout(fmin: float, fmax: float, ppo: int = 6) -> BankLayout:
     """Build the grid covering [fmin, fmax] at 2**(1/ppo) spacing."""
-    fmin = float(fmin)
-    fmax = float(fmax)
-    if fmin <= 0.0:
-        raise ValueError(f"fmin must be positive, got {fmin}")
+    fmin = _scalar("fmin", fmin, above=0.0)
+    fmax = _scalar("fmax", fmax)
     if fmax <= fmin:
         raise ValueError(f"fmax must exceed fmin, got fmin={fmin}, fmax={fmax}")
     ppo = int(ppo)
     if ppo < 1:
         raise ValueError(f"points_per_octave must be >= 1, got {ppo}")
     # Small backoff so an fmax exactly on the grid does not gain an extra point.
-    k_last = int(np.ceil(ppo * np.log2(fmax / fmin) - 1e-9))
+    # A difference of logs stays finite where fmax / fmin would overflow.
+    k_last = int(np.ceil(ppo * (np.log2(fmax) - np.log2(fmin)) - 1e-9))
     centers = fmin * 2.0 ** (np.arange(k_last + 1) / ppo)
     return BankLayout(fmin, fmax, ppo, centers)
 
@@ -175,9 +174,7 @@ def four_coordinate_check(column: Signal, fc: float) -> tuple[float, float]:
     (max|a| / (w max|v|), max|a| / (w^2 max|u|)); both near 1 when the
     narrowband assumption holds.
     """
-    if fc <= 0.0:
-        raise ValueError(f"fc must be positive, got {fc}")
-    w = TWO_PI * fc
+    w = TWO_PI * _scalar("fc", fc, above=0.0)
     m = motion_of(column)
     peak_a = float(np.max(np.abs(m.acceleration.samples)))
     peak_v = float(np.max(np.abs(m.velocity.samples)))

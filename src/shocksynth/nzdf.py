@@ -31,7 +31,7 @@ import warnings
 
 import numpy as np
 
-from .signal_core import TWO_PI, Signal, _bilinear_pole_pair, _frozen, _iir2, _ring_down_factor
+from .signal_core import TWO_PI, Signal, _bilinear_pole_pair, _frozen, _iir2, _ring_down_factor, _scalar
 
 __all__ = [
     "NzdfParams",
@@ -48,9 +48,12 @@ __all__ = [
     "gammatone_impulse",
 ]
 
-_BISECT_LO = 0.8
-_BISECT_HI = 1.0e4
-_BISECT_TOL = 1.0e-9
+# The q range over which beta_to_q inverts q_to_beta.
+_Q_LO = 0.8
+_Q_HI = 1.0e4
+
+# The default shape's relative 3 dB bandwidth times q: sqrt(sqrt(2) - 1).
+_BETA_Q = np.sqrt(np.sqrt(2.0) - 1.0)
 
 
 def validate_order(numerator_power: int, order: int) -> bool:
@@ -92,12 +95,8 @@ class NzdfParams:
     numerator_power: int = 2
 
     def __post_init__(self):
-        fc = float(self.center_freq)
-        q = float(self.q)
-        if not np.isfinite(fc) or fc <= 0.0:
-            raise ValueError(f"center_freq must be positive, got {fc}")
-        if not np.isfinite(q) or q <= 0.5:
-            raise ValueError(f"q must exceed 0.5 (underdamped), got {q}")
+        fc = _scalar("center_freq", self.center_freq, above=0.0)
+        q = _scalar("q", self.q, above=0.5)  # underdamped
         if not validate_order(self.numerator_power, self.order):
             raise ValueError(
                 f"numerator_power={self.numerator_power} with order={self.order} "
@@ -144,40 +143,24 @@ def nzdf_gain(f_eval, params: NzdfParams):
 def q_to_beta(q: float) -> float:
     """Relative 3 dB bandwidth (f_hi - f_lo)/fc of the default magnitude shape.
 
-    Closed form for N=2, M=2: the band edges are the two frequencies where
-    the full filter magnitude crosses 2^(-1/2).  Decreasing in q; for large
-    q it behaves like sqrt(sqrt(2) - 1) / q.
+    For N=2, M=2 the full magnitude crosses 2^(-1/2) where one section's
+    squared magnitude does, at the x = f / fc where |1 - x^2| =
+    sqrt(sqrt(2) - 1) x / q.  The two edges have x_hi x_lo = 1, so the
+    bandwidth x_hi - x_lo is exactly sqrt(sqrt(2) - 1) / q.
     """
-    q = float(q)
-    if not np.isfinite(q) or q <= 0.5:
-        raise ValueError(f"q must exceed 0.5, got {q}")
-    r2 = np.sqrt(2.0)
-    rad = np.sqrt(4.0 * (r2 - 1.0) * q * q - 2.0 * r2 + 3.0)
-    hi = np.sqrt((2.0 * q * q + rad + r2 - 1.0) / (2.0 * q * q))
-    lo_arg = (2.0 * q * q - rad + r2 - 1.0) / (2.0 * q * q)
-    if lo_arg < 0.0:
-        raise ValueError(f"q={q} is below the underdamped range of the bandwidth form")
-    return float(hi - np.sqrt(lo_arg))
+    return float(_BETA_Q / _scalar("q", q, above=0.5))
 
 
 def beta_to_q(beta: float) -> float:
-    """Invert :func:`q_to_beta` by bisection on q in [0.8, 1e4]."""
+    """The exact inverse of :func:`q_to_beta`, for q in [0.8, 1e4]."""
     beta = float(beta)
-    b_hi = q_to_beta(_BISECT_LO)
-    b_lo = q_to_beta(_BISECT_HI)
+    b_hi = q_to_beta(_Q_LO)
+    b_lo = q_to_beta(_Q_HI)
     if not (b_lo <= beta <= b_hi):
         raise ValueError(
             f"beta={beta:.6g} outside invertible range [{b_lo:.6g}, {b_hi:.6g}]"
         )
-    lo, hi = _BISECT_LO, _BISECT_HI
-    # q_to_beta is decreasing: wide bandwidth means low q.
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if q_to_beta(mid) > beta:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(_BETA_Q / beta)
 
 
 def group_delay(params: NzdfParams) -> float:
@@ -249,10 +232,8 @@ def discretize(params: NzdfParams, fs: float) -> DigitalNzdf:
     fs <= 2*fc and warns when fs < 10*fc, where the bilinear frequency
     compression noticeably reshapes the upper skirt.
     """
-    fs = float(fs)
     fc = params.center_freq
-    if fs <= 2.0 * fc:
-        raise ValueError(f"fs={fs:.6g} must exceed 2*fc={2.0 * fc:.6g}")
+    fs = _scalar("fs", fs, above=2.0 * fc)
     if fs < 10.0 * fc:
         warnings.warn(
             f"fs={fs:.6g} is below 10*fc={10.0 * fc:.6g}; expect bilinear warping "
@@ -305,9 +286,7 @@ def impulse_response(filt: DigitalNzdf, duration: float) -> Signal:
     ``duration`` sets the pre-pad record length; :func:`apply_filter`
     appends its usual ring-down on top.
     """
-    if duration <= 0.0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    n = int(round(duration * filt.sample_rate)) + 1
+    n = int(round(_scalar("duration", duration, above=0.0) * filt.sample_rate)) + 1
     x = np.zeros(n)
     x[0] = filt.sample_rate
     return apply_filter(filt, Signal(filt.sample_rate, x))
@@ -329,10 +308,8 @@ class GammatoneParams:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.center_freq <= 0.0:
-            raise ValueError(f"center_freq must be positive, got {self.center_freq}")
-        if self.bandwidth <= 0.0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
+        for name, above in (("center_freq", 0.0), ("bandwidth", 0.0), ("amplitude", -np.inf), ("phase", -np.inf)):
+            object.__setattr__(self, name, _scalar(name, getattr(self, name), above))
         if int(self.order) < 1:
             raise ValueError(f"order must be >= 1, got {self.order}")
         object.__setattr__(self, "order", int(self.order))
@@ -340,9 +317,8 @@ class GammatoneParams:
 
 def gammatone_impulse(gp: GammatoneParams, fs: float, duration: float) -> Signal:
     """Sample a * t^(N-1) * exp(-b t) * cos(wc t + phi) on a uniform grid."""
-    if duration <= 0.0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    n = int(round(duration * fs)) + 1
+    fs = _scalar("fs", fs, above=0.0)
+    n = int(round(_scalar("duration", duration, above=0.0) * fs)) + 1
     t = np.arange(n) / fs
     wc = TWO_PI * gp.center_freq
     env = gp.amplitude * t ** (gp.order - 1) * np.exp(-gp.bandwidth * t)

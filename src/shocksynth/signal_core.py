@@ -54,6 +54,20 @@ def _frozen(values) -> np.ndarray:
     return out
 
 
+def _scalar(name: str, value, above: float = -math.inf, at_least: float = -math.inf) -> float:
+    """``value`` as a float, checked by the package's one rule for scalar parameters.
+
+    Raises ``ValueError`` naming ``name`` and the value unless it is finite,
+    greater than ``above`` and at least ``at_least``.
+    """
+    x = float(value)
+    if math.isfinite(x) and x > above and x >= at_least:
+        return x
+    bound = f" and > {above:.6g}" if above > -math.inf else ""
+    bound += f" and >= {at_least:.6g}" if at_least > -math.inf else ""
+    raise ValueError(f"{name} must be finite{bound}, got {x:.6g}")
+
+
 def _ring_down_factor(order: int) -> float:
     """The package's one ring-down rule, in time constants tau = 2 Q / w.
 
@@ -84,7 +98,7 @@ class Signal:
         1-D array of sample values (acceleration in m/s^2 unless noted).
         Stored as a read-only float64 copy.
     t0 : float, optional
-        Time of the first sample in seconds.
+        Time of the first sample in seconds.  Must be finite.
     """
 
     sample_rate: float
@@ -92,9 +106,7 @@ class Signal:
     t0: float = 0.0
 
     def __post_init__(self):
-        rate = float(self.sample_rate)
-        if not np.isfinite(rate) or rate <= 0.0:
-            raise ValueError(f"sample_rate must be finite and positive, got {rate}")
+        object.__setattr__(self, "sample_rate", _scalar("sample_rate", self.sample_rate, above=0.0))
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
@@ -102,9 +114,8 @@ class Signal:
             raise ValueError("samples must contain at least one value")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
-        object.__setattr__(self, "sample_rate", rate)
         object.__setattr__(self, "samples", _frozen(samples))
-        object.__setattr__(self, "t0", float(self.t0))
+        object.__setattr__(self, "t0", _scalar("t0", self.t0))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -202,8 +213,7 @@ def residual_motion(accel: Signal, tolerance: float = 1e-3) -> ResidualReport:
     down.  The ratios compare the final sample of each motion against its
     own peak magnitude, so the check is amplitude invariant.
     """
-    if tolerance <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    tolerance = _scalar("tolerance", tolerance, above=0.0)
     motion = motion_of(accel)
     rv = _terminal_ratio(motion.velocity)
     rd = _terminal_ratio(motion.displacement)
@@ -447,18 +457,25 @@ def synth_reference(
     machine precision.  The result is peak-normalized to 1000 m/s^2.
 
     Raises ``ValueError`` when ``fs < 10 * fmax`` (the sweep needs headroom
-    below Nyquist) or when ``fmax < 200`` Hz (the sweep starts at 45 Hz and
-    must cover at least a couple of octaves).
+    below Nyquist), when ``fmax < 200`` Hz (the sweep starts at 45 Hz and
+    must cover at least a couple of octaves), or when fewer than two samples
+    fall inside the correction pulses' window, 0.28 to 0.60 of ``duration``.
     """
+    fmax = _scalar("fmax", fmax, at_least=200.0)
+    duration = _scalar("duration", duration, above=0.0)
+    fs = _scalar("fs", fs)
     if fs < 10.0 * fmax:
         raise ValueError(f"fs must be at least 10*fmax ({10.0 * fmax:.6g} Hz), got {fs:.6g}")
-    if duration <= 0.0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    if fmax < 200.0:
-        raise ValueError(f"fmax must be at least 200 Hz, got {fmax:.6g}")
-    rng = np.random.default_rng(seed)
     n = int(round(duration * fs)) + 1
     t = np.arange(n) / fs
+    t1, t2 = 0.28 * duration, 0.60 * duration
+    window = (t > t1) & (t < t2)
+    if np.count_nonzero(window) < 2:
+        raise ValueError(
+            f"duration {duration:.6g} s at fs {fs:.6g} Hz leaves fewer than 2 samples "
+            f"between {t1:.6g} and {t2:.6g} s for the net-zero correction pulses"
+        )
+    rng = np.random.default_rng(seed)
 
     f_lo = 45.0
     sweep_end = 0.88 * duration
@@ -497,8 +514,7 @@ def synth_reference(
 
     # Cancel the terminal velocity and displacement exactly with an even and
     # an odd smooth bump over the middle of the record (2x2 linear solve).
-    t1, t2 = 0.28 * duration, 0.60 * duration
-    bump = np.where((t > t1) & (t < t2), ((t - t1) * (t2 - t)) ** 2, 0.0)
+    bump = np.where(window, ((t - t1) * (t2 - t)) ** 2, 0.0)
     bump /= np.max(bump)
     tilt = bump * (t - 0.5 * (t1 + t2)) / (0.5 * (t2 - t1))
 

@@ -19,7 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .signal_core import TWO_PI, Signal, SignalFormatError, _frozen, _iir2, _read_pairs, _ring_down_factor, _write_table
+from .signal_core import (
+    TWO_PI, Signal, SignalFormatError, _frozen, _iir2, _read_pairs, _ring_down_factor, _scalar, _write_table,
+)
 
 __all__ = [
     "SrsSpec",
@@ -55,10 +57,8 @@ class SrsSpec:
             raise ValueError("breakpoint frequencies must be strictly increasing")
         if np.any(bp[:, 0] <= 0.0) or np.any(bp[:, 1] <= 0.0):
             raise ValueError("breakpoint frequencies and accelerations must be positive")
-        if self.tolerance_db <= 0.0:
-            raise ValueError(f"tolerance_db must be positive, got {self.tolerance_db}")
         object.__setattr__(self, "breakpoints", _frozen(bp))
-        object.__setattr__(self, "tolerance_db", float(self.tolerance_db))
+        object.__setattr__(self, "tolerance_db", _scalar("tolerance_db", self.tolerance_db, above=0.0))
 
     @property
     def freqs(self) -> np.ndarray:
@@ -84,15 +84,13 @@ class SrsCurve:
             raise ValueError("freqs must be a non-empty 1-D array")
         if values.shape != freqs.shape:
             raise ValueError("freqs and values must have matching shapes")
-        if np.any(freqs <= 0.0) or np.any(np.diff(freqs) <= 0.0):
-            raise ValueError("freqs must be positive and strictly increasing")
+        if not (np.isfinite(freqs).all() and (freqs > 0.0).all() and (np.diff(freqs) > 0.0).all()):
+            raise ValueError("freqs must be finite, positive and strictly increasing")
         if not np.all(np.isfinite(values)) or np.any(values < 0.0):
             raise ValueError("values must be finite and non-negative")
-        if self.q_srs <= 0.5:
-            raise ValueError(f"q_srs must exceed 0.5, got {self.q_srs}")
         object.__setattr__(self, "freqs", _frozen(freqs))
         object.__setattr__(self, "values", _frozen(values))
-        object.__setattr__(self, "q_srs", float(self.q_srs))
+        object.__setattr__(self, "q_srs", _scalar("q_srs", self.q_srs, above=0.5))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -132,10 +130,10 @@ def _sdof_coeffs(fn: float, q_srs: float, dt: float):
 
 
 def _check_freqs(freqs: np.ndarray, fs: float, q_srs: float) -> None:
-    if q_srs <= 0.5:
-        raise ValueError(f"q_srs must exceed 0.5, got {q_srs}")
-    if np.any(freqs <= 0.0):
-        raise ValueError("natural frequencies must be positive")
+    """Reject a q_srs or natural frequencies the SRS cannot use, before any filtering."""
+    _scalar("q_srs", q_srs, above=0.5)
+    if not (np.isfinite(freqs).all() and (freqs > 0.0).all()):
+        raise ValueError("natural frequencies must be finite and positive")
     if np.any(freqs >= fs / 2.0):
         worst = float(np.max(freqs))
         raise ValueError(
@@ -263,18 +261,19 @@ def db_error(actual: SrsCurve, target: SrsCurve, tolerance_db: float = 3.0) -> D
         raise ValueError("actual and target curves must share the same frequency grid")
     if np.any(target.values <= 0.0):
         raise ValueError("target SRS values must be positive")
-    if tolerance_db <= 0.0:
-        raise ValueError(f"tolerance_db must be positive, got {tolerance_db}")
+    tolerance_db = _scalar("tolerance_db", tolerance_db, above=0.0)
     floor_hit = bool(np.any(actual.values == 0.0))
     with np.errstate(divide="ignore"):
         per_db = 20.0 * np.log10(actual.values / target.values)
     max_abs = float(np.max(np.abs(per_db)))
     passed = (not floor_hit) and max_abs <= tolerance_db
-    return DbErrorReport(per_db, max_abs, float(tolerance_db), passed, floor_hit)
+    return DbErrorReport(per_db, max_abs, tolerance_db, passed, floor_hit)
 
 
 def read_spec(path, tolerance_db: float = 3.0) -> SrsSpec:
     """Read a breakpoint spec CSV (``freq_hz,peak_accel_m_s2``)."""
+    # Before the file: the file's own faults are reported under its name.
+    tolerance_db = _scalar("tolerance_db", tolerance_db, above=0.0)
     path = Path(path)
     rows = _read_pairs(path, "freq_hz,peak_accel_m_s2")
     if len(rows) < 2:

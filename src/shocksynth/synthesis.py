@@ -36,8 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from .filterbank import BankLayout, BasisMatrix, build_basis, make_layout
-from .signal_core import ResidualReport, Signal, _allpole, _fir3, _frozen, residual_motion
-from .srs import DbErrorReport, SrsCurve, SrsSpec, _sdof_coeffs, db_error, spec_interpolate, srs
+from .signal_core import ResidualReport, Signal, _allpole, _fir3, _frozen, _scalar, residual_motion
+from .srs import DbErrorReport, SrsCurve, SrsSpec, _check_freqs, _sdof_coeffs, db_error, spec_interpolate, srs
 
 __all__ = [
     "PsoConfig",
@@ -425,11 +425,13 @@ def synthesize(
     target(fc_i)/SRS(a_i)(fc_i); one particle is seeded at the positive
     warm start itself (coefficients may go negative, the bases being
     sign-symmetric oscillations).  Failure to meet the tolerance is not an
-    error; it is reported through ``srs_report.passed``.
+    error; it is reported through ``srs_report.passed``.  A ``q_srs`` or a
+    grid the SRS cannot use is rejected before the basis and cache are built.
     """
-    basis = build_basis(reference, layout)
     target = _target_curve(spec, layout)
     grid = target.freqs
+    _check_freqs(grid, reference.sample_rate, q_srs)
+    basis = build_basis(reference, layout)
     cache = _BandResponseCache(basis, grid, q_srs)
 
     # Per-band diagonal estimate: each column's SRS at its own center.
@@ -477,6 +479,7 @@ def verify(
     ppo: int = 6,
 ) -> tuple[DbErrorReport, ResidualReport]:
     """Standalone re-verification of any signal against a spec."""
+    net_zero_tol = _scalar("net_zero_tol", net_zero_tol, above=0.0)  # before the SRS runs
     target = _target_curve(spec, make_layout(spec.freqs[0], spec.freqs[-1], ppo))
     achieved = srs(sig, target.freqs, q_srs)
     return db_error(achieved, target, spec.tolerance_db), residual_motion(sig, net_zero_tol)

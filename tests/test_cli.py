@@ -7,10 +7,12 @@ import re
 import subprocess
 import sys
 
+import click
 import numpy as np
 import pytest
 
 from conftest import write_spec_csv
+from shocksynth.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -365,3 +367,83 @@ def test_atomic_unique_temp_and_cleanup(tmp_path):
     with pytest.raises(OSError, match="disk full"):
         _atomic(tmp_path / "failed.txt", broken)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
+# Valid arguments of each command; each float flag is then given a bad value.
+_BASE_ARGS = {
+    "srs": ["{d}/ref.csv", "--out", "{o}/out.csv"],
+    "filter": ["{d}/ref.csv", "--fc", "1000", "--out", "{o}/out.csv"],
+    "bank": ["--fmin", "1000", "--fmax", "4000", "--out", "{o}/out.csv"],
+    "synth": ["{d}/spec.csv", "{d}/ref.csv", "--ppo", "3", "--swarm-size", "10", "--max-iters", "3",
+              "--out-signal", "{o}/out.csv", "--out-report", "{o}/out.json"],
+    "verify": ["{d}/ref.csv", "{d}/spec.csv", "--ppo", "3", "--out-report", "{o}/out.json"],
+    "demo-ref": ["--out", "{o}/out.csv"],
+}
+# Every float flag of those commands, with the name its error gives the value.
+_FLOAT_FLAGS = [
+    (command, option.opts[0], {"fc": "center_freq"}.get(option.name, option.name))
+    for command in _BASE_ARGS
+    for option in main.commands[command].params
+    if isinstance(option, click.Option) and option.type is click.FLOAT
+]
+
+
+def _run_in_process(argv, capsys):
+    """``main(argv)`` in this process: its exit code and stderr.  Any other exception propagates."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(map(str, argv)))
+    return exit_info.value.code, capsys.readouterr().err
+
+
+def test_float_flags_are_the_seventeen_known():
+    assert len(_FLOAT_FLAGS) == 17
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command,flag,name", _FLOAT_FLAGS, ids=[f"{c} {f}" for c, f, _ in _FLOAT_FLAGS])
+def test_non_finite_number_exits_2_naming_the_parameter(workdir, tmp_path, capsys, command, flag, name, value):
+    argv = [command] + [a.format(d=workdir, o=tmp_path) for a in _BASE_ARGS[command]] + [flag, value]
+    code, err = _run_in_process(argv, capsys)
+    assert code == 2
+    [line] = err.splitlines()
+    assert line.startswith(f"error: {name} must be finite") and line.endswith(f"got {value}")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("spec_rows,option", [
+    ([(1000.0, 500.0), (4000.0, 600.0)], ["--q-srs", "nan"]),
+    ([(1000.0, 500.0), (30_000.0, 600.0)], []),  # ref.csv is sampled at 50 kHz
+], ids=["q-srs nan", "above Nyquist"])
+def test_synth_rejects_an_unusable_srs_before_building_the_basis(
+    workdir, tmp_path, capsys, monkeypatch, spec_rows, option
+):
+    from shocksynth import synthesis
+
+    def fail(*args):
+        raise AssertionError("build_basis called")
+
+    monkeypatch.setattr(synthesis, "build_basis", fail)
+    write_spec_csv(tmp_path / "spec.csv", spec_rows)
+    argv = ["synth", tmp_path / "spec.csv", workdir / "ref.csv", *option,
+            "--out-signal", tmp_path / "s.csv", "--out-report", tmp_path / "r.json"]
+    code, err = _run_in_process(argv, capsys)
+    assert code == 2
+    assert re.fullmatch(r"error: (q_srs must be finite|natural frequency .* above Nyquist).*\n", err)
+
+
+@pytest.mark.parametrize("command", ["synth", "verify"])
+def test_bad_tolerance_is_not_blamed_on_the_spec_file(workdir, tmp_path, capsys, command):
+    argv = [command] + [a.format(d=workdir, o=tmp_path) for a in _BASE_ARGS[command]] + ["--tolerance-db", "0"]
+    code, err = _run_in_process(argv, capsys)
+    assert code == 2
+    assert err == "error: tolerance_db must be finite and > 0, got 0\n"
+
+
+def test_demo_ref_too_short_for_its_correction_pulses_exits_2(tmp_path, capsys):
+    # at 100 kHz a 50 us record has one sample under the pulses, a 60 us record two
+    code, err = _run_in_process(["demo-ref", "--duration", "5e-5", "--out", tmp_path / "x.csv"], capsys)
+    assert code == 2
+    assert err.startswith("error: duration 5e-05 s at fs 100000 Hz leaves fewer than 2 samples")
+    assert list(tmp_path.iterdir()) == []
+    assert main(["demo-ref", "--duration", "6e-5", "--out", str(tmp_path / "x.csv")], standalone_mode=False) is None
+    assert (tmp_path / "x.csv").exists()

@@ -122,6 +122,13 @@ def test_beta_q_roundtrip():
         assert beta_to_q(q_to_beta(q)) == pytest.approx(q, rel=1e-6)
 
 
+def test_beta_q_roundtrip_is_exact_over_the_documented_range():
+    # q_to_beta is sqrt(sqrt(2) - 1) / q and beta_to_q its exact inverse
+    for q in np.geomspace(0.8, 1e4, 121):
+        assert beta_to_q(q_to_beta(q)) == pytest.approx(q, rel=1e-13)
+        assert q_to_beta(q) * q == pytest.approx(np.sqrt(np.sqrt(2.0) - 1.0), rel=1e-15)
+
+
 def test_beta_to_q_range_errors():
     with pytest.raises(ValueError):
         beta_to_q(10.0)
@@ -337,6 +344,8 @@ def test_gammatone_validation():
     gp = GammatoneParams(100.0, 100.0)
     with pytest.raises(ValueError):
         gammatone_impulse(gp, 1000.0, duration=-1.0)
+    with pytest.raises(ValueError, match="fs must be finite"):
+        gammatone_impulse(gp, float("nan"), duration=0.01)
 
 
 def _matched_pair(fc=1000.0, q=5.0, fs=100_000.0):

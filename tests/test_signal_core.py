@@ -1,5 +1,6 @@
 """Signal container, integration, residual checks, CSV I/O, surrogate."""
 
+import dataclasses
 import hashlib
 import math
 import re
@@ -15,9 +16,15 @@ from scipy import signal as sci_signal
 from scipy.linalg import lapack as sci_lapack
 
 from shocksynth import (
+    GammatoneParams,
+    NzdfParams,
     Signal,
     SignalFormatError,
+    SrsCurve,
+    SrsSpec,
+    db_error,
     integrate,
+    make_layout,
     motion_of,
     read_signal,
     residual_motion,
@@ -35,6 +42,7 @@ from shocksynth.signal_core import (
     _load_dtbtrs,
     _median,
     _read_pairs,
+    _scalar,
     _write_table,
 )
 from shocksynth.srs import _sdof_coeffs
@@ -454,6 +462,73 @@ def test_synth_reference_validation():
         synth_reference(duration=0.0)
     with pytest.raises(ValueError):
         synth_reference(fmax=150.0)
+
+
+def test_synth_reference_needs_two_samples_under_the_correction_pulses():
+    # the pulses span 0.28 to 0.60 of the record: at 100 kHz a 50 us record
+    # has one sample strictly inside, a 60 us record two
+    for duration in (1e-5, 5e-5):
+        with pytest.raises(ValueError, match=f"duration {duration:.6g} s at fs 100000 Hz"):
+            synth_reference(duration=duration)
+    sig = synth_reference(duration=6e-5)
+    assert len(sig) == 7
+    assert np.max(np.abs(sig.samples)) == pytest.approx(1000.0, rel=1e-12)
+
+
+def test_scalar_rule_names_the_parameter_and_the_value():
+    assert _scalar("q", 5) == 5.0 and type(_scalar("q", 5)) is float
+    assert _scalar("fmax", 200.0, at_least=200.0) == 200.0
+    for value, bounds, message in [
+        (float("nan"), {}, "x must be finite, got nan"),
+        (-math.inf, {}, "x must be finite, got -inf"),
+        (0.5, {"above": 0.5}, "x must be finite and > 0.5, got 0.5"),
+        (150.0, {"at_least": 200.0}, "x must be finite and >= 200, got 150"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _scalar("x", value, **bounds)
+
+
+_CURVE = SrsCurve([100.0, 200.0], [1.0, 2.0])
+
+# Every scalar parameter of each value type and checked function, by arity.
+_SCALAR_TAKERS = {
+    "Signal": (2, lambda rate, t0: Signal(rate, [0.0, 1.0, 0.0], t0)),
+    "NzdfParams": (2, lambda fc, q: NzdfParams(fc, q)),
+    "GammatoneParams": (4, lambda fc, b, a, phi: GammatoneParams(fc, b, amplitude=a, phase=phi)),
+    "SrsSpec": (1, lambda tol: SrsSpec([[100.0, 300.0], [200.0, 400.0]], tol)),
+    "SrsCurve": (1, lambda q: SrsCurve([100.0, 200.0], [1.0, 2.0], q)),
+    "make_layout": (2, lambda fmin, fmax: make_layout(fmin, fmax)),
+    "residual_motion": (1, lambda tol: residual_motion(Signal(100.0, [0.0, 1.0, 0.0]), tol)),
+    "db_error": (1, lambda tol: db_error(_CURVE, _CURVE, tol)),
+}
+
+
+def _assert_finite_or_value_error(build, args):
+    """``build(*args)`` raises ValueError or returns an object with finite float fields."""
+    try:
+        obj = build(*args)
+    except ValueError:
+        return
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if isinstance(value, (float, np.ndarray)):
+            assert np.isfinite(value).all(), (field.name, value)
+
+
+@pytest.mark.parametrize("name", sorted(_SCALAR_TAKERS))
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_scalars_are_finite_or_rejected_with_value_error(name, data):
+    arity, build = _SCALAR_TAKERS[name]
+    args = data.draw(st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * arity))
+    _assert_finite_or_value_error(build, args)
+
+
+def test_layout_over_the_whole_float_range_is_finite_or_rejected():
+    # fmax / fmin overflows here, and the top center 2**(k / ppo) may too
+    tiny, huge = 5e-324, sys.float_info.max
+    for fmin, fmax in [(tiny, huge), (1e-300, 1e300), (1.0, huge), (tiny, 1e10)]:
+        _assert_finite_or_value_error(make_layout, (fmin, fmax))
 
 
 def test_cumulative_trapezoid_is_scipys():

@@ -53,6 +53,9 @@ def test_curve_validation():
         SrsCurve([], [])
     with pytest.raises(ValueError):
         SrsCurve([100.0], [1.0], q_srs=0.3)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="freqs must be finite"):
+            SrsCurve([100.0, bad], [1.0, 2.0])
 
 
 def test_spec_interpolate_loglog():
