@@ -3,10 +3,10 @@ synthesis, verification, and surrogate generation.
 
 Exit codes: 0 success (all pass flags true), 1 completed but tolerance or
 net-zero unmet (including an infeasible spec), 2 usage or input errors,
-numbers that are not finite or are out of range among them.  One handler
-around command dispatch maps errors to exit codes.  All outputs are written
-atomically (temp file + rename) and are byte-reproducible given identical
-flags and seeds.
+non-finite or out-of-range numbers and exhausted memory among them.  One
+handler around command dispatch maps errors to exit codes.  All outputs are
+written atomically (temp file + rename) and are byte-reproducible given
+identical flags and seeds.
 """
 
 from __future__ import annotations
@@ -40,6 +40,10 @@ class _Commands(click.Group):
             sys.exit(1)
         except _INPUT_ERRORS as exc:
             click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+        except MemoryError:  # the SRS pads each frequency by a ring-down that grows with q_srs / f
+            advice = "lower --q-srs or raise the lowest frequency (--fmin)"
+            click.echo(f"error: {ctx.invoked_subcommand} ran out of memory; {advice}", err=True)
             sys.exit(2)
 
 

@@ -71,7 +71,10 @@ def make_layout(fmin: float, fmax: float, ppo: int = 6) -> BankLayout:
     # Small backoff so an fmax exactly on the grid does not gain an extra point.
     # A difference of logs stays finite where fmax / fmin would overflow.
     k_last = int(np.ceil(ppo * (np.log2(fmax) - np.log2(fmin)) - 1e-9))
-    centers = fmin * 2.0 ** (np.arange(k_last + 1) / ppo)
+    with np.errstate(over="ignore"):
+        centers = fmin * 2.0 ** (np.arange(k_last + 1) / ppo)
+    if not np.isfinite(centers[-1]):
+        raise ValueError(f"fmin={fmin:.6g} to fmax={fmax:.6g} spans too many octaves for float64")
     return BankLayout(fmin, fmax, ppo, centers)
 
 

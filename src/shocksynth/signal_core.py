@@ -378,18 +378,20 @@ def _iir2(b, a, x, step: int = 1) -> np.ndarray:
     return _fir3(b, _allpole(a, x), step)
 
 
-def _allpole(a, x, seed=None) -> np.ndarray:
+def _allpole(a, x, seed=None, out=None) -> np.ndarray:
     """w[n] + a1 w[n-1] + a2 w[n-2] = x[n] along axis 0, from zero state or a seed.
 
     LAPACK's banded ``dtbtrs``, in place on a Fortran-order copy of ``x``.  A
     2-row ``seed`` (w of the two samples before x[0]) leads the system and the
     result, with ``ab[1, 0] = 0``: a split solve continues bit for bit, save
-    the sign of a zero in the seed's second row.
+    the sign of a zero in the seed's second row.  A Fortran-contiguous ``out``
+    takes the copy in place of a new array, its rows past ``x`` set to zero.
     """
     x = np.asarray(x, dtype=float)
     lead = 0 if seed is None else 2
-    w = np.empty((lead + x.shape[0],) + x.shape[1:], order="F")
-    w[lead:] = x
+    w = np.empty((lead + x.shape[0],) + x.shape[1:], order="F") if out is None else out
+    w[lead : lead + x.shape[0]] = x
+    w[lead + x.shape[0] :] = 0.0
     ab = np.empty((3, w.shape[0]), order="F")
     ab[0], ab[1], ab[2] = 1.0, a[1], a[2]
     if seed is not None:
@@ -402,10 +404,11 @@ def _allpole(a, x, seed=None) -> np.ndarray:
 def _fir3(b, w, step: int = 1, lead: int = 0) -> np.ndarray:
     """Rows k of b0 w[i] + b1 w[i-1] + b2 w[i-2] at i = lead + k * step, taps before w[0] dropped."""
     n = w.shape[0]
-    y = b[0] * w[lead::step]
+    # In C order y[k0:] is one block, which numpy adds without iteration buffers.
+    y = np.multiply(b[0], w[lead::step], order="C")
     for lag in (1, 2):
         k0 = max(-((lead - lag) // step), 0)  # first kept row k with lead + k * step - lag >= 0
-        y[k0:] += b[lag] * w[lead + k0 * step - lag : n - lag : step]
+        y[k0:] += np.multiply(b[lag], w[lead + k0 * step - lag : n - lag : step], order="C")
     return y
 
 

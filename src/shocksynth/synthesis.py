@@ -278,16 +278,16 @@ class _BandResponseCache:
     maximum, so the result equals the full scan's.
 
     ``matrix`` reserves every row, but commits a chunk only once written.
-    The build filters each block whole, keeps each chunk's envelope and seed
-    (the all-pole state w of the two samples before it), and stores the
-    chunks holding a column's peak, which the diagonal probe reads.  Any
-    other chunk is filtered from its seed, bit for bit as in the whole
-    block, when the search first multiplies it out.
+    The build solves each block's all-pole part in one workspace sized for
+    the longest block, then takes each chunk's seed (the all-pole state w of
+    the two samples before it), rows and envelope from it a chunk at a time,
+    and stores the chunks holding a column's peak, which the diagonal probe
+    reads.  Any other chunk is filtered from its seed, bit for bit as in the
+    whole block, when the search first multiplies it out.
     """
 
     def __init__(self, basis: BasisMatrix, grid: np.ndarray, q_srs: float):
         fs = basis.sample_rate
-        dt = 1.0 / fs
         n, m = basis.columns.shape
         tails = [int(np.ceil(_CACHE_TAIL_PERIODS * fs / fn)) for fn in grid]
         steps = [max(int(fs / (_CACHE_SAMPLES_PER_PERIOD * fn)), 1) for fn in grid]
@@ -311,7 +311,7 @@ class _BandResponseCache:
         self._env = np.empty((self._chunk_block.size, m))
         self._seeds = np.zeros((self._chunk_block.size, 2, m))
         self._filled = np.zeros(self._chunk_block.size, dtype=bool)
-        self._filters = [_sdof_coeffs(fn, q_srs, dt) for fn in grid]
+        self._filters = [_sdof_coeffs(fn, q_srs, 1.0 / fs) for fn in grid]
         self._steps, self.starts, self.grid = steps, edges[:-1], grid
         # Anonymous memory, committed a page at a time on first write, without
         # the 2 MiB huge pages numpy asks for on arrays of 4 MiB and more.
@@ -322,28 +322,33 @@ class _BandResponseCache:
         if hasattr(mmap, "MADV_NOHUGEPAGE"):
             buf.madvise(mmap.MADV_NOHUGEPAGE)
         self.matrix = np.ndarray((edges[-1], m), buffer=buf, order="F")
-        self._drive = np.zeros((n + max(tails), m), order="F")
-        self._drive[:n] = basis.columns
-        for k, ((b, a), tail, step) in enumerate(zip(self._filters, tails, steps)):
+        self._columns = basis.columns
+        work = np.empty((n + max(tails)) * m)  # every block's all-pole solve, in turn
+        for k, ((_, a), tail) in enumerate(zip(self._filters, tails)):
             c0, c1 = self._block_chunks[k], self._block_chunks[k + 1]
-            first = self._chunk_edges[c0 : c1 + 1] - edges[k]
-            w = _allpole(a, self._drive[: n + tail])
-            self._seeds[c0 + 1 : c1] = w[first[1:-1, None] * step - [2, 1]]
-            block = _fir3(b, w, step)
-            del w  # before the abs temporary
-            self._env[c0:c1] = np.maximum.reduceat(np.abs(block), first[:-1], axis=0)
+            w = _allpole(a, basis.columns, out=work[: (n + tail) * m].reshape(-1, m, order="F"))
+            self._seeds[c0 + 1 : c1] = w[(self._chunk_edges[c0 + 1 : c1, None] - edges[k]) * steps[k] - [2, 1]]
+            for c in range(c0, c1):
+                np.abs(self._rows(c, w)).max(axis=0, out=self._env[c])
             for c in set(np.argmax(self._env[c0:c1], axis=0).tolist()):
-                self._store(c0 + c, block[first[c] : first[c + 1]])
-            del block
+                self._store(c0 + c, self._rows(c0 + c, w))
+
+    def _rows(self, c, w=None):
+        """Chunk c's rows, from its block's whole all-pole output w or else from its seed."""
+        k = self._chunk_block[c]
+        r0, r1 = self._chunk_edges[c : c + 2] - self.starts[k]
+        (b, a), step, lead = self._filters[k], self._steps[k], 2 if r0 else 0
+        span = slice(r0 * step - lead, (r1 - 1) * step + 1)
+        if w is None:  # the seed, then the basis rows and zeros past its end
+            w = np.empty((span.stop - span.start, self._columns.shape[1]), order="F")
+            w = _allpole(a, self._columns[span.start + lead : span.stop], self._seeds[c] if lead else None, w)
+            span = slice(None)
+        return _fir3(b, w[span], step, lead)
 
     def _fill(self, chunks):
         """Commit each chunk's rows, filtered from its seed alone."""
         for c in chunks:
-            k = self._chunk_block[c]
-            r0, r1 = self._chunk_edges[c : c + 2] - self.starts[k]
-            (b, a), step = self._filters[k], self._steps[k]
-            w = _allpole(a, self._drive[r0 * step : (r1 - 1) * step + 1], self._seeds[c] if r0 else None)
-            self._store(c, _fir3(b, w, step, 2 if r0 else 0))
+            self._store(c, self._rows(c))
 
     def _store(self, c, rows):
         self.matrix[self._chunk_edges[c] : self._chunk_edges[c + 1]] = rows

@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -525,10 +526,16 @@ def test_scalars_are_finite_or_rejected_with_value_error(name, data):
 
 
 def test_layout_over_the_whole_float_range_is_finite_or_rejected():
-    # fmax / fmin overflows here, and the top center 2**(k / ppo) may too
+    # fmax / fmin overflows here, and so does the top center 2**(k / ppo):
+    # rejected by a message naming both ends, with no numpy overflow warning
     tiny, huge = 5e-324, sys.float_info.max
-    for fmin, fmax in [(tiny, huge), (1e-300, 1e300), (1.0, huge), (tiny, 1e10)]:
+    for fmin, fmax in [(tiny, huge), (1e-300, 1e300), (1.0, huge), (tiny, 1e10), (1e300, huge)]:
         _assert_finite_or_value_error(make_layout, (fmin, fmax))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = f"fmin={fmin:.6g} to fmax={fmax:.6g} spans too many octaves"
+            with pytest.raises(ValueError, match="^" + re.escape(message)):
+                make_layout(fmin, fmax)
 
 
 def test_cumulative_trapezoid_is_scipys():

@@ -2,6 +2,7 @@
 
 import errno
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -325,6 +326,24 @@ def test_nan_coefficient_reaches_every_frequency(small_problem, eager, cache_nam
     assert np.all(np.isnan(cache.srs_values(block[1:2])))
     keep = [0, 2, 3]
     np.testing.assert_allclose(vals[:, keep], full[:, keep], rtol=1e-12, atol=0.0)
+
+
+def test_cache_build_peak_is_one_workspace(small_problem, small_cache):
+    # the build solves every block in one all-pole workspace sized for the
+    # longest, and takes each chunk's rows from it a tile at a time; the
+    # matrix itself is an mmap, which tracemalloc does not see
+    basis = small_problem[3]
+    (n, m), fs = basis.columns.shape, basis.sample_rate
+    rows = n + max(int(np.ceil(synthesis._CACHE_TAIL_PERIODS * fs / fn)) for fn in small_cache.grid)
+    tile = np.diff(small_cache._chunk_edges).max() * m * 8
+    bound = rows * m * 8 + 3 * rows * 8 + small_cache._env.nbytes + small_cache._seeds.nbytes + 2 * tile
+    tracemalloc.start()
+    try:
+        _BandResponseCache(basis, small_cache.grid, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def test_cache_rejects_over_budget(small_problem, small_cache, monkeypatch):
