@@ -41,7 +41,7 @@ class _Commands(click.Group):
         except _INPUT_ERRORS as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
-        except MemoryError:  # the SRS pads each frequency by a ring-down that grows with q_srs / f
+        except MemoryError:  # what is not sized up front, such as a basis padded by its lowest filter's ring-down
             advice = "lower --q-srs or raise the lowest frequency (--fmin)"
             click.echo(f"error: {ctx.invoked_subcommand} ran out of memory; {advice}", err=True)
             sys.exit(2)

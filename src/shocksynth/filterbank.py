@@ -30,6 +30,10 @@ __all__ = [
 # no usable band energy.
 _ENERGY_FLOOR = 1e-12
 
+# Most points a grid, or one of its octaves, may have: far more than any SRS
+# or bank needs (1/1000 octave over 20 Hz to 20 kHz is about 10,000 points).
+_MAX_GRID_POINTS = 100_000
+
 
 class NoBandEnergyError(ValueError):
     """Raised when the reference has no usable energy in some band."""
@@ -60,7 +64,11 @@ class BankLayout:
 
 
 def make_layout(fmin: float, fmax: float, ppo: int = 6) -> BankLayout:
-    """Build the grid covering [fmin, fmax] at 2**(1/ppo) spacing."""
+    """Build the grid covering [fmin, fmax] at 2**(1/ppo) spacing.
+
+    Raises ``ValueError`` before allocating when ppo, or the grid's
+    ppo * log2(fmax / fmin) steps, exceed ``_MAX_GRID_POINTS``.
+    """
     fmin = _scalar("fmin", fmin, above=0.0)
     fmax = _scalar("fmax", fmax)
     if fmax <= fmin:
@@ -68,9 +76,15 @@ def make_layout(fmin: float, fmax: float, ppo: int = 6) -> BankLayout:
     ppo = int(ppo)
     if ppo < 1:
         raise ValueError(f"points_per_octave must be >= 1, got {ppo}")
-    # Small backoff so an fmax exactly on the grid does not gain an extra point.
     # A difference of logs stays finite where fmax / fmin would overflow.
-    k_last = int(np.ceil(ppo * (np.log2(fmax) - np.log2(fmin)) - 1e-9))
+    octaves = np.log2(fmax) - np.log2(fmin)
+    if ppo > _MAX_GRID_POINTS or ppo * octaves > _MAX_GRID_POINTS:  # no float overflows for any int ppo
+        raise ValueError(
+            f"ppo={ppo} points per octave from fmin={fmin:.6g} to fmax={fmax:.6g} is over the "
+            f"{_MAX_GRID_POINTS:,}-point limit on the grid and on ppo; lower ppo or narrow fmin to fmax"
+        )
+    # Small backoff so an fmax exactly on the grid does not gain an extra point.
+    k_last = int(np.ceil(ppo * octaves - 1e-9))
     with np.errstate(over="ignore"):
         centers = fmin * 2.0 ** (np.arange(k_last + 1) / ppo)
     if not np.isfinite(centers[-1]):

@@ -7,9 +7,10 @@ displacement, net-zero residual checks on the terminal motion, CSV
 import/export, and a deterministic synthetic reference generator used when
 no measured shock is available.
 
-It also holds the one recursive-filter kernel of the package, ``_iir2``:
-every SDOF oscillator of the SRS, every NZDF section and the reference's
-drift high-pass run through it.
+It also holds the one recursive-filter kernel of the package, ``_iir2``,
+an all-pole solve ``_allpole`` followed by a 3-tap FIR ``_fir3``: every
+SDOF oscillator of the SRS, every NZDF section and the reference's drift
+high-pass run through it.
 """
 
 from __future__ import annotations
@@ -233,21 +234,22 @@ def _read_pairs(path: Path, header: str) -> np.ndarray:
     the per-line pass :func:`_parse_lines`, which finds the first fault.
     """
     # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes;
-    # universal newlines make a lone \r a line break, as in read_text.
+    # universal newlines make a lone \r a line break, here and in numpy's
+    # reader, which opens a path itself and reads it faster than a handle.
     with path.open(encoding="utf-8-sig") as fh:
-        try:
-            skip = int(_is_header(fh.readline(), header))
-            fh.seek(0)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # an empty file only warns
-                pairs = np.loadtxt(fh, delimiter=",", comments=None, skiprows=skip, ndmin=2)
-            if pairs.shape[1] == 2 and np.isfinite(pairs).all():
-                return pairs
-        except (ValueError, Warning):
-            pass
-        fh.seek(0)
-        text = fh.read()
-    return _parse_lines(text, header, path.name)
+        first = fh.readline()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty file only warns
+            pairs = np.loadtxt(
+                path, delimiter=",", comments=None, skiprows=int(_is_header(first, header)), ndmin=2,
+                encoding="utf-8-sig",
+            )
+        if pairs.shape[1] == 2 and np.isfinite(pairs).all():
+            return pairs
+    except (ValueError, Warning):
+        pass
+    return _parse_lines(path.read_text(encoding="utf-8-sig"), header, path.name)
 
 
 def _is_header(line: str, header: str) -> bool:
@@ -378,27 +380,42 @@ def _iir2(b, a, x, step: int = 1) -> np.ndarray:
     return _fir3(b, _allpole(a, x), step)
 
 
-def _allpole(a, x, seed=None, out=None) -> np.ndarray:
+def _allpole(a, x, seed=None, out=None, band=None) -> np.ndarray:
     """w[n] + a1 w[n-1] + a2 w[n-2] = x[n] along axis 0, from zero state or a seed.
 
     LAPACK's banded ``dtbtrs``, in place on a Fortran-order copy of ``x``.  A
     2-row ``seed`` (w of the two samples before x[0]) leads the system and the
     result, with ``ab[1, 0] = 0``: a split solve continues bit for bit, save
     the sign of a zero in the seed's second row.  A Fortran-contiguous ``out``
-    takes the copy in place of a new array, its rows past ``x`` set to zero.
+    takes the copy in place of a new array, its rows past ``x`` set to zero;
+    the seed is copied in first, so it may be a view of ``out``'s last rows.
+    A ``band`` from :func:`_band` of ``a`` over at least as many rows is
+    solved with in place of a new one.
     """
     x = np.asarray(x, dtype=float)
     lead = 0 if seed is None else 2
     w = np.empty((lead + x.shape[0],) + x.shape[1:], order="F") if out is None else out
-    w[lead : lead + x.shape[0]] = x
-    w[lead + x.shape[0] :] = 0.0
-    ab = np.empty((3, w.shape[0]), order="F")
-    ab[0], ab[1], ab[2] = 1.0, a[1], a[2]
     if seed is not None:
         w[:2] = seed
+    w[lead : lead + x.shape[0]] = x
+    w[lead + x.shape[0] :] = 0.0
+    ab = _band(a, w.shape[0]) if band is None else band[:, : w.shape[0]]
+    if seed is not None:
         ab[1, 0] = 0.0
     w, _ = _dtbtrs(ab, w, uplo="L", diag="U", overwrite_b=1)
     return w
+
+
+def _band(a, rows: int, out=None) -> np.ndarray:
+    """The unit lower band of w[n] + a1 w[n-1] + a2 w[n-2] over ``rows`` rows, as ``dtbtrs`` reads it.
+
+    A band ``out`` from an earlier call is refilled in place: its a1 and a2 rows only.
+    """
+    if out is None:
+        out = np.empty((3, rows), order="F")
+        out[0] = 1.0
+    out[1], out[2] = a[1], a[2]
+    return out
 
 
 def _fir3(b, w, step: int = 1, lead: int = 0) -> np.ndarray:

@@ -6,6 +6,7 @@ import mmap
 import re
 import subprocess
 import sys
+import time
 
 import click
 import numpy as np
@@ -441,8 +442,8 @@ def test_bad_tolerance_is_not_blamed_on_the_spec_file(workdir, tmp_path, capsys,
 
 
 def test_srs_out_of_memory_exits_2_naming_the_command_and_flags(workdir, tmp_path, capsys, monkeypatch):
-    # the SRS pad grows with q_srs, so a huge --q-srs would exhaust memory;
-    # the failure is simulated rather than allocated
+    # a command that runs out of memory exits 2; the failure is simulated
+    # rather than allocated
     from shocksynth import cli
 
     def exhausted(*args):
@@ -453,6 +454,33 @@ def test_srs_out_of_memory_exits_2_naming_the_command_and_flags(workdir, tmp_pat
     code, err = _run_in_process(["srs", workdir / "ref.csv", "--q-srs", "1e12", "--out", out], capsys)
     assert code == 2
     assert err == "error: srs ran out of memory; lower --q-srs or raise the lowest frequency (--fmin)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["srs", "verify"])
+def test_huge_q_srs_exits_2_at_once(workdir, tmp_path, capsys, command):
+    # the SRS sums its rows over the grid before it filters any of them
+    out = tmp_path / "o"
+    inputs = [workdir / "ref.csv"] + ([workdir / "spec.csv", "--out-report"] if command == "verify" else ["--out"])
+    start = time.perf_counter()
+    code, err = _run_in_process([command, *inputs, out, "--q-srs", "1e12"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err.startswith("error: SRS would filter ")
+    assert err.endswith("row limit; lower --q-srs or raise the lowest frequency (--fmin)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ppo", [10**12, 10**400], ids=["1e12", "1e400"])
+def test_huge_ppo_exits_2_naming_ppo_and_the_range(workdir, tmp_path, capsys, ppo):
+    # rejected from the grid's size before the grid is allocated
+    out = tmp_path / "o.csv"
+    code, err = _run_in_process(["srs", workdir / "ref.csv", "--ppo", ppo, "--out", out], capsys)
+    assert code == 2
+    assert err == (
+        f"error: ppo={ppo} points per octave from fmin=100 to fmax=10000 is over the 100,000-point "
+        "limit on the grid and on ppo; lower ppo or narrow fmin to fmax\n"
+    )
     assert not out.exists()
 
 

@@ -40,6 +40,18 @@ def test_layout_exact_grid_endpoint():
     np.testing.assert_allclose(layout.centers, [100.0, 200.0, 400.0], rtol=1e-12)
 
 
+def test_layout_point_limit_is_checked_before_the_grid_is_built():
+    from shocksynth.filterbank import _MAX_GRID_POINTS
+
+    # 15,000 per octave over log2(100) octaves is 99,659 points, 16,000 is 106,302
+    assert make_layout(100.0, 10_000.0, 15_000).centers.size == 99_659
+    # too many points in all, too many per octave (any ppo, even past float
+    # range), and ppo over the limit on a range too narrow for one step
+    for fmin, fmax, ppo in [(100.0, 10_000.0, 16_000), (100.0, 10_000.0, 10**400), (1.0, 1.0 + 2**-52, 10**400)]:
+        with pytest.raises(ValueError, match=f"^ppo={ppo} points per octave from fmin=.* over the {_MAX_GRID_POINTS:,}-point"):
+            make_layout(fmin, fmax, ppo)
+
+
 def test_layout_validation():
     with pytest.raises(ValueError):
         make_layout(0.0, 1000.0)

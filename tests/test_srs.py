@@ -1,5 +1,7 @@
 """SRS engines, breakpoint specs, dB errors, and spectrum file I/O."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,9 +17,12 @@ from shocksynth import (
     spec_interpolate,
     srs,
     srs_oracle,
+    synth_reference,
     write_curve,
 )
-from shocksynth.signal_core import _write_table
+from shocksynth.filterbank import make_layout
+from shocksynth.signal_core import _iir2, _write_table
+from shocksynth.srs import _SRS_MAX_ROWS, _SRS_SEGMENT_ROWS, _ring_down_samples, _sdof_coeffs
 
 
 def test_spec_validation():
@@ -185,6 +190,80 @@ def test_srs_validation():
         srs(sig, [100.0], q_srs=0.2)
     with pytest.raises(ValueError, match="Nyquist"):
         srs_oracle(sig, 6000.0)
+
+
+_S = _SRS_SEGMENT_ROWS
+
+
+def _whole_run_peaks(sig, freqs, q_srs):
+    """The SRS as one filter over the whole zero-padded run per frequency."""
+    peaks = []
+    for fn in freqs:
+        padded = np.zeros(len(sig) + int(_ring_down_samples(fn, q_srs, sig.sample_rate)))
+        padded[: len(sig)] = sig.samples
+        peaks.append(np.max(np.abs(_iir2(*_sdof_coeffs(fn, q_srs, sig.dt), padded))))
+    return np.array(peaks)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 700, _S - 1, _S, _S + 1, 2 * _S + 1]),
+    # run lengths (record plus pad) at and next to segment edges
+    edge=st.sampled_from([_S - 1, _S, _S + 1, 2 * _S, 2 * _S + 1, 3 * _S + 5]),
+    q_srs=st.floats(2.0, 40.0),
+    fn=st.floats(150.0, 20_000.0),
+    lead=st.sampled_from([0.0, 0.3, 1.0]),
+    trail=st.sampled_from([0.0, 0.5]),
+    spike=st.sampled_from([0, 1, 2, 25]),
+)
+@example(seed=3, n=_S - 1, edge=2 * _S + 1, q_srs=10.0, fn=300.0, lead=0.0, trail=0.0, spike=0)
+@example(seed=4, n=2 * _S + 1, edge=3 * _S + 5, q_srs=10.0, fn=5000.0, lead=0.3, trail=0.5, spike=2)
+def test_segmented_srs_is_the_whole_run_peak_bit_for_bit(seed, n, edge, q_srs, fn, lead, trail, spike):
+    # leading and trailing runs of exact zeros (lead=1.0 zeroes the record),
+    # and a spike ``spike`` rows before the first segment edge or the record's
+    # end, whose ring-down peak the next segment only sees through its seed
+    fs = 100_000.0
+    x = np.random.default_rng(seed).normal(size=n)
+    x[: int(lead * n)] = 0.0
+    x[n - int(trail * n) :] = 0.0
+    if 0 < spike <= min(n, _S):
+        x[min(n, _S) - spike] = 1e4
+    sig = Signal(fs, x)
+    freqs = [fn]
+    pad = edge - n  # the frequency whose ring-down ends the run at ``edge``
+    if pad > 0:
+        f_edge = 7.0 * 2.0 * q_srs / (2.0 * np.pi * (pad - 0.5)) * fs
+        if f_edge < 0.45 * fs:
+            assert n + _ring_down_samples(f_edge, q_srs, fs) == edge
+            freqs.append(f_edge)
+    freqs = np.unique(freqs)
+    got = srs(sig, freqs, q_srs).values
+    want = _whole_run_peaks(sig, freqs, q_srs)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_srs_memory_does_not_grow_with_the_pad():
+    # 1 Hz at Q = 10 pads a 5,001-sample record at 100 kHz to 2,233,208 rows;
+    # as one run that is 17.9 MB per array, in segments a few of 131 kB
+    sig = synth_reference()
+    tracemalloc.start()
+    try:
+        srs(sig, [1.0], 10.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
+
+
+def test_srs_work_is_bounded_before_filtering():
+    sig = Signal(100_000.0, np.ones(5001))
+    for q_srs, freqs in [(1e12, [100.0]), (1e300, [1e-300]), (10.0, [1e-3])]:
+        with pytest.raises(ValueError, match="row limit; lower --q-srs or raise the lowest frequency \\(--fmin\\)$"):
+            srs(sig, freqs, q_srs)
+    # the limit leaves room for --fmin 0.1 on the default grid at Q = 10
+    centers = make_layout(0.1, 10_000.0).centers
+    assert np.sum(len(sig) + _ring_down_samples(centers, 10.0, 100_000.0)) < _SRS_MAX_ROWS / 4
 
 
 def test_spec_csv_roundtrip(tmp_path):
