@@ -28,6 +28,17 @@ from .synthesis import PsoConfig, _target_curve, build_report, synthesize, verif
 # SignalFormatError and NoBandEnergyError are ValueErrors.
 _INPUT_ERRORS = (ValueError, OSError)
 
+# What shrinks each command's work, in its own flags: ring-down pads grow with
+# Q and fall with the lowest frequency; grids grow with points per octave.
+_MEMORY_ADVICE = {
+    "srs": "lower --q-srs or --ppo, or raise --fmin",
+    "filter": "lower --q or raise --fc",
+    "bank": "lower --ppo or narrow --fmin to --fmax",
+    "synth": "lower --q-srs or --ppo, or raise the spec's first breakpoint frequency",
+    "verify": "lower --q-srs or --ppo, or raise the spec's first breakpoint frequency",
+    "demo-ref": "lower --fs or --duration",
+}
+
 
 class _Commands(click.Group):
     """The command group, with the one mapping of errors to exit codes."""
@@ -42,8 +53,8 @@ class _Commands(click.Group):
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         except MemoryError:  # what is not sized up front, such as a basis padded by its lowest filter's ring-down
-            advice = "lower --q-srs or raise the lowest frequency (--fmin)"
-            click.echo(f"error: {ctx.invoked_subcommand} ran out of memory; {advice}", err=True)
+            name = ctx.invoked_subcommand
+            click.echo(f"error: {name} ran out of memory; {_MEMORY_ADVICE[name]}", err=True)
             sys.exit(2)
 
 

@@ -31,7 +31,7 @@ import warnings
 
 import numpy as np
 
-from .signal_core import TWO_PI, Signal, _bilinear_pole_pair, _frozen, _iir2, _ring_down_factor, _scalar
+from .signal_core import TWO_PI, Signal, _bilinear_pole_pair, _frozen, _ring_down_factor, _scalar, _segments
 
 __all__ = [
     "NzdfParams",
@@ -54,6 +54,10 @@ _Q_HI = 1.0e4
 
 # The default shape's relative 3 dB bandwidth times q: sqrt(sqrt(2) - 1).
 _BETA_Q = np.sqrt(np.sqrt(2.0) - 1.0)
+
+# Most rows apply_filter may produce, record plus pad: 160 MB.  A 1 Hz, Q = 50
+# filter of the 50 ms, 100 kHz reference takes 1.67e7; 100 Hz at Q = 1e6, 3.3e9.
+_FILTER_MAX_ROWS = 20_000_000
 
 
 def validate_order(numerator_power: int, order: int) -> bool:
@@ -265,18 +269,23 @@ def apply_filter(filt: DigitalNzdf, sig: Signal) -> Signal:
     """Filter a signal and append the ring-down pad.
 
     The input is extended with ``params.ring_down_time`` seconds of zeros
-    before filtering so the transient excited by the final samples can
-    decay inside the record.
+    so the transient excited by the final samples can decay inside the
+    record; ``signal_core._segments`` runs the cascade.  Over
+    ``_FILTER_MAX_ROWS`` rows, a ``ValueError`` is raised before filtering.
     """
     if not np.isclose(sig.sample_rate, filt.sample_rate, rtol=1e-9, atol=0.0):
         raise ValueError(
             f"signal rate {sig.sample_rate:.6g} Hz does not match filter rate "
             f"{filt.sample_rate:.6g} Hz"
         )
-    n_pad = int(np.ceil(filt.params.ring_down_time * sig.sample_rate))
-    y = np.concatenate([sig.samples, np.zeros(n_pad)])
-    for section in filt.sos:
-        y = _iir2(section[:3], section[3:], y)
+    rows = len(sig) + np.ceil(filt.params.ring_down_time * sig.sample_rate)
+    if not rows <= _FILTER_MAX_ROWS:
+        raise ValueError(
+            f"filter at center_freq={filt.params.center_freq:.6g} Hz with q={filt.params.q:.6g} would produce "
+            f"{rows:.3g} rows (record plus ring-down pad), over the {_FILTER_MAX_ROWS:,}-row limit; "
+            "lower q or raise center_freq"
+        )
+    y = np.concatenate(list(_segments(filt.sos, sig.samples, int(rows))))
     return Signal(sig.sample_rate, y, t0=sig.t0)
 
 

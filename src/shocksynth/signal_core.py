@@ -7,10 +7,10 @@ displacement, net-zero residual checks on the terminal motion, CSV
 import/export, and a deterministic synthetic reference generator used when
 no measured shock is available.
 
-It also holds the one recursive-filter kernel of the package, ``_iir2``,
-an all-pole solve ``_allpole`` followed by a 3-tap FIR ``_fir3``: every
-SDOF oscillator of the SRS, every NZDF section and the reference's drift
-high-pass run through it.
+It also holds the one filter runner, ``_segments``: second-order sections,
+each an all-pole solve ``_allpole`` and a 3-tap FIR ``_fir3``, a segment at a
+time.  Every SRS oscillator, every NZDF cascade and the reference's drift
+high-pass run through it; ``_iir2`` is its whole-run reference.
 """
 
 from __future__ import annotations
@@ -42,6 +42,10 @@ TWO_PI = 2.0 * np.pi
 
 # Relative tolerance on time-step jitter when importing CSV data.
 _DT_REL_TOL = 1e-6
+
+# Rows of one filter segment (its workspace, band and products stay in cache,
+# where a whole padded record's would not) and of one block of CSV text.
+_SEGMENT_ROWS = 16_384
 
 
 class SignalFormatError(ValueError):
@@ -279,12 +283,14 @@ def _parse_lines(text: str, header: str, name: str) -> np.ndarray:
 
 
 def _write_table(path, header: str, table) -> None:
-    """Write a 2-D array as CSV under a header line: ``%.12g``, LF, UTF-8."""
+    """Write a 2-D array as CSV under a header line: ``%.12g``, LF, UTF-8, ``_SEGMENT_ROWS`` rows at a time."""
     table = np.asarray(table, dtype=float)
     row = ",".join(["%.12g"] * table.shape[1]) + "\n"
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        fh.write((row * table.shape[0]) % tuple(table.ravel().tolist()))
+        for r0 in range(0, table.shape[0], _SEGMENT_ROWS):
+            block = table[r0 : r0 + _SEGMENT_ROWS]
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def read_signal(path) -> Signal:
@@ -366,18 +372,35 @@ _dtbtrs = _load_dtbtrs(str(Path(importlib.util.find_spec("scipy").submodule_sear
 
 
 def _iir2(b, a, x, step: int = 1) -> np.ndarray:
-    """Second-order IIR filter along axis 0, from zero initial state.
+    """Second-order IIR filter along axis 0 over one whole run, from zero state: :func:`_segments`'s reference.
 
     Computes y[n] = b0 w[n] + b1 w[n-1] + b2 w[n-2], where
     w[n] + a1 w[n-1] + a2 w[n-2] = x[n] and a0 = ``a[0]`` must be 1, for an
-    (n,) or (n, m) input, and returns the rows n = 0, step, 2*step, ...
-    of y.
-
-    The all-pole part :func:`_allpole` comes first; the numerator is the
-    3-tap FIR :func:`_fir3`, applied after it (the two parts commute) on
-    the kept rows only.
+    (n,) or (n, m) input, and returns the rows n = 0, step, 2*step, ... of y:
+    the all-pole part :func:`_allpole`, then the 3-tap FIR :func:`_fir3` on
+    the kept rows only (the two parts commute).
     """
     return _fir3(b, _allpole(a, x), step)
+
+
+def _segments(sos, x: np.ndarray, rows: int):
+    """Second-order sections over ``x`` and then zeros, ``rows`` rows in all, ``_SEGMENT_ROWS`` at a time.
+
+    ``sos`` rows are (b0, b1, b2, 1, a1, a2).  Each section keeps a workspace, a band and a seed, its last
+    two all-pole states; its first segment starts from rest, unseeded.  Joined, the pieces are :func:`_iir2`
+    section by section over the zero-padded record, bit for bit, signed zeros too.
+    """
+    seg = _SEGMENT_ROWS
+    stages = [[s[:3], s[3:], np.empty(seg + 2), _band(s[3:], seg + 2), None] for s in np.atleast_2d(sos)]
+    for r0 in range(0, rows, seg):
+        r1, lead = min(r0 + seg, rows), 2 if r0 else 0
+        y = x[r0:r1]
+        for stage in stages:
+            b, a, work, band, seed = stage
+            w = _allpole(a, y, seed, work[: r1 - r0 + lead], band)
+            stage[4] = w[-2:]
+            y = _fir3(b, w, 1, lead)
+        yield y
 
 
 def _allpole(a, x, seed=None, out=None, band=None) -> np.ndarray:
@@ -385,37 +408,32 @@ def _allpole(a, x, seed=None, out=None, band=None) -> np.ndarray:
 
     LAPACK's banded ``dtbtrs``, in place on a Fortran-order copy of ``x``.  A
     2-row ``seed`` (w of the two samples before x[0]) leads the system and the
-    result, with ``ab[1, 0] = 0``: a split solve continues bit for bit, save
-    the sign of a zero in the seed's second row.  A Fortran-contiguous ``out``
-    takes the copy in place of a new array, its rows past ``x`` set to zero;
-    the seed is copied in first, so it may be a view of ``out``'s last rows.
-    A ``band`` from :func:`_band` of ``a`` over at least as many rows is
-    solved with in place of a new one.
+    result, with a zero ``ab[1, 0]`` of the first seed row's sign: a split 1-D
+    solve continues bit for bit, signed zeros too.  A 2-D ``x`` shares one
+    band, so there a -0.0 in the seed's second row may come out +0.0.  A
+    Fortran-contiguous ``out`` takes the copy in place of a new array, its rows
+    past ``x`` set to zero; the seed is copied in first, so it may be a view of
+    ``out``'s last rows.  A ``band`` from :func:`_band` of ``a`` over at least
+    as many rows is solved with in place of a new one.
     """
     x = np.asarray(x, dtype=float)
     lead = 0 if seed is None else 2
     w = np.empty((lead + x.shape[0],) + x.shape[1:], order="F") if out is None else out
-    if seed is not None:
-        w[:2] = seed
-    w[lead : lead + x.shape[0]] = x
-    w[lead + x.shape[0] :] = 0.0
     ab = _band(a, w.shape[0]) if band is None else band[:, : w.shape[0]]
     if seed is not None:
-        ab[1, 0] = 0.0
+        w[:2] = seed
+        ab[1, 0] = math.copysign(0.0, w[0]) if w.ndim == 1 else 0.0
+    w[lead : lead + x.shape[0]] = x
+    w[lead + x.shape[0] :] = 0.0
     w, _ = _dtbtrs(ab, w, uplo="L", diag="U", overwrite_b=1)
     return w
 
 
-def _band(a, rows: int, out=None) -> np.ndarray:
-    """The unit lower band of w[n] + a1 w[n-1] + a2 w[n-2] over ``rows`` rows, as ``dtbtrs`` reads it.
-
-    A band ``out`` from an earlier call is refilled in place: its a1 and a2 rows only.
-    """
-    if out is None:
-        out = np.empty((3, rows), order="F")
-        out[0] = 1.0
-    out[1], out[2] = a[1], a[2]
-    return out
+def _band(a, rows: int) -> np.ndarray:
+    """The unit lower band of w[n] + a1 w[n-1] + a2 w[n-2] over ``rows`` rows, as ``dtbtrs`` reads it."""
+    ab = np.empty((3, rows), order="F")
+    ab[0], ab[1], ab[2] = 1.0, a[1], a[2]
+    return ab
 
 
 def _fir3(b, w, step: int = 1, lead: int = 0) -> np.ndarray:
@@ -530,7 +548,7 @@ def synth_reference(
         color += c[m] * np.cos(TWO_PI * (m + 1) * t_sweep / sweep_end + ph[m])
     env *= np.exp(color)
 
-    x = _iir2(*_highpass_ba(45.0, fs), env * np.cos(theta))
+    x = np.concatenate(list(_segments(np.concatenate(_highpass_ba(45.0, fs)), env * np.cos(theta), n)))
 
     # Cancel the terminal velocity and displacement exactly with an even and
     # an odd smooth bump over the middle of the record (2x2 linear solve).

@@ -20,8 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .signal_core import (
-    TWO_PI, Signal, SignalFormatError, _allpole, _band, _fir3, _frozen, _read_pairs, _ring_down_factor, _scalar,
-    _write_table,
+    TWO_PI, Signal, SignalFormatError, _frozen, _read_pairs, _ring_down_factor, _scalar, _segments, _write_table,
 )
 
 __all__ = [
@@ -36,14 +35,10 @@ __all__ = [
     "write_curve",
 ]
 
-# Rows of one SRS segment: its workspace, band and numerator products stay in
-# cache, where a whole padded record's would not.
-_SRS_SEGMENT_ROWS = 16_384
-
 # Most rows one srs call may filter, summed over its frequencies (record plus
 # ring-down pad each): about 16 s on one core of a 2-core x86-64 VM.  A 1 s,
-# 100 kHz record against the launcher spec takes 5.0e6 rows; --fmin 0.1 at
-# Q = 10 about 2.1e8.
+# 100 kHz record against the launcher spec takes 5.0e6 rows; a 0.1 Hz lowest
+# frequency at Q = 10 about 2.1e8.
 _SRS_MAX_ROWS = 1_000_000_000
 
 
@@ -171,35 +166,25 @@ def srs(sig: Signal, freqs, q_srs: float = 10.0) -> SrsCurve:
     seconds, so late response peaks of lightly damped oscillators are not
     cut off.
 
-    The run is solved in segments of ``_SRS_SEGMENT_ROWS`` rows, each seeded
-    with the all-pole state the one before it ends in, in one workspace and
-    one band: the peak is that of the whole run, bit for bit, and memory
-    does not grow with the pad.  Over ``_SRS_MAX_ROWS`` rows in all, a
-    ``ValueError`` is raised before any filtering.
+    Each run goes through ``signal_core._segments``, so the peak is that of
+    the whole run, bit for bit, and memory does not grow with the pad.  Over
+    ``_SRS_MAX_ROWS`` rows in all, a ``ValueError`` naming ``q_srs`` and the
+    lowest frequency is raised before any filtering.
     """
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     fs = sig.sample_rate
     _check_freqs(freqs, fs, q_srs)
-    n = len(sig)
-    rows = n + _ring_down_samples(freqs, q_srs, fs)
+    rows = len(sig) + _ring_down_samples(freqs, q_srs, fs)
     if not rows.sum() <= _SRS_MAX_ROWS:
         raise ValueError(
             f"SRS would filter {rows.sum():.3g} rows over {freqs.size} frequencies, over the "
-            f"{_SRS_MAX_ROWS:,}-row limit; lower --q-srs or raise the lowest frequency (--fmin)"
+            f"{_SRS_MAX_ROWS:,}-row limit; lower q_srs ({q_srs:.6g}) or raise the lowest "
+            f"frequency ({freqs.min():.6g} Hz)"
         )
-    seg = _SRS_SEGMENT_ROWS
-    work, band = np.empty(seg + 2), None
-    values = np.empty(freqs.size)
-    for i, (fn, total) in enumerate(zip(freqs, rows.astype(int).tolist())):
-        b, a = _sdof_coeffs(fn, q_srs, sig.dt)
-        band = _band(a, seg + 2, band)
-        seed, peak = np.zeros(2), 0.0  # a zero seed: the oscillator starts at rest
-        for r0 in range(0, total, seg):
-            r1 = min(r0 + seg, total)
-            w = _allpole(a, sig.samples[r0 : min(r1, n)], seed, work[: r1 - r0 + 2], band)
-            peak = np.maximum(peak, np.abs(_fir3(b, w, 1, lead=2)).max())
-            seed = w[-2:]
-        values[i] = peak
+    values = [
+        max(np.abs(y).max() for y in _segments(np.concatenate(_sdof_coeffs(fn, q_srs, sig.dt)), sig.samples, total))
+        for fn, total in zip(freqs, rows.astype(int).tolist())
+    ]
     return SrsCurve(freqs, values, q_srs)
 
 

@@ -453,8 +453,23 @@ def test_srs_out_of_memory_exits_2_naming_the_command_and_flags(workdir, tmp_pat
     out = tmp_path / "o.csv"
     code, err = _run_in_process(["srs", workdir / "ref.csv", "--q-srs", "1e12", "--out", out], capsys)
     assert code == 2
-    assert err == "error: srs ran out of memory; lower --q-srs or raise the lowest frequency (--fmin)\n"
+    assert err == "error: srs ran out of memory; lower --q-srs or --ppo, or raise --fmin\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_out_of_memory_advice_names_only_the_commands_own_flags(workdir, tmp_path, capsys, monkeypatch, command):
+    # simulated in the command itself, after its arguments are parsed
+    def exhausted(**kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(main.commands[command], "callback", exhausted)
+    argv = [command] + [a.format(d=workdir, o=tmp_path) for a in _BASE_ARGS[command]]
+    code, err = _run_in_process(argv, capsys)
+    assert code == 2
+    assert err.startswith(f"error: {command} ran out of memory; ")
+    flags = re.findall(r"--[a-z][a-z-]*", err)
+    assert flags and set(flags) <= {o for p in main.commands[command].params for o in p.opts}
 
 
 @pytest.mark.parametrize("command", ["srs", "verify"])
@@ -467,8 +482,24 @@ def test_huge_q_srs_exits_2_at_once(workdir, tmp_path, capsys, command):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert err.startswith("error: SRS would filter ")
-    assert err.endswith("row limit; lower --q-srs or raise the lowest frequency (--fmin)\n")
+    lowest = "100 Hz" if command == "srs" else "1000 Hz"  # --fmin, or the spec's first breakpoint
+    assert err.endswith(f"row limit; lower q_srs (1e+12) or raise the lowest frequency ({lowest})\n")
     assert not out.exists()
+
+
+def test_huge_filter_q_exits_2_at_once(workdir, tmp_path, capsys):
+    # 3.3e9 rows at 100 Hz, Q = 1e6: refused before any of them is filtered
+    out = tmp_path / "o.csv"
+    start = time.perf_counter()
+    code, err = _run_in_process(["filter", workdir / "ref.csv", "--fc", "100", "--q", "1e6", "--out", out], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert re.fullmatch(
+        r"error: filter at center_freq=100 Hz with q=1e\+06 would produce 1\.67e\+09 rows \(record plus "
+        r"ring-down pad\), over the 20,000,000-row limit; lower q or raise center_freq\n",
+        err,
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("ppo", [10**12, 10**400], ids=["1e12", "1e400"])

@@ -1,5 +1,7 @@
 """Analog filter math, discretization, and the gammatone contrast."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import signal as sci_signal
@@ -17,8 +19,10 @@ from shocksynth import (
     nzdf_gain,
     q_to_beta,
     residual_motion,
+    synth_reference,
     validate_order,
 )
+from shocksynth.nzdf import _FILTER_MAX_ROWS
 from shocksynth.signal_core import Signal, _ring_down_factor
 
 
@@ -228,6 +232,30 @@ def test_apply_filter_contract():
     assert out.sample_rate == fs
     with pytest.raises(ValueError, match="rate"):
         apply_filter(filt, Signal(2.0 * fs, rng.normal(size=16)))
+
+
+def test_apply_filter_memory_is_twice_the_output():
+    # a 10 Hz, Q = 20 filter of the 50 ms reference: 673,452 rows, 5.4 MB of
+    # output, which the Signal copies once; one whole-record filter pass
+    # would take five times that
+    sig = synth_reference()
+    filt = discretize(NzdfParams(10.0, q=20.0), sig.sample_rate)
+    tracemalloc.start()
+    try:
+        out = apply_filter(filt, sig)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.samples.nbytes + 1_000_000, (peak, out.samples.nbytes)
+
+
+def test_apply_filter_rows_are_bounded_before_filtering():
+    sig = Signal(100_000.0, np.ones(16))
+    for fc, q in [(100.0, 1e6), (0.01, 50.0)]:
+        with pytest.raises(ValueError, match="over the 20,000,000-row limit; lower q or raise center_freq$"):
+            apply_filter(discretize(NzdfParams(fc, q=q), sig.sample_rate), sig)
+    # room for a 1 Hz, Q = 50 filter of the 50 ms reference
+    assert 5001 + np.ceil(NzdfParams(1.0, q=50.0).ring_down_time * 1e5) < _FILTER_MAX_ROWS
 
 
 def test_apply_filter_linearity():

@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -35,6 +36,7 @@ from shocksynth import (
 )
 from shocksynth import signal_core
 from shocksynth.signal_core import (
+    _SEGMENT_ROWS,
     _cumulative_trapezoid,
     _dtbtrs,
     _allpole,
@@ -44,6 +46,7 @@ from shocksynth.signal_core import (
     _median,
     _read_pairs,
     _scalar,
+    _segments,
     _write_table,
 )
 from shocksynth.srs import _sdof_coeffs
@@ -415,6 +418,23 @@ def test_write_signal_matches_per_value_format(tmp_path):
     )
 
 
+def test_write_table_formats_a_segment_at_a_time(tmp_path):
+    # across block edges the bytes are the per-value format's, and the
+    # formatting allocates for one block of rows, not for the table
+    values = np.random.default_rng(9).normal(size=(3 * _SEGMENT_ROWS + 3, 2)) * 1e3
+    values[_SEGMENT_ROWS - 1 : _SEGMENT_ROWS + 1] = [[-0.0, 0.0], [1e-300, -1e21]]
+    path = tmp_path / "t.csv"
+    tracemalloc.start()
+    try:
+        _write_table(path, "a,b", values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_text(encoding="utf-8") == "a,b\n" + "".join(f"{a:.12g},{b:.12g}\n" for a, b in values)
+    # about 105 B a row as floats, tuple and text; the whole table would be 5.2 MB
+    assert peak < 160 * _SEGMENT_ROWS, peak
+
+
 def test_read_signal_header_optional(tmp_path):
     path = tmp_path / "noheader.csv"
     path.write_text("0,1\n0.001,2\n0.002,3\n", encoding="utf-8")
@@ -686,6 +706,69 @@ def test_allpole_seeded_continuation_property(seed, radius, angle, b, m, k, step
     if np.all(head[-1] != 0.0):
         np.testing.assert_array_equal(_bits(tail[2:]), _bits(whole[r * step :]))
         np.testing.assert_array_equal(_bits(rows), _bits(_iir2(b, a, x, step)[r:]))
+
+
+def _whole_run(sos, x, rows):
+    """The oracle of ``_segments``: ``_iir2`` section by section over the zero-padded record."""
+    y = np.zeros(rows)
+    y[: len(x)] = x
+    for section in sos:
+        y = _iir2(section[:3], section[3:], y)
+    return y
+
+
+_S = _SEGMENT_ROWS
+# a stable section: a pole pair r exp(+-j angle), or two real poles, under random taps
+_poles = st.one_of(
+    st.tuples(st.floats(0.0, 0.9999), st.floats(0.0, np.pi)).map(lambda p: (-2.0 * p[0] * np.cos(p[1]), p[0] ** 2)),
+    st.tuples(st.floats(-0.9999, 0.9999), st.floats(-0.9999, 0.9999)).map(lambda p: (-(p[0] + p[1]), p[0] * p[1])),
+)
+_section = st.tuples(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3), _poles).map(
+    lambda s: [*s[0], 1.0, *s[1]]
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sos=st.lists(_section, min_size=1, max_size=3).map(np.array),
+    rows=st.sampled_from([1, 2, 700, _S - 1, _S, _S + 1, 2 * _S + 1]),
+    zeros=st.sampled_from([0.0, 0.3, 1.0]),
+    lead=st.sampled_from([0.0, 0.5, 1.0]),
+    sign=st.sampled_from([None, 1.0, -1.0]),
+    negative_zero_first=st.booleans(),
+    data=st.data(),
+)
+def test_segments_are_the_whole_run_bit_for_bit(seed, sos, rows, zeros, lead, sign, negative_zero_first, data):
+    # inputs hold exact zeros of one sign or of random signs, a leading run of
+    # them (lead=1.0 covers the whole record) and, maybe, a -0.0 first sample
+    n = data.draw(st.sampled_from([k for k in (1, 2, 700, _S - 1, _S, _S + 1, 2 * _S + 1) if k <= rows]))
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    x[rng.random(n) < zeros] = 0.0
+    x[: int(lead * n)] = 0.0
+    x *= np.where(rng.random(n) < 0.5, -1.0, 1.0) if sign is None else sign
+    if negative_zero_first:
+        x[0] = -0.0
+    pieces = list(_segments(sos, x, rows))
+    assert [len(p) for p in pieces] == [min(_S, rows - r0) for r0 in range(0, rows, _S)]
+    np.testing.assert_array_equal(_bits(np.concatenate(pieces)), _bits(_whole_run(sos, x, rows)))
+
+
+def test_segments_keep_signed_zeros_across_segment_edges():
+    # solved from rest, not from a zero seed, whose +0.0 taps would turn the
+    # first output -0.0 into +0.0
+    section = np.concatenate(_sdof_coeffs(100.0, 10.0, 1e-5))
+    [y] = _segments(section, np.array([-0.0, 1.0]), 3)
+    assert math.copysign(1.0, y[0]) == -1.0
+    # a record of -0.0 over two segment edges; where a1, a2 <= 0 (the second
+    # filter) every state stays -0.0, so each seed is (-0.0, -0.0), and taps
+    # (1, 0, 0) pass the states' signs on to the output
+    for a in ([1.0, -1.98, 0.99], [1.0, -0.5, -0.2]):
+        sos = np.array([[1.0, 0.0, 0.0, *a]])
+        x = np.full(2 * _S + 5, -0.0)
+        got = np.concatenate(list(_segments(sos, x, 2 * _S + 9)))
+        np.testing.assert_array_equal(_bits(got), _bits(_whole_run(sos, x, 2 * _S + 9)))
 
 
 def test_loaded_dtbtrs_matches_scipy_linalg_lapack():

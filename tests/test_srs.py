@@ -21,8 +21,8 @@ from shocksynth import (
     write_curve,
 )
 from shocksynth.filterbank import make_layout
-from shocksynth.signal_core import _iir2, _write_table
-from shocksynth.srs import _SRS_MAX_ROWS, _SRS_SEGMENT_ROWS, _ring_down_samples, _sdof_coeffs
+from shocksynth.signal_core import _SEGMENT_ROWS, _iir2, _write_table
+from shocksynth.srs import _SRS_MAX_ROWS, _ring_down_samples, _sdof_coeffs
 
 
 def test_spec_validation():
@@ -192,7 +192,7 @@ def test_srs_validation():
         srs_oracle(sig, 6000.0)
 
 
-_S = _SRS_SEGMENT_ROWS
+_S = _SEGMENT_ROWS
 
 
 def _whole_run_peaks(sig, freqs, q_srs):
@@ -258,9 +258,12 @@ def test_srs_memory_does_not_grow_with_the_pad():
 
 def test_srs_work_is_bounded_before_filtering():
     sig = Signal(100_000.0, np.ones(5001))
-    for q_srs, freqs in [(1e12, [100.0]), (1e300, [1e-300]), (10.0, [1e-3])]:
-        with pytest.raises(ValueError, match="row limit; lower --q-srs or raise the lowest frequency \\(--fmin\\)$"):
+    for q_srs, freqs in [(1e12, [100.0]), (1e300, [1e-300]), (10.0, [1e-3, 1.0])]:
+        with pytest.raises(ValueError) as info:
             srs(sig, freqs, q_srs)
+        assert str(info.value).endswith(
+            f"row limit; lower q_srs ({q_srs:.6g}) or raise the lowest frequency ({freqs[0]:.6g} Hz)"
+        )
     # the limit leaves room for --fmin 0.1 on the default grid at Q = 10
     centers = make_layout(0.1, 10_000.0).centers
     assert np.sum(len(sig) + _ring_down_samples(centers, 10.0, 100_000.0)) < _SRS_MAX_ROWS / 4
