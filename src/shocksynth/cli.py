@@ -89,7 +89,7 @@ def _umask() -> int:
 def _write_bode_csv(path, freqs, response) -> None:
     mag_db = 20.0 * np.log10(np.maximum(np.abs(response), 1e-300))
     phase_deg = np.degrees(np.angle(response))
-    _write_table(path, "freq_hz,mag_db,phase_deg", np.column_stack([freqs, mag_db, phase_deg]))
+    _write_table(path, "freq_hz,mag_db,phase_deg", [freqs, mag_db, phase_deg])
 
 
 @click.group(cls=_Commands)
@@ -144,13 +144,13 @@ def cmd_filter(input_csv, fc, q, out, bode_out):
 def cmd_bank(fmin, fmax, ppo, fs, q, out):
     """Dump the bank layout and each filter's magnitude response."""
     layout = make_layout(fmin, fmax, ppo)
-    filts = [discretize(NzdfParams(fc, q=q), fs) for fc in layout.centers]
-    freqs = np.geomspace(fmin / 4.0, min(4.0 * fmax, 0.49 * fs), 481)
-    mags = np.column_stack(
-        [20.0 * np.log10(np.maximum(np.abs(f.frequency_response(freqs)), 1e-300)) for f in filts]
-    )
+    table = np.empty((layout.centers.size + 1, 481))  # a column to a row: frequencies, then each filter's dB
+    table[0] = np.geomspace(fmin / 4.0, min(4.0 * fmax, 0.49 * fs), 481)
+    for row, fc in zip(table[1:], layout.centers):
+        response = discretize(NzdfParams(fc, q=q), fs).frequency_response(table[0])
+        row[:] = 20.0 * np.log10(np.maximum(np.abs(response), 1e-300))
     header = "freq_hz," + ",".join(f"mag_db_{fc:.12g}" for fc in layout.centers)
-    _atomic(out, lambda p: _write_table(p, header, np.column_stack([freqs, mags])))
+    _atomic(out, lambda p: _write_table(p, header, table))
     click.echo(f"wrote {layout.centers.size} filter responses to {out}")
 
 

@@ -128,6 +128,12 @@ class BasisMatrix:
         return Signal(self.sample_rate, self.columns[:, i])
 
 
+def _basis_rows(n: int, centers, fs: float) -> tuple[int, list[int]]:
+    """The basis's common length for n reference samples, and the zeros each center's filter input gets to reach it."""
+    pads = [int(np.ceil(NzdfParams(fc).ring_down_time * fs)) for fc in centers]
+    return n + max(pads), [max(pads) - pad for pad in pads]
+
+
 def build_basis(reference: Signal, layout: BankLayout) -> BasisMatrix:
     """Filter the reference at every bank center and assemble the matrix.
 
@@ -142,9 +148,7 @@ def build_basis(reference: Signal, layout: BankLayout) -> BasisMatrix:
     top = float(layout.centers[-1])
     fs = reference.sample_rate
     if fs < 2.5 * top:
-        raise ValueError(
-            f"reference rate {fs:.6g} Hz is below 2.5x the top center {top:.6g} Hz"
-        )
+        raise ValueError(f"reference rate {fs:.6g} Hz is below 2.5x the top center {top:.6g} Hz")
     if fs < 10.0 * top:
         warnings.warn(
             f"reference rate {fs:.6g} Hz is below 10x the top center {top:.6g} Hz; "
@@ -152,25 +156,20 @@ def build_basis(reference: Signal, layout: BankLayout) -> BasisMatrix:
             stacklevel=2,
         )
 
-    params = [NzdfParams(fc) for fc in layout.centers]
-    pads = [int(np.ceil(p.ring_down_time * fs)) for p in params]
-    pad_max = max(pads)
-    n_common = len(reference) + pad_max
+    n_common, extensions = _basis_rows(len(reference), layout.centers, fs)
 
     ref_peak = float(np.max(np.abs(reference.samples)))
     if ref_peak == 0.0:
-        raise NoBandEnergyError(
-            float(layout.centers[0]), "reference signal is identically zero"
-        )
+        raise NoBandEnergyError(float(layout.centers[0]), "reference signal is identically zero")
     cols = np.empty((n_common, layout.centers.size))
     norms = np.empty(layout.centers.size)
     with warnings.catch_warnings():
         # The bank-level warning above already covers near-Nyquist centers.
         warnings.simplefilter("ignore")
-        for i, (p, pad) in enumerate(zip(params, pads)):
+        for i, (fc, extra) in enumerate(zip(layout.centers, extensions)):
+            p = NzdfParams(fc)
             filt = discretize(p, fs)
-            extended = np.concatenate([reference.samples, np.zeros(pad_max - pad)])
-            out = apply_filter(filt, Signal(fs, extended, reference.t0))
+            out = apply_filter(filt, Signal(fs, np.concatenate([reference.samples, np.zeros(extra)]), reference.t0))
             peak = float(np.max(np.abs(out.samples)))
             if peak < _ENERGY_FLOOR * ref_peak:
                 raise NoBandEnergyError(

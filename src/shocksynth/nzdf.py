@@ -31,7 +31,9 @@ import warnings
 
 import numpy as np
 
-from .signal_core import TWO_PI, Signal, _bilinear_pole_pair, _frozen, _ring_down_factor, _scalar, _segments
+from .signal_core import (
+    TWO_PI, _SEGMENT_ROWS, Signal, _bilinear_pole_pair, _budget, _frozen, _ring_down_factor, _scalar, _segments,
+)
 
 __all__ = [
     "NzdfParams",
@@ -54,11 +56,6 @@ _Q_HI = 1.0e4
 
 # The default shape's relative 3 dB bandwidth times q: sqrt(sqrt(2) - 1).
 _BETA_Q = np.sqrt(np.sqrt(2.0) - 1.0)
-
-# Most rows apply_filter may produce, record plus pad: 160 MB.  A 1 Hz, Q = 50
-# filter of the 50 ms, 100 kHz reference takes 1.67e7; 100 Hz at Q = 1e6, 3.3e9.
-_FILTER_MAX_ROWS = 20_000_000
-
 
 def validate_order(numerator_power: int, order: int) -> bool:
     """True when the zero multiplicity keeps both net-zero motion and decay.
@@ -270,8 +267,10 @@ def apply_filter(filt: DigitalNzdf, sig: Signal) -> Signal:
 
     The input is extended with ``params.ring_down_time`` seconds of zeros
     so the transient excited by the final samples can decay inside the
-    record; ``signal_core._segments`` runs the cascade.  Over
-    ``_FILTER_MAX_ROWS`` rows, a ``ValueError`` is raised before filtering.
+    record; ``signal_core._segments`` runs the cascade.  What it holds at
+    its peak, the output and its ``Signal`` copy (16 bytes a row) and the
+    cascade's segment workspaces, is checked by ``signal_core._budget``
+    before filtering.
     """
     if not np.isclose(sig.sample_rate, filt.sample_rate, rtol=1e-9, atol=0.0):
         raise ValueError(
@@ -279,12 +278,11 @@ def apply_filter(filt: DigitalNzdf, sig: Signal) -> Signal:
             f"{filt.sample_rate:.6g} Hz"
         )
     rows = len(sig) + np.ceil(filt.params.ring_down_time * sig.sample_rate)
-    if not rows <= _FILTER_MAX_ROWS:
-        raise ValueError(
-            f"filter at center_freq={filt.params.center_freq:.6g} Hz with q={filt.params.q:.6g} would produce "
-            f"{rows:.3g} rows (record plus ring-down pad), over the {_FILTER_MAX_ROWS:,}-row limit; "
-            "lower q or raise center_freq"
-        )
+    # each section's workspace and band, 32 bytes a segment row, and one segment's products
+    nbytes = 16 * rows + 32 * _SEGMENT_ROWS * (len(filt.sos) + 1)
+    p = filt.params
+    _budget(f"filter at center_freq={p.center_freq:.6g} Hz with q={p.q:.6g}", nbytes=nbytes,
+            advice="lower q or raise center_freq")
     y = np.concatenate(list(_segments(filt.sos, sig.samples, int(rows))))
     return Signal(sig.sample_rate, y, t0=sig.t0)
 

@@ -43,9 +43,15 @@ TWO_PI = 2.0 * np.pi
 # Relative tolerance on time-step jitter when importing CSV data.
 _DT_REL_TOL = 1e-6
 
-# Rows of one filter segment (its workspace, band and products stay in cache,
-# where a whole padded record's would not) and of one block of CSV text.
+# Rows of one filter segment: its workspace, band and products stay in cache,
+# where a whole padded record's would not.  A block of CSV text is two segments' cells.
 _SEGMENT_ROWS = 16_384
+
+# What one call may ask for, checked by ``_budget`` before any work: rows
+# filtered, which bound its time (1e9 take about 16 s on one core of a 2-core
+# x86-64 VM), and bytes of arrays held at once, which bound its memory.
+_MAX_ROWS = 1_000_000_000
+_MAX_BYTES = 1 << 30
 
 
 class SignalFormatError(ValueError):
@@ -71,6 +77,17 @@ def _scalar(name: str, value, above: float = -math.inf, at_least: float = -math.
     bound = f" and > {above:.6g}" if above > -math.inf else ""
     bound += f" and >= {at_least:.6g}" if at_least > -math.inf else ""
     raise ValueError(f"{name} must be finite{bound}, got {x:.6g}")
+
+
+def _budget(what: str, rows=0, nbytes=0, advice: str = "") -> None:
+    """The package's one rule for the work a call may ask for: ``ValueError`` before any of it, unless
+    ``rows`` to filter are at most ``_MAX_ROWS`` and ``nbytes`` held at once at most ``_MAX_BYTES``.
+
+    The message names what would take how much, the limit, and ``advice``: the parameters that shrink it.
+    """
+    for amount, limit, verb, unit in ((rows, _MAX_ROWS, "filter", "row"), (nbytes, _MAX_BYTES, "hold", "byte")):
+        if not amount <= limit:
+            raise ValueError(f"{what} would {verb} {amount:.3g} {unit}s, over the {limit:,}-{unit} limit; {advice}")
 
 
 def _ring_down_factor(order: int) -> float:
@@ -282,15 +299,21 @@ def _parse_lines(text: str, header: str, name: str) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, 2)
 
 
-def _write_table(path, header: str, table) -> None:
-    """Write a 2-D array as CSV under a header line: ``%.12g``, LF, UTF-8, ``_SEGMENT_ROWS`` rows at a time."""
-    table = np.asarray(table, dtype=float)
-    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
+def _write_table(path, header: str, columns) -> None:
+    """Write columns as CSV under a header line: ``%.12g``, LF, UTF-8, about ``2 * _SEGMENT_ROWS`` cells at a time.
+
+    Columns are 1-D arrays or functions (r0, r1) of rows r0 up to r1, never held whole, or rows of one 2-D array.
+    """
+    n = min(len(c) for c in columns if not callable(c))
+    step = max(2 * _SEGMENT_ROWS // len(columns), 1)
+    row = ",".join(["%.12g"] * len(columns)) + "\n"
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for r0 in range(0, table.shape[0], _SEGMENT_ROWS):
-            block = table[r0 : r0 + _SEGMENT_ROWS]
-            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+        for r0 in range(0, n, step):
+            r1 = min(r0 + step, n)
+            block = columns[:, r0:r1] if isinstance(columns, np.ndarray) else np.array(
+                [c(r0, r1) if callable(c) else c[r0:r1] for c in columns], dtype=float)
+            fh.write((row * (r1 - r0)) % tuple(block.T.ravel().tolist()))
 
 
 def read_signal(path) -> Signal:
@@ -337,7 +360,8 @@ def write_signal(sig: Signal, path) -> None:
 
     Values are formatted with ``%.12g``, LF line endings, UTF-8.
     """
-    _write_table(path, "time_s,accel_m_s2", np.column_stack([sig.times(), sig.samples]))
+    # the times a block at a time, each block sig.times()[r0:r1] bit for bit
+    _write_table(path, "time_s,accel_m_s2", [lambda r0, r1: sig.t0 + np.arange(r0, r1) / sig.sample_rate, sig.samples])
 
 
 def _load_dtbtrs(directory: str):

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .signal_core import (
-    TWO_PI, Signal, SignalFormatError, _frozen, _read_pairs, _ring_down_factor, _scalar, _segments, _write_table,
+    TWO_PI, Signal, SignalFormatError, _budget, _frozen, _read_pairs, _ring_down_factor, _scalar, _segments,
+    _write_table,
 )
 
 __all__ = [
@@ -34,13 +35,6 @@ __all__ = [
     "read_spec",
     "write_curve",
 ]
-
-# Most rows one srs call may filter, summed over its frequencies (record plus
-# ring-down pad each): about 16 s on one core of a 2-core x86-64 VM.  A 1 s,
-# 100 kHz record against the launcher spec takes 5.0e6 rows; a 0.1 Hz lowest
-# frequency at Q = 10 about 2.1e8.
-_SRS_MAX_ROWS = 1_000_000_000
-
 
 @dataclasses.dataclass(frozen=True)
 class SrsSpec:
@@ -158,6 +152,15 @@ def _ring_down_samples(fn, q_srs: float, fs: float):
         return np.ceil(_ring_down_factor(1) * 2.0 * q_srs / (TWO_PI * np.asarray(fn)) * fs)
 
 
+def _srs_rows(n: int, freqs, q_srs: float, fs: float) -> np.ndarray:
+    """Each oscillator's rows, n samples plus its ring-down pad, after ``_check_freqs`` and ``_budget`` of their sum."""
+    _check_freqs(freqs, fs, q_srs)
+    rows = n + _ring_down_samples(freqs, q_srs, fs)
+    advice = f"lower q_srs ({q_srs:.6g}) or raise the lowest frequency ({np.min(freqs):.6g} Hz)"
+    _budget("SRS", rows=rows.sum(), advice=advice)
+    return rows
+
+
 def srs(sig: Signal, freqs, q_srs: float = 10.0) -> SrsCurve:
     """Maximax absolute-acceleration SRS via the ramp-invariant recursion.
 
@@ -167,20 +170,12 @@ def srs(sig: Signal, freqs, q_srs: float = 10.0) -> SrsCurve:
     cut off.
 
     Each run goes through ``signal_core._segments``, so the peak is that of
-    the whole run, bit for bit, and memory does not grow with the pad.  Over
-    ``_SRS_MAX_ROWS`` rows in all, a ``ValueError`` naming ``q_srs`` and the
-    lowest frequency is raised before any filtering.
+    the whole run, bit for bit, and memory does not grow with the pad.  Their
+    rows in all are checked by ``signal_core._budget`` before any filtering.
     """
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     fs = sig.sample_rate
-    _check_freqs(freqs, fs, q_srs)
-    rows = len(sig) + _ring_down_samples(freqs, q_srs, fs)
-    if not rows.sum() <= _SRS_MAX_ROWS:
-        raise ValueError(
-            f"SRS would filter {rows.sum():.3g} rows over {freqs.size} frequencies, over the "
-            f"{_SRS_MAX_ROWS:,}-row limit; lower q_srs ({q_srs:.6g}) or raise the lowest "
-            f"frequency ({freqs.min():.6g} Hz)"
-        )
+    rows = _srs_rows(len(sig), freqs, q_srs, fs)
     values = [
         max(np.abs(y).max() for y in _segments(np.concatenate(_sdof_coeffs(fn, q_srs, sig.dt)), sig.samples, total))
         for fn, total in zip(freqs, rows.astype(int).tolist())
@@ -303,4 +298,4 @@ def read_spec(path, tolerance_db: float = 3.0) -> SrsSpec:
 
 def write_curve(curve: SrsCurve, path) -> None:
     """Write an SRS curve as CSV (``freq_hz,srs_m_s2``), %.12g, LF, UTF-8."""
-    _write_table(path, "freq_hz,srs_m_s2", np.column_stack([curve.freqs, curve.values]))
+    _write_table(path, "freq_hz,srs_m_s2", [curve.freqs, curve.values])

@@ -35,9 +35,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .filterbank import BankLayout, BasisMatrix, build_basis, make_layout
-from .signal_core import ResidualReport, Signal, _allpole, _fir3, _frozen, _scalar, residual_motion
-from .srs import DbErrorReport, SrsCurve, SrsSpec, _check_freqs, _sdof_coeffs, db_error, spec_interpolate, srs
+from .filterbank import BankLayout, BasisMatrix, _basis_rows, build_basis, make_layout
+from .signal_core import ResidualReport, Signal, _allpole, _budget, _fir3, _frozen, _scalar, residual_motion
+from .srs import DbErrorReport, SrsCurve, SrsSpec, _sdof_coeffs, _srs_rows, db_error, spec_interpolate, srs
 
 __all__ = [
     "PsoConfig",
@@ -73,11 +73,6 @@ _CACHE_TAIL_PERIODS = 2.0
 # coarsely, so a response dominated by such content under-reads more.  The
 # canonical full-rate SRS is recomputed after the search.
 _CACHE_SAMPLES_PER_PERIOD = 20.0
-
-# Largest response cache allowed, in bytes reserved, checked before reserving.
-# The 100 Hz to 10 kHz launcher spec reserves about 153 MB at 100 kHz; a 10 Hz
-# lowest frequency would need about 1.6 GB.
-_CACHE_MAX_BYTES = 1 << 30
 
 # Rows per chunk of the cache's peak envelope: about a thousand chunks on
 # the launcher spec, each still a gemm of useful size when it is not skipped.
@@ -258,6 +253,13 @@ def pso_minimize(dim, eval_batch, bounds, cfg: PsoConfig, initial_positions=None
     return gbest_pos.copy(), gbest_val, iters
 
 
+def _cache_rows(n: int, grid, fs: float) -> tuple[list[int], list[int], list[int]]:
+    """Per grid frequency: the response cache's tail, its decimation step and its rows, over n basis rows."""
+    tails = [int(np.ceil(_CACHE_TAIL_PERIODS * fs / fn)) for fn in grid]
+    steps = [max(int(fs / (_CACHE_SAMPLES_PER_PERIOD * fn)), 1) for fn in grid]
+    return tails, steps, [-(-(n + tail) // step) for tail, step in zip(tails, steps)]
+
+
 class _BandResponseCache:
     """Per-frequency SDOF responses of every basis column, stacked.
 
@@ -289,17 +291,9 @@ class _BandResponseCache:
     def __init__(self, basis: BasisMatrix, grid: np.ndarray, q_srs: float):
         fs = basis.sample_rate
         n, m = basis.columns.shape
-        tails = [int(np.ceil(_CACHE_TAIL_PERIODS * fs / fn)) for fn in grid]
-        steps = [max(int(fs / (_CACHE_SAMPLES_PER_PERIOD * fn)), 1) for fn in grid]
-        rows = [-(-(n + tail) // step) for tail, step in zip(tails, steps)]
+        tails, steps, rows = _cache_rows(n, grid, fs)
         edges = np.concatenate([[0], np.cumsum(rows)]).astype(np.intp)
         n_bytes = int(edges[-1]) * m * 8
-        if n_bytes > _CACHE_MAX_BYTES:
-            raise ValueError(
-                f"response cache would take {n_bytes:,} bytes ({edges[-1]:,} rows x "
-                f"{m} columns), over the {_CACHE_MAX_BYTES:,}-byte budget; "
-                "raise the lowest spec frequency or use fewer points per octave"
-            )
         # Chunks of _CHUNK_ROWS rows; a block's last chunk takes any one-row
         # remainder, since numpy sends a one-row operand to gemv, which
         # rounds differently from the gemm of the full block.
@@ -431,11 +425,15 @@ def synthesize(
     warm start itself (coefficients may go negative, the bases being
     sign-symmetric oscillations).  Failure to meet the tolerance is not an
     error; it is reported through ``srs_report.passed``.  A ``q_srs`` or a
-    grid the SRS cannot use is rejected before the basis and cache are built.
+    grid the SRS cannot use is rejected before the basis and cache are built.  So is work over ``signal_core._budget``:
+    the final SRS's rows, or the bytes of the basis (columns, frozen copy, a filter's input and output) and cache.
     """
     target = _target_curve(spec, layout)
-    grid = target.freqs
-    _check_freqs(grid, reference.sample_rate, q_srs)
+    grid, fs = target.freqs, reference.sample_rate
+    n, m = _basis_rows(len(reference), layout.centers, fs)[0], layout.centers.size
+    _srs_rows(n, grid, q_srs, fs)
+    advice = f"raise the lowest center ({layout.centers[0]:.6g} Hz) or lower ppo ({layout.points_per_octave})"
+    _budget("synthesis", nbytes=16 * n * (m + 1) + 8 * m * sum(_cache_rows(n, grid, fs)[2]), advice=advice)
     basis = build_basis(reference, layout)
     cache = _BandResponseCache(basis, grid, q_srs)
 
@@ -463,16 +461,9 @@ def synthesize(
     achieved = srs(synthesized, grid, q_srs)
     report = db_error(achieved, target, spec.tolerance_db)
     residuals = residual_motion(synthesized, 1e-3)
-    obj_value = _log_error_norm(achieved.values, target)
     return SynthesisResult(
-        coefficients=x_best,
-        synthesized=synthesized,
-        srs_report=report,
-        residuals=residuals,
-        objective_value=obj_value,
-        iterations_used=iters,
-        achieved=achieved,
-        target=target,
+        coefficients=x_best, synthesized=synthesized, srs_report=report, residuals=residuals, iterations_used=iters,
+        objective_value=_log_error_norm(achieved.values, target), achieved=achieved, target=target,
     )
 
 
@@ -510,15 +501,8 @@ def build_report(
     keep the output strict JSON.
     """
     per_freq = [
-        {
-            "freq_hz": float(f),
-            "srs": float(s),
-            "target": float(t),
-            "err_db": _json_num(e),
-        }
-        for f, s, t, e in zip(
-            achieved.freqs, achieved.values, target.values, srs_report.per_freq_db
-        )
+        {"freq_hz": float(f), "srs": float(s), "target": float(t), "err_db": _json_num(e)}
+        for f, s, t, e in zip(achieved.freqs, achieved.values, target.values, srs_report.per_freq_db)
     ]
     return {
         "pass_srs": bool(srs_report.passed),

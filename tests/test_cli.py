@@ -1,6 +1,7 @@
 """End-to-end command-line checks through real subprocesses."""
 
 import errno
+import importlib
 import json
 import mmap
 import re
@@ -14,6 +15,7 @@ import pytest
 
 from conftest import write_spec_csv
 from shocksynth.cli import main
+from shocksynth.signal_core import synth_reference, write_signal
 
 
 @pytest.fixture(scope="module")
@@ -292,7 +294,7 @@ def test_synth_over_cache_budget_exits_2(workdir, run_cli, tmp_path):
         "synth", spec, workdir / "ref.csv", "--out-signal", out, "--out-report", tmp_path / "r.json",
     )
     assert r.returncode == 2
-    assert "budget" in r.stderr
+    assert r.stderr.endswith("-byte limit; raise the lowest center (5 Hz) or lower ppo (6)\n")
     assert not out.exists()
 
 
@@ -495,11 +497,53 @@ def test_huge_filter_q_exits_2_at_once(workdir, tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert re.fullmatch(
-        r"error: filter at center_freq=100 Hz with q=1e\+06 would produce 1\.67e\+09 rows \(record plus "
-        r"ring-down pad\), over the 20,000,000-row limit; lower q or raise center_freq\n",
+        r"error: filter at center_freq=100 Hz with q=1e\+06 would hold 2\.67e\+10 bytes, "
+        r"over the 1,073,741,824-byte limit; lower q or raise center_freq\n",
         err,
     )
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def demo_ref(tmp_path_factory):
+    """The 50 ms, 100 kHz demo reference of the README, seed 1."""
+    path = tmp_path_factory.mktemp("demo") / "ref.csv"
+    write_signal(synth_reference(seed=1), path)
+    return path
+
+
+def _refused(argv, capsys, monkeypatch):
+    """Exit code and stderr of ``argv`` with every filter runner and the basis builder made to fail."""
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the budget was checked")
+
+    for module, name in [("srs", "_segments"), ("nzdf", "_segments"), ("synthesis", "build_basis")]:
+        monkeypatch.setattr(importlib.import_module(f"shocksynth.{module}"), name, work)
+    return _run_in_process(argv, capsys)
+
+
+@pytest.mark.parametrize("command", ["srs", "verify", "filter"])
+def test_over_budget_commands_refuse_before_any_filtering(workdir, tmp_path, capsys, monkeypatch, command):
+    flags = {"srs": ["--q-srs", "1e12"], "verify": ["--q-srs", "1e12"], "filter": ["--fc", "100", "--q", "1e6"]}
+    argv = [command] + [a.format(d=workdir, o=tmp_path) for a in _BASE_ARGS[command]] + flags[command]
+    code, err = _refused(argv, capsys, monkeypatch)
+    assert code == 2
+    assert re.fullmatch(r"error: .* would (filter .* rows, over the 1,000,000,000-row|hold .* bytes, over the "
+                        r"1,073,741,824-byte) limit; lower q(_srs \(1e\+12\))? or raise .*\n", err), err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("lowest", [1.0, 2.0, 5.0])
+def test_synth_over_budget_refuses_before_the_basis(demo_ref, tmp_path, capsys, monkeypatch, lowest):
+    # the basis and cache a low first breakpoint needs are sized up front
+    write_spec_csv(tmp_path / "spec.csv", [(lowest, 300.0), (1800.0, 10_000.0), (10_000.0, 10_000.0)])
+    argv = ["synth", tmp_path / "spec.csv", demo_ref, "--seed", "1",
+            "--out-signal", tmp_path / "s.csv", "--out-report", tmp_path / "r.json"]
+    code, err = _refused(argv, capsys, monkeypatch)
+    assert code == 2
+    assert re.fullmatch(r"error: synthesis would hold \S+ bytes, over the 1,073,741,824-byte limit; "
+                        rf"raise the lowest center \({lowest:g} Hz\) or lower ppo \(6\)\n", err), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.csv"]
 
 
 @pytest.mark.parametrize("ppo", [10**12, 10**400], ids=["1e12", "1e400"])

@@ -22,8 +22,8 @@ from shocksynth import (
     synth_reference,
     validate_order,
 )
-from shocksynth.nzdf import _FILTER_MAX_ROWS
-from shocksynth.signal_core import Signal, _ring_down_factor
+from shocksynth import nzdf
+from shocksynth.signal_core import _MAX_BYTES, Signal, _ring_down_factor
 
 
 def test_validate_order_table():
@@ -252,10 +252,30 @@ def test_apply_filter_memory_is_twice_the_output():
 def test_apply_filter_rows_are_bounded_before_filtering():
     sig = Signal(100_000.0, np.ones(16))
     for fc, q in [(100.0, 1e6), (0.01, 50.0)]:
-        with pytest.raises(ValueError, match="over the 20,000,000-row limit; lower q or raise center_freq$"):
+        with pytest.raises(ValueError, match="over the 1,073,741,824-byte limit; lower q or raise center_freq$"):
             apply_filter(discretize(NzdfParams(fc, q=q), sig.sample_rate), sig)
-    # room for a 1 Hz, Q = 50 filter of the 50 ms reference
-    assert 5001 + np.ceil(NzdfParams(1.0, q=50.0).ring_down_time * 1e5) < _FILTER_MAX_ROWS
+    # room for a 1 Hz, Q = 50 filter of the 50 ms reference: 16 bytes a row
+    assert 16 * (5001 + np.ceil(NzdfParams(1.0, q=50.0).ring_down_time * 1e5)) < _MAX_BYTES
+
+
+@pytest.mark.parametrize("fc,q,n", [
+    (10.0, 20.0, 5001),  # 673,452 rows: the output and its copy dominate
+    (1000.0, 5.0, 16),  # one short segment: the workspaces dominate
+    (100.0, 5.0, 50_000),  # five segments
+])
+def test_apply_filter_peak_is_within_its_budget_estimate(monkeypatch, fc, q, n):
+    asked = []
+    monkeypatch.setattr(nzdf, "_budget", lambda what, rows=0, nbytes=0, advice="": asked.append(nbytes))
+    sig = Signal(100_000.0, np.random.default_rng(3).normal(size=n))
+    filt = discretize(NzdfParams(fc, q=q), sig.sample_rate)
+    tracemalloc.start()
+    try:
+        apply_filter(filt, sig)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    [nbytes] = asked
+    assert peak <= nbytes, (peak, nbytes)
 
 
 def test_apply_filter_linearity():

@@ -241,7 +241,7 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 @given(table=st.lists(st.tuples(_finite, _finite), max_size=40))
 def test_write_table_reads_back_at_12_digits(tmp_path_factory, table):
     path = tmp_path_factory.mktemp("table") / "t.csv"
-    _write_table(path, _HEADER, np.array(table, dtype=float).reshape(-1, 2))
+    _write_table(path, _HEADER, np.array(table, dtype=float).reshape(-1, 2).T)
     expected = np.array([[float(f"{v:.12g}") for v in row] for row in table]).reshape(-1, 2)
     assert _read_pairs(path, _HEADER).tobytes() == expected.tobytes()
 
@@ -411,7 +411,7 @@ def test_write_signal_matches_per_value_format(tmp_path):
     )
     assert path.read_bytes() == expected.encode("utf-8")
     table = tmp_path / "table.csv"
-    _write_table(table, "a,b,c", values[:201].reshape(67, 3))
+    _write_table(table, "a,b,c", values[:201].reshape(67, 3).T)
     rows = values[:201].reshape(67, 3)
     assert table.read_text(encoding="utf-8") == "a,b,c\n" + "".join(
         ",".join(f"{v:.12g}" for v in row) + "\n" for row in rows
@@ -426,13 +426,43 @@ def test_write_table_formats_a_segment_at_a_time(tmp_path):
     path = tmp_path / "t.csv"
     tracemalloc.start()
     try:
-        _write_table(path, "a,b", values)
+        _write_table(path, "a,b", values.T)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert path.read_text(encoding="utf-8") == "a,b\n" + "".join(f"{a:.12g},{b:.12g}\n" for a, b in values)
     # about 105 B a row as floats, tuple and text; the whole table would be 5.2 MB
     assert peak < 160 * _SEGMENT_ROWS, peak
+
+
+def test_write_table_blocks_are_cells_not_rows(tmp_path):
+    # a table wider than a block writes one row at a time, and a narrow one
+    # two segments' cells at a time, with the per-value format's bytes
+    for shape in [(3, 2 * _SEGMENT_ROWS + 5), (_SEGMENT_ROWS + 7, 5)]:
+        values = np.random.default_rng(10).normal(size=shape) * 1e3
+        path = tmp_path / "t.csv"
+        _write_table(path, "h", list(values.T))
+        assert path.read_text(encoding="utf-8") == "h\n" + "".join(
+            ",".join(f"{v:.12g}" for v in row) + "\n" for row in values
+        )
+
+
+def test_write_signal_holds_one_block_not_the_record(tmp_path):
+    # the times are made a block at a time too, so nothing the size of the
+    # record is allocated: its samples are 3.1 MB, the bound 2.6 MB
+    sig = Signal(48_000.0, np.random.default_rng(12).normal(size=24 * _SEGMENT_ROWS) * 1e3, t0=-0.01)
+    path = tmp_path / "s.csv"
+    tracemalloc.start()
+    try:
+        write_signal(sig, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * _SEGMENT_ROWS < sig.samples.nbytes, peak
+    reference = tmp_path / "r.csv"
+    np.savetxt(reference, np.column_stack([sig.times(), sig.samples]), fmt="%.12g", delimiter=",",
+               header="time_s,accel_m_s2", comments="")
+    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_read_signal_header_optional(tmp_path):

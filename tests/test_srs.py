@@ -21,8 +21,8 @@ from shocksynth import (
     write_curve,
 )
 from shocksynth.filterbank import make_layout
-from shocksynth.signal_core import _SEGMENT_ROWS, _iir2, _write_table
-from shocksynth.srs import _SRS_MAX_ROWS, _ring_down_samples, _sdof_coeffs
+from shocksynth.signal_core import _MAX_ROWS, _SEGMENT_ROWS, _iir2, _write_table
+from shocksynth.srs import _ring_down_samples, _sdof_coeffs
 
 
 def test_spec_validation():
@@ -266,7 +266,7 @@ def test_srs_work_is_bounded_before_filtering():
         )
     # the limit leaves room for --fmin 0.1 on the default grid at Q = 10
     centers = make_layout(0.1, 10_000.0).centers
-    assert np.sum(len(sig) + _ring_down_samples(centers, 10.0, 100_000.0)) < _SRS_MAX_ROWS / 4
+    assert np.sum(len(sig) + _ring_down_samples(centers, 10.0, 100_000.0)) < _MAX_ROWS / 4
 
 
 def test_spec_csv_roundtrip(tmp_path):
@@ -321,7 +321,7 @@ def test_read_spec_checks_random_tables(tmp_path_factory, freqs, peaks, shape):
         peaks = [abs(a) + 1.0 for a in peaks]
     table = np.array(list(zip(freqs, peaks)), dtype=float).reshape(-1, 2)
     path = tmp_path_factory.mktemp("spec") / "s.csv"
-    _write_table(path, "freq_hz,peak_accel_m_s2", table)
+    _write_table(path, "freq_hz,peak_accel_m_s2", table.T)
     rows = [[float(f"{v:.12g}") for v in row] for row in table]
     f, a = [r[0] for r in rows], [r[1] for r in rows]
     if len(rows) < 2:

@@ -2,6 +2,7 @@
 
 import errno
 import json
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -28,7 +29,7 @@ from shocksynth import (
     verify,
     write_report,
 )
-from shocksynth import synthesis
+from shocksynth import signal_core, synthesis
 from shocksynth.signal_core import _iir2
 from shocksynth.srs import _sdof_coeffs
 from shocksynth.synthesis import _BandResponseCache
@@ -346,14 +347,58 @@ def test_cache_build_peak_is_one_workspace(small_problem, small_cache):
     assert peak <= bound
 
 
+class _Built(Exception):
+    """Raised in place of ``build_basis``: the budget let ``synthesize`` start its work."""
+
+
+def _built(*args):
+    raise _Built
+
+
+def _budget_asked(monkeypatch, spec, ref, layout):
+    """The bytes ``synthesize`` asks ``_budget`` for, stopped where its work would start."""
+    asked = []
+    monkeypatch.setattr(synthesis, "_budget", lambda what, rows=0, nbytes=0, advice="": asked.append(nbytes))
+    monkeypatch.setattr(synthesis, "build_basis", _built)
+    with pytest.raises(_Built):
+        synthesize(spec, ref, layout, PsoConfig())
+    [nbytes] = asked
+    return nbytes
+
+
 def test_cache_rejects_over_budget(small_problem, small_cache, monkeypatch):
-    basis = small_problem[3]
-    need = small_cache.matrix.nbytes
-    monkeypatch.setattr(synthesis, "_CACHE_MAX_BYTES", need - 1)
-    with pytest.raises(ValueError, match=f"{need:,} bytes"):
-        _BandResponseCache(basis, small_cache.grid, 10.0)
-    monkeypatch.setattr(synthesis, "_CACHE_MAX_BYTES", need)
-    assert _BandResponseCache(basis, small_cache.grid, 10.0).matrix.nbytes == need
+    # the basis, its frozen copy and the cache's reservation, refused before any is built
+    ref, layout, spec, basis = small_problem
+    need = _budget_asked(monkeypatch, spec, ref, layout)
+    assert need > 2 * basis.columns.nbytes + small_cache.matrix.nbytes
+    monkeypatch.undo()
+    monkeypatch.setattr(signal_core, "_MAX_BYTES", need - 1)
+    monkeypatch.setattr(synthesis, "build_basis", _built)
+    with pytest.raises(ValueError, match=re.escape(f"synthesis would hold {need:.3g} bytes, over the {need - 1:,}-byte")):
+        synthesize(spec, ref, layout, PsoConfig())
+    monkeypatch.setattr(signal_core, "_MAX_BYTES", need)
+    with pytest.raises(_Built):
+        synthesize(spec, ref, layout, PsoConfig())
+
+
+def test_synthesis_budget_terms_bound_what_they_count():
+    # the README plateau run: the cache term, from the one row count the
+    # cache is built with, is its matrix to the byte, and the rest of the
+    # estimate, the basis term, bounds build_basis's peak
+    ref, layout = synth_reference(seed=1), make_layout(100.0, 10_000.0)
+    spec = SrsSpec([[100.0, 300.0], [1800.0, 10_000.0], [10_000.0, 10_000.0]])
+    with pytest.MonkeyPatch.context() as mp:
+        nbytes = _budget_asked(mp, spec, ref, layout)
+    tracemalloc.start()
+    try:
+        basis = build_basis(ref, layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (n, m), grid = basis.columns.shape, verification_grid(spec, layout)
+    cache_term = 8 * m * sum(synthesis._cache_rows(n, grid, ref.sample_rate)[2])
+    assert cache_term == _BandResponseCache(basis, grid, 10.0).matrix.nbytes
+    assert peak <= nbytes - cache_term, (peak, nbytes - cache_term)
 
 
 def test_cache_names_the_bytes_a_refused_reservation_asked_for(small_problem, small_cache, monkeypatch):
