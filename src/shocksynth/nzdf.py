@@ -199,10 +199,11 @@ class DigitalNzdf:
             raise ValueError(f"sos must have shape (n_sections, 6), got {sos.shape}")
         if np.any(sos[:, 3] != 1.0):
             raise ValueError("every section's a0 (sos[:, 3]) must be 1")
-        for section in sos:
-            poles = np.roots(section[3:])
-            if np.any(np.abs(poles) >= 1.0):
-                raise ValueError("discretized section has a pole on or outside the unit circle")
+        # Jury's test: both roots of z^2 + a1 z + a2 lie strictly inside the
+        # unit circle iff |a2| < 1 and |a1| < 1 + a2.  A NaN fails it.
+        a1, a2 = sos[:, 4], sos[:, 5]
+        if not np.all((np.abs(a2) < 1.0) & (np.abs(a1) < 1.0 + a2)):
+            raise ValueError("discretized section has a pole on or outside the unit circle")
         object.__setattr__(self, "sos", sos)
         object.__setattr__(self, "sample_rate", float(self.sample_rate))
 

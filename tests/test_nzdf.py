@@ -189,6 +189,37 @@ def test_digital_sos_pole_check():
     unnormalized = np.array([[1.0, 0.0, 0.0, 2.0, -1.0, 0.25]])
     with pytest.raises(ValueError, match="a0"):
         DigitalNzdf(p, 100_000.0, unnormalized)
+    for a1, a2 in ((np.nan, 0.25), (-1.0, np.nan), (np.inf, 0.25)):
+        with pytest.raises(ValueError, match="unit circle"):
+            DigitalNzdf(p, 100_000.0, np.array([[1.0, 0.0, 0.0, 1.0, a1, a2]]))
+
+
+@pytest.mark.filterwarnings("ignore:fs=")
+def test_pole_check_agrees_with_np_roots():
+    # every discretized section is accepted, its mirror (each pole r taken
+    # to 1 / r) is refused, and a real pole pair is refused exactly when
+    # np.roots puts a pole on or outside the unit circle
+    p = NzdfParams(1000.0)
+    dens = []
+    for fc in np.geomspace(10.0, 20_000.0, 9):
+        for q in (0.6, 2.0, 5.0, 50.0, 1e3):
+            for fs in (45_000.0, 100_000.0, 1e6):
+                if fs > 2.0 * fc:
+                    dens.extend(discretize(NzdfParams(fc, q), fs).sos[:, 3:])
+    dens = np.array(dens)
+    mirrored = np.column_stack([dens[:, 0], dens[:, 1] / dens[:, 2], 1.0 / dens[:, 2]])
+    real = [[1.0, -(r1 + r2), r1 * r2] for r1 in (-1.5, -0.95, 0.3, 0.95, 1.5) for r2 in (-0.95, -0.3, 0.95, 1.5)]
+    verdicts = []
+    for den in np.vstack([dens, mirrored, real]):
+        sos = np.r_[1.0, 0.0, 0.0, den][None, :]
+        verdicts.append(bool(np.all(np.abs(np.roots(den)) < 1.0)))
+        if verdicts[-1]:
+            DigitalNzdf(p, 100_000.0, sos)
+        else:
+            with pytest.raises(ValueError, match="unit circle"):
+                DigitalNzdf(p, 100_000.0, sos)
+    assert verdicts[: 2 * len(dens)] == [True] * len(dens) + [False] * len(dens)
+    assert 0 < sum(verdicts[2 * len(dens) :]) < len(real)
 
 
 _SCIPY_CASES = [NzdfParams(fc) for fc in (100.0, 1000.0, 9000.0)] + [

@@ -288,10 +288,10 @@ def test_fine_cache_has_no_one_row_chunk(fine_cache):
     assert np.diff(fine_cache._chunk_edges).min() >= 2
 
 
-def _block_of_kind(n, kind):
-    """1 to 33 coefficient rows, all of one kind."""
+def _block_of_kind(n, kind, rows=None):
+    """1 to 33 coefficient rows, or ``rows`` of them, all of one kind."""
     unit = st.floats(-1.0, 1.0, allow_subnormal=False)
-    rows = {
+    row = {
         "sparse": st.dictionaries(st.integers(0, n - 1), unit, max_size=3).map(
             lambda d: [d.get(j, 0.0) for j in range(n)]
         ),
@@ -301,7 +301,7 @@ def _block_of_kind(n, kind):
         "sign_mixed": st.lists(unit, min_size=n, max_size=n),
         "zero": st.just([0.0] * n),
     }[kind]
-    return st.lists(rows, min_size=1, max_size=33)
+    return st.lists(row, min_size=rows or 1, max_size=rows or 33)
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
@@ -315,6 +315,78 @@ def test_pruned_peak_matches_full_scan_property(small_problem, small_cache, fine
         vals = cache.srs_values(block)
         np.testing.assert_allclose(vals, _full_scan(eager, cache, block), rtol=1e-12, atol=0.0)
         np.testing.assert_array_equal(vals, _block_peaks(eager, cache, block))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_carried_bound_matches_full_scan_property(small_problem, small_cache, fine_cache, eager, data):
+    # a batch of the last one's shape is bounded through it as well; skipping
+    # stays exact whatever came before, down to the bit
+    n = small_problem[3].n_columns
+    blocks = []
+    for _ in range(data.draw(st.integers(2, 6))):
+        shape = data.draw(st.sampled_from([1, 2, 41, "eye", "again"] if blocks else [1, 2, 41, "eye"]))
+        if shape == "again":  # the last batch once more, or nudged
+            block = blocks[-1] * (1.0 + data.draw(st.sampled_from([0.0, 2.0**-52, 1e-6])))
+        elif shape == "eye":
+            block = np.eye(n) * 10.0 ** data.draw(st.integers(-6, 6))
+        else:
+            kind = data.draw(st.sampled_from(["sparse", "one_hot", "sign_mixed", "zero"]))
+            block = np.array(data.draw(_block_of_kind(n, kind, shape))) * 10.0 ** data.draw(st.integers(-6, 6))
+        blocks.append(block)
+        for cache in (small_cache, fine_cache):
+            vals = cache.srs_values(block)
+            np.testing.assert_array_equal(_bits(vals), _bits(_block_peaks(eager, cache, block)))
+            # what the next batch is bounded through: each chunk's peak or more
+            x, peaks = cache._carry[:2]
+            exact = np.maximum.reduceat(np.abs(x @ eager.T), cache._chunk_edges[:-1], axis=1)
+            assert np.all(peaks >= exact.T)
+
+
+@pytest.mark.parametrize("cache_name", ["small_cache", "fine_cache"])
+@pytest.mark.parametrize("n_particles", [1, 4])
+def test_batch_after_a_nan_batch_of_its_shape_is_exact(small_problem, eager, cache_name, n_particles, request):
+    # the carried bound is NaN for a particle that was NaN last batch; it
+    # must fall back to the envelope bound, not skip every chunk
+    cache = request.getfixturevalue(cache_name)
+    rng = np.random.default_rng(13)
+    block = rng.normal(size=(n_particles, small_problem[3].n_columns)) * 50.0
+    block[0, 3] = np.nan
+    cache.srs_values(block)
+    assert np.isnan(cache._carry[1]).any()  # the carried chunk peaks
+    finite = rng.normal(size=block.shape) * 50.0
+    vals = cache.srs_values(finite)
+    np.testing.assert_array_equal(_bits(vals), _bits(_block_peaks(eager, cache, finite)))
+    np.testing.assert_allclose(vals, _full_scan(eager, cache, finite), rtol=1e-12, atol=0.0)
+
+
+def test_carried_bound_multiplies_fewer_rows(small_problem, fine_cache, eager, monkeypatch):
+    # a swarm closing in on x*: each batch differs little from the last, so
+    # bounding it through the last one's chunk peaks skips more chunks
+    cache, n = fine_cache, small_problem[3].n_columns
+    rng = np.random.default_rng(14)
+    x_star = rng.normal(size=n) * 50.0
+    batches = [x_star + 0.5**t * rng.normal(size=(8, n)) * 50.0 for t in range(16)]
+    rows, peak = [], cache._peak
+
+    def counted(x, c0, c1, peaks):
+        rows.append(cache._chunk_edges[c1] - cache._chunk_edges[c0])
+        peak(x, c0, c1, peaks)
+
+    monkeypatch.setattr(cache, "_peak", counted)
+
+    def multiplied(carry):
+        rows.clear()
+        cache._carry = None
+        for block in batches:
+            vals = cache.srs_values(block)
+            np.testing.assert_array_equal(_bits(vals), _bits(_block_peaks(eager, cache, block)))
+            if not carry:
+                cache._carry = None
+        return sum(rows)
+
+    plain, carried = multiplied(False), multiplied(True)
+    assert carried < plain
 
 
 @pytest.mark.parametrize("cache_name", ["small_cache", "fine_cache"])
