@@ -21,7 +21,7 @@ import numpy as np
 
 from .filterbank import NoBandEnergyError, make_layout
 from .nzdf import NzdfParams, apply_filter, discretize
-from .signal_core import _write_table, read_signal, synth_reference, write_signal
+from .signal_core import _scalar, _write_table, read_signal, synth_reference, write_signal
 from .srs import read_spec, srs, write_curve
 from .synthesis import PsoConfig, _target_curve, build_report, synthesize, verify, write_report
 
@@ -144,6 +144,7 @@ def cmd_filter(input_csv, fc, q, out, bode_out):
 def cmd_bank(fmin, fmax, ppo, fs, q, out):
     """Dump the bank layout and each filter's magnitude response."""
     layout = make_layout(fmin, fmax, ppo)
+    fs = _scalar("fs", fs, above=2.0 * layout.centers[-1])  # before the frequency axis is built from it
     table = np.empty((layout.centers.size + 1, 481))  # a column to a row: frequencies, then each filter's dB
     table[0] = np.geomspace(fmin / 4.0, min(4.0 * fmax, 0.49 * fs), 481)
     for row, fc in zip(table[1:], layout.centers):

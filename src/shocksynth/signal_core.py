@@ -255,21 +255,20 @@ def _read_pairs(path: Path, header: str) -> np.ndarray:
     the per-line pass :func:`_parse_lines`, which finds the first fault.
     """
     # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes;
-    # universal newlines make a lone \r a line break, here and in numpy's
-    # reader, which opens a path itself and reads it faster than a handle.
+    # universal newlines make a lone \r a line break.  numpy reads the open
+    # handle: given the path, it would open the file again through its
+    # DataSource, which imports gzip.
     with path.open(encoding="utf-8-sig") as fh:
-        first = fh.readline()
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # an empty file only warns
-            pairs = np.loadtxt(
-                path, delimiter=",", comments=None, skiprows=int(_is_header(first, header)), ndmin=2,
-                encoding="utf-8-sig",
-            )
-        if pairs.shape[1] == 2 and np.isfinite(pairs).all():
-            return pairs
-    except (ValueError, Warning):
-        pass
+        skip = int(_is_header(fh.readline(), header))
+        fh.seek(0)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an empty file only warns
+                pairs = np.loadtxt(fh, delimiter=",", comments=None, skiprows=skip, ndmin=2)
+            if pairs.shape[1] == 2 and np.isfinite(pairs).all():
+                return pairs
+        except (ValueError, Warning):
+            pass
     return _parse_lines(path.read_text(encoding="utf-8-sig"), header, path.name)
 
 

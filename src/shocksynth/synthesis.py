@@ -19,7 +19,8 @@ fixed chunks of rows, and the cache keeps each chunk's per-column envelope
 env[c, j] = max |R[r, j]| over its rows r.  By the triangle inequality
 |R_r @ x| <= env[c] @ |x| for every row r of chunk c, so a chunk whose bound
 does not exceed a peak already found in its block cannot hold the block's
-maximum, and skipping it leaves the peak unchanged.
+maximum.  Every other chunk is multiplied out on its own, and its bound
+replaced by its exact peak, so the largest of a block's bounds is its peak.
 
 The swarm's batches change little from one to the next, so the cache also
 keeps the last batch x_prev and each chunk's peak for it, and bounds a
@@ -27,9 +28,9 @@ batch of the same shape by that peak plus env[c] @ |x - x_prev| where this
 is tighter.  On the launcher spec this cuts the rows multiplied out after
 each block's first chunk from 22,000-36,000 to about 9,500 a batch.
 
-A skipped chunk is never read either, so memory is committed only for the
-chunks the search multiplies out: about a fifth (0.19) of the rows on the
-acceptance specs.
+A chunk is filtered from its seed the first time it is multiplied out, so
+memory is committed only for those chunks: about a fifth (0.19) of the rows
+on the acceptance specs.
 """
 
 from __future__ import annotations
@@ -280,22 +281,22 @@ class _BandResponseCache:
 
     Each block is split into ``_CHUNK_ROWS``-row chunks, and ``_env`` holds
     every chunk's column-wise peak magnitude.  ``_env @ |x|`` then bounds
-    |R_r @ x| over each chunk's rows, and ``srs_values`` multiplies out only
-    the chunks whose bound, with a rounding slack, beats the peak of the
-    best-bounded chunk of their block; a skipped chunk cannot hold the
-    maximum, so the result equals the full scan's.  ``_carry`` keeps the
-    last batch, every chunk's peak for it (or the bound, where skipped) and
-    its ``_env @ |x|``, which bound the next batch of its shape more
-    tightly; the eye probe and the first batch of a new shape use the
-    envelope alone.
+    |R_r @ x| over each chunk's rows, and ``srs_values`` multiplies out, one
+    at a time, only the chunks whose bound, with a rounding slack, beats the
+    peak of the best-bounded chunk of their block, writing their exact peaks
+    over their bounds; the per-block max of the bounds is the full scan's.
+    ``_carry`` keeps the last batch, every chunk's peak for it (or the
+    bound, where skipped) and its ``_env @ |x|``, which bound the next batch
+    of its shape more tightly; the eye probe and the first batch of a new
+    shape use the envelope alone.
 
     ``matrix`` reserves every row, but commits a chunk only once written.
     The build solves each block's all-pole part in one workspace sized for
     the longest block, then takes each chunk's seed (the all-pole state w of
     the two samples before it), rows and envelope from it a chunk at a time,
     and stores the chunks holding a column's peak, which the diagonal probe
-    reads.  Any other chunk is filtered from its seed, bit for bit as in the
-    whole block, when the search first multiplies it out.
+    reads.  ``_peak`` filters any other chunk from its seed, bit for bit as
+    in the whole block, when the search first multiplies it out.
     """
 
     def __init__(self, basis: BasisMatrix, grid: np.ndarray, q_srs: float):
@@ -350,11 +351,6 @@ class _BandResponseCache:
             span = slice(None)
         return _fir3(b, w[span], step, lead)
 
-    def _fill(self, chunks):
-        """Commit each chunk's rows, filtered from its seed alone."""
-        for c in chunks:
-            self._store(c, self._rows(c))
-
     def _store(self, c, rows):
         self.matrix[self._chunk_edges[c] : self._chunk_edges[c + 1]] = rows
         self._filled[c] = True
@@ -390,41 +386,32 @@ class _BandResponseCache:
             x_prev, peaks_prev, reach_prev = self._carry
             carried = peaks_prev + self._env @ np.abs(x - x_prev).T + _BOUND_SLACK * (reach + reach_prev)
             np.fmin(bound, carried, out=bound)
-        # Pass 1: the chunk with the largest bound sets each block's running
-        # peak.  A NaN coefficient makes that peak NaN, and NaN compares
-        # False against every bound in pass 2, so it reaches the output.
-        # Multiplying a chunk out overwrites its bound with its exact peaks,
-        # which the next batch carries.
+        # Pass 1: each block's chunk with the largest bound is multiplied out,
+        # and its exact peak is the block's running peak.  Multiplying a chunk
+        # out overwrites its bound with its exact peaks, which the next batch
+        # carries.
         score = bound.max(axis=1)
         pairs = zip(self._block_chunks[:-1], self._block_chunks[1:])
         lead = np.array([c0 + np.argmax(score[c0:c1]) for c0, c1 in pairs])
-        self._fill(lead[~self._filled[lead]])
         for c in lead:
-            self._peak(x, c, c + 1, bound)
-        out = bound[lead]
-        # Pass 2: every other chunk that could still hold a larger peak,
-        # multiplied out in runs of adjacent chunks of one block.
-        live = np.any(bound > out[self._chunk_block], axis=1)
-        live[lead] = False
-        self._fill(np.flatnonzero(live & ~self._filled))
-        first, last = self._block_chunks[:-1], self._block_chunks[1:] - 1
-        begins = live & ~np.concatenate([[False], live[:-1]])
-        begins[first] = live[first]
-        ends = live & ~np.concatenate([live[1:], [False]])
-        ends[last] = live[last]
-        for c0, c1 in zip(np.flatnonzero(begins), np.flatnonzero(ends) + 1):
-            k = self._chunk_block[c0]
-            self._peak(x, c0, c1, bound)
-            np.maximum(out[k], bound[c0:c1].max(axis=0), out=out[k])
+            self._peak(x, c, bound)
+        # Pass 2: every other chunk whose bound beats its block's lead peak
+        # for some particle.  A NaN coefficient makes the lead peak NaN, and
+        # NaN compares False against every bound, so its chunks stay skipped.
+        live = np.any(bound > bound[lead][self._chunk_block], axis=1)
+        for c in np.flatnonzero(live):
+            self._peak(x, c, bound)
         self._carry = (x, bound, reach)
-        return out[:, :n_particles]
+        # Each chunk holds its exact peaks, or a bound no larger than its lead
+        # peak for every particle, so each block's max is its peak (or NaN).
+        return np.maximum.reduceat(bound, self._block_chunks[:-1], axis=0)[:, :n_particles]
 
-    def _peak(self, x, c0, c1, peaks):
-        """Each chunk's row max of |x @ R.T|, for chunks c0 up to c1, into peaks[c0:c1]."""
-        edges = self._chunk_edges[c0 : c1 + 1]
-        y = x @ self.matrix[edges[0] : edges[-1]].T
-        np.abs(y, out=y)
-        np.maximum.reduceat(y, edges[:-1] - edges[0], axis=1, out=peaks[c0:c1].T)
+    def _peak(self, x, c, peaks):
+        """Chunk c's row max of |x @ R.T| into peaks[c], filling the chunk from its seed on first use."""
+        if not self._filled[c]:
+            self._store(c, self._rows(c))
+        y = x @ self.matrix[self._chunk_edges[c] : self._chunk_edges[c + 1]].T
+        np.abs(y, out=y).max(axis=1, out=peaks[c])
 
 
 def _diag_refine(cache, warm, s_target, center_idx, steps=12, relax=0.7):

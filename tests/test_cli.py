@@ -219,7 +219,7 @@ import sys
 from shocksynth import cli
 
 d = sys.argv[1]
-names = ("numpy.ma", "scipy", "scipy.linalg", "scipy.signal", "scipy.integrate")
+names = ("numpy.ma", "scipy", "scipy.linalg", "scipy.signal", "scipy.integrate", "gzip")
 runs = [
     ["demo-ref", "--fs", "50000", "--duration", "0.02", "--fmax", "5000", "--out", d + "/ref.csv"],
     ["srs", d + "/ref.csv", "--fmin", "1000", "--fmax", "4000", "--out", d + "/srs.csv"],
@@ -242,7 +242,8 @@ print(json.dumps(after))
 
 def test_commands_leave_out_numpy_ma_and_scipy_packages(cli_env, tmp_path):
     # np.median and np.unique import numpy.ma lazily, after import time,
-    # and scipy/__init__ runs whenever a scipy submodule is looked up by name
+    # and scipy/__init__ runs whenever a scipy submodule is looked up by name;
+    # np.loadtxt given a path opens it through its DataSource, which imports gzip
     write_spec_csv(tmp_path / "spec.csv", [(1000.0, 500.0), (2000.0, 800.0), (4000.0, 600.0)])
     r = subprocess.run(
         [sys.executable, "-c", _RUN_EVERY_COMMAND, str(tmp_path)], capture_output=True, text=True, env=cli_env
@@ -411,6 +412,17 @@ def test_non_finite_number_exits_2_naming_the_parameter(workdir, tmp_path, capsy
     assert code == 2
     [line] = err.splitlines()
     assert line.startswith(f"error: {name} must be finite") and line.endswith(f"got {value}")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_bank_fs_is_checked_before_it_is_used(tmp_path, capsys, value):
+    # the frequency axis is built from 0.49 * fs; numpy's own error or warning must not come first
+    argv = ["bank"] + [a.format(o=tmp_path) for a in _BASE_ARGS["bank"]] + ["--fs", value]
+    code, err = _run_in_process(argv, capsys)
+    assert code == 2
+    [line] = err.splitlines()
+    assert re.fullmatch(rf"error: fs must be finite and > \S+, got {value}", line)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -248,7 +248,8 @@ def test_forcing_every_chunk_gives_eager_rows(small_problem, small_cache, eager,
         c0, c1 = cache._block_chunks[k : k + 2]
         peaks = c0 + np.argmax(cache._env[c0:c1], axis=0)
         assert set(np.flatnonzero(stored[c0:c1]) + c0) == set(peaks)
-    cache._fill(np.flatnonzero(~stored))
+    for c in np.flatnonzero(~stored):
+        cache._store(c, cache._rows(c))
     assert cache._filled.all()
     np.testing.assert_array_equal(_bits(cache.matrix), _bits(eager))
     np.testing.assert_array_equal(
@@ -369,9 +370,9 @@ def test_carried_bound_multiplies_fewer_rows(small_problem, fine_cache, eager, m
     batches = [x_star + 0.5**t * rng.normal(size=(8, n)) * 50.0 for t in range(16)]
     rows, peak = [], cache._peak
 
-    def counted(x, c0, c1, peaks):
-        rows.append(cache._chunk_edges[c1] - cache._chunk_edges[c0])
-        peak(x, c0, c1, peaks)
+    def counted(x, c, peaks):
+        rows.append(cache._chunk_edges[c + 1] - cache._chunk_edges[c])
+        peak(x, c, peaks)
 
     monkeypatch.setattr(cache, "_peak", counted)
 
