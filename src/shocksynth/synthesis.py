@@ -28,9 +28,10 @@ batch of the same shape by that peak plus env[c] @ |x - x_prev| where this
 is tighter.  On the launcher spec this cuts the rows multiplied out after
 each block's first chunk from 22,000-36,000 to about 9,500 a batch.
 
-A chunk is filtered from its seed the first time it is multiplied out, so
-memory is committed only for those chunks: about a fifth (0.19) of the rows
-on the acceptance specs.
+A chunk is filtered from its seed the first time it is multiplied out, and
+each chunk is one contiguous run of memory, so only the pages of those
+chunks are committed: about a fifth (0.19) of the cache on the acceptance
+specs, within one page per filled chunk.
 """
 
 from __future__ import annotations
@@ -274,10 +275,15 @@ class _BandResponseCache:
     q_srs-oscillator response at grid frequency k to each basis column
     (driven samples plus a two-period free-decay tail), decimated to the
     ``_CACHE_SAMPLES_PER_PERIOD`` step; SRS(A @ x) on the grid is then the
-    per-block peak of |R_k @ x|.  Stored float64 in one Fortran-order
-    matrix: on OpenBLAS the skinny (particles x columns) products run
-    faster in dgemm than in sgemm, and each block's transpose is a strided
-    view that BLAS takes without a copy.
+    per-block peak of |R_k @ x|.  Stored float64 (on OpenBLAS the skinny
+    (particles x columns) products run faster in dgemm than in sgemm) in
+    one C-order ``matrix``, where each chunk (below) is one contiguous run
+    of rows.  That run holds the chunk's columns one after another, so read
+    a chunk through ``_chunk``, not as rows of ``matrix``: it is the
+    C-contiguous (columns, rows) operand that dgemm takes without a copy
+    and packs as it packs the transpose of a Fortran-order block, so every
+    product keeps that layout's bits.  The same rows stored row after row
+    and multiplied as a transpose round differently.
 
     Each block is split into ``_CHUNK_ROWS``-row chunks, and ``_env`` holds
     every chunk's column-wise peak magnitude.  ``_env @ |x|`` then bounds
@@ -290,7 +296,8 @@ class _BandResponseCache:
     of its shape more tightly; the eye probe and the first batch of a new
     shape use the envelope alone.
 
-    ``matrix`` reserves every row, but commits a chunk only once written.
+    ``matrix`` reserves every row, but commits a chunk's pages only once it
+    is written, sharing at most one page with each neighbour.
     The build solves each block's all-pole part in one workspace sized for
     the longest block, then takes each chunk's seed (the all-pole state w of
     the two samples before it), rows and envelope from it a chunk at a time,
@@ -327,7 +334,7 @@ class _BandResponseCache:
             raise ValueError(f"could not reserve {n_bytes:,} bytes for the response cache: {exc}") from None
         if hasattr(mmap, "MADV_NOHUGEPAGE"):
             buf.madvise(mmap.MADV_NOHUGEPAGE)
-        self.matrix = np.ndarray((edges[-1], m), buffer=buf, order="F")
+        self.matrix = np.ndarray((edges[-1], m), buffer=buf)
         self._columns = basis.columns
         work = np.empty((n + max(tails)) * m)  # every block's all-pole solve, in turn
         for k, ((_, a), tail) in enumerate(zip(self._filters, tails)):
@@ -351,8 +358,12 @@ class _BandResponseCache:
             span = slice(None)
         return _fir3(b, w[span], step, lead)
 
+    def _chunk(self, c):
+        """Chunk c's (columns, rows) block: its run of ``matrix`` rows, one column after another."""
+        return self.matrix[self._chunk_edges[c] : self._chunk_edges[c + 1]].reshape(self.matrix.shape[1], -1)
+
     def _store(self, c, rows):
-        self.matrix[self._chunk_edges[c] : self._chunk_edges[c + 1]] = rows
+        self._chunk(c)[...] = rows.T
         self._filled[c] = True
 
     def srs_values(self, coeff_block: np.ndarray) -> np.ndarray:
@@ -410,7 +421,7 @@ class _BandResponseCache:
         """Chunk c's row max of |x @ R.T| into peaks[c], filling the chunk from its seed on first use."""
         if not self._filled[c]:
             self._store(c, self._rows(c))
-        y = x @ self.matrix[self._chunk_edges[c] : self._chunk_edges[c + 1]].T
+        y = x @ self._chunk(c)
         np.abs(y, out=y).max(axis=1, out=peaks[c])
 
 

@@ -327,9 +327,10 @@ print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 def test_synth_peak_resident_size(run_cli, cli_env, tmp_path):
-    # the README plateau run peaks at about 81 MB: the response cache
-    # reserves 136 MB but commits only the fifth its peak search reads, and
-    # its build solves every block in one reused workspace
+    # the README plateau run peaks at about 74 MB: the response cache
+    # reserves 136 MB but commits only the pages of the fifth its peak
+    # search reads, each chunk being one contiguous run of memory, and its
+    # build solves every block in one reused workspace
     assert run_cli("demo-ref", "--seed", 1, "--out", tmp_path / "ref.csv").returncode == 0
     write_spec_csv(tmp_path / "spec.csv", [(100.0, 300.0), (1800.0, 10_000.0), (10_000.0, 10_000.0)])
     r = subprocess.run(

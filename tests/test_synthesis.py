@@ -2,7 +2,9 @@
 
 import errno
 import json
+import mmap
 import re
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -251,7 +253,9 @@ def test_forcing_every_chunk_gives_eager_rows(small_problem, small_cache, eager,
     for c in np.flatnonzero(~stored):
         cache._store(c, cache._rows(c))
     assert cache._filled.all()
-    np.testing.assert_array_equal(_bits(cache.matrix), _bits(eager))
+    for c in range(cache._filled.size):
+        rows = slice(cache._chunk_edges[c], cache._chunk_edges[c + 1])
+        np.testing.assert_array_equal(_bits(cache._chunk(c).T), _bits(eager[rows]))
     np.testing.assert_array_equal(
         cache._env, np.maximum.reduceat(np.abs(eager), cache._chunk_edges[:-1], axis=0)
     )
@@ -270,7 +274,34 @@ def test_query_fills_a_chunk_the_build_did_not_store(small_problem, small_cache,
     np.testing.assert_allclose(vals, _full_scan(eager, cache, block), rtol=1e-12, atol=0.0)
     for c in new:
         rows = slice(cache._chunk_edges[c], cache._chunk_edges[c + 1])
-        np.testing.assert_array_equal(_bits(cache.matrix[rows]), _bits(eager[rows]))
+        np.testing.assert_array_equal(_bits(cache._chunk(c).T), _bits(eager[rows]))
+
+
+def _resident_bytes(address):
+    """``Rss`` of the mapping that starts at ``address``, read from ``/proc/self/smaps``."""
+    with open("/proc/self/smaps", encoding="utf-8", errors="replace") as fh:
+        lines = iter(fh.read().splitlines())
+    for line in lines:
+        if line.split("-", 1)[0] == f"{address:08x}":  # as the kernel prints it
+            break
+    else:
+        raise AssertionError(f"no mapping starts at {address:#x}")
+    for line in lines:
+        if line.startswith("Rss:"):
+            return 1024 * int(line.split()[1])
+    raise AssertionError("mapping has no Rss line")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/smaps")
+def test_filled_chunk_commits_only_its_own_pages(small_problem, small_cache):
+    # each chunk is one contiguous run of the matrix, so filling it commits
+    # its own pages and at most one page it shares with a neighbour at each end
+    cache = _BandResponseCache(small_problem[3], small_cache.grid, 10.0)
+    cache.srs_values(np.random.default_rng(13).normal(size=(32, small_problem[3].n_columns)) * 50.0)
+    page, m = mmap.PAGESIZE, cache.matrix.shape[1]
+    chunk_bytes = np.diff(cache._chunk_edges)[cache._filled] * m * 8
+    allowed = page * int(np.sum(-(-chunk_bytes // page) + 1))
+    assert _resident_bytes(cache.matrix.ctypes.data) <= allowed
 
 
 @pytest.fixture(scope="module")
