@@ -519,8 +519,9 @@ def synth_reference(
 
     Raises ``ValueError`` when ``fs < 10 * fmax`` (the sweep needs headroom
     below Nyquist), when ``fmax < 200`` Hz (the sweep starts at 45 Hz and
-    must cover at least a couple of octaves), or when fewer than two samples
-    fall inside the correction pulses' window, 0.28 to 0.60 of ``duration``.
+    must cover at least a couple of octaves), when fewer than two samples
+    fall inside the correction pulses' window, 0.28 to 0.60 of ``duration``,
+    or, before any work, when the record is over ``_budget``.
     """
     fmax = _scalar("fmax", fmax, at_least=200.0)
     duration = _scalar("duration", duration, above=0.0)
@@ -528,6 +529,9 @@ def synth_reference(
     if fs < 10.0 * fmax:
         raise ValueError(f"fs must be at least 10*fmax ({10.0 * fmax:.6g} Hz), got {fs:.6g}")
     n = int(round(duration * fs)) + 1
+    # tracemalloc reads about 89 bytes a sample held at once (8.9 MB for
+    # 100,001 samples): a dozen float64 arrays of the record and temporaries.
+    _budget("demo-ref", rows=n, nbytes=96 * n, advice="lower fs or duration")
     t = np.arange(n) / fs
     t1, t2 = 0.28 * duration, 0.60 * duration
     window = (t > t1) & (t < t2)

@@ -10,9 +10,9 @@ Inside the swarm loop the SRS is evaluated through a precomputed bank of
 SDOF-filtered basis responses: SRS(A @ x) at grid frequency f is the
 segment-wise peak of R_f @ x, where R_f holds the f-oscillator response of
 every basis column.  Filtering is linear, so the mix needs no refiltering;
-the cache is approximate only where it drops samples (the decimation and
-the short free-decay tail), and all reported numbers are recomputed
-afterwards through the canonical full-rate path.
+the cache is approximate only where it drops samples (the decimation, and
+the free decay past the basis's own ring-down), and all reported numbers
+are recomputed afterwards through the canonical full-rate path.
 
 The peak search skips most of the cache exactly.  Each block is cut into
 fixed chunks of rows, and the cache keeps each chunk's per-column envelope
@@ -30,7 +30,7 @@ each block's first chunk from 22,000-36,000 to about 9,500 a batch.
 
 A chunk is filtered from its seed the first time it is multiplied out, and
 each chunk is one contiguous run of memory, so only the pages of those
-chunks are committed: about a fifth (0.19) of the cache on the acceptance
+chunks are committed: about a seventh (0.15) of the cache on the acceptance
 specs, within one page per filled chunk.
 """
 
@@ -63,14 +63,6 @@ __all__ = [
 # objective stays finite for degenerate coefficient vectors.
 _SRS_FLOOR_REL = 1e-9
 
-# Maximax of the free SDOF decay after the drive ends always falls inside
-# the next two oscillation periods (the envelope loses e^(-2*pi*0.05) per
-# period at q_srs >= 10, less than the worst sampling loss at >= 10
-# samples per period), so the in-loop response cache only needs this much
-# tail per frequency.  It is a peak-search tail, not a ring-down rule; the
-# canonical SRS runs the full ring-down of ``signal_core._ring_down_factor``.
-_CACHE_TAIL_PERIODS = 2.0
-
 # In-loop peak search decimates each frequency's response by
 # step = max(int(fs / (20 * fn)), 1), which keeps 20 to 40 samples per
 # oscillator period below fs/20 (5 kHz at 100 kHz).  Above fs/20 the step
@@ -92,17 +84,20 @@ _CHUNK_ROWS = 512
 # 1 + slack does not exceed the running peak holds no larger computed value.
 _BOUND_SLACK = 1e-9
 
+# The swarm's inertia, its pulls to each particle's best and the swarm's, and its
+# box, +-_BOUNDS_SCALE times the warm start: invented knobs, fixed for determinism.
+_INERTIA = 0.72
+_COGNITIVE = 1.49
+_SOCIAL = 1.49
+_BOUNDS_SCALE = 4.0
+
 
 @dataclasses.dataclass(frozen=True)
 class PsoConfig:
-    """Swarm hyperparameters; all invented knobs, frozen for determinism."""
+    """Swarm size, iteration cap, seed and stall rule; frozen for determinism."""
 
     swarm_size: int = 32
     max_iters: int = 220
-    inertia: float = 0.72
-    cognitive: float = 1.49
-    social: float = 1.49
-    bounds_scale: float = 4.0
     seed: int = 0
     stall_iters: int = 60
     stall_tol: float = 1e-4
@@ -112,11 +107,8 @@ class PsoConfig:
             raise ValueError(f"swarm_size must be >= 10, got {self.swarm_size}")
         if int(self.max_iters) < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        for name in ("inertia", "cognitive", "social", "bounds_scale", "stall_tol"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.bounds_scale <= 0.0:
-            raise ValueError(f"bounds_scale must be positive, got {self.bounds_scale}")
+        if not np.isfinite(self.stall_tol):
+            raise ValueError("stall_tol must be finite")
         if int(self.stall_iters) < 1:
             raise ValueError(f"stall_iters must be >= 1, got {self.stall_iters}")
         object.__setattr__(self, "swarm_size", int(self.swarm_size))
@@ -237,9 +229,9 @@ def pso_minimize(dim, eval_batch, bounds, cfg: PsoConfig, initial_positions=None
             r1[i] = g.random(dim)
             r2[i] = g.random(dim)
         vel = (
-            cfg.inertia * vel
-            + cfg.cognitive * r1 * (pbest_pos - pos)
-            + cfg.social * r2 * (gbest_pos - pos)
+            _INERTIA * vel
+            + _COGNITIVE * r1 * (pbest_pos - pos)
+            + _SOCIAL * r2 * (gbest_pos - pos)
         )
         np.clip(vel, -v_max, v_max, out=vel)
         pos = np.clip(pos + vel, lo, hi)
@@ -261,24 +253,25 @@ def pso_minimize(dim, eval_batch, bounds, cfg: PsoConfig, initial_positions=None
     return gbest_pos.copy(), gbest_val, iters
 
 
-def _cache_rows(n: int, grid, fs: float) -> tuple[list[int], list[int], list[int]]:
-    """Per grid frequency: the response cache's tail, its decimation step and its rows, over n basis rows."""
-    tails = [int(np.ceil(_CACHE_TAIL_PERIODS * fs / fn)) for fn in grid]
+def _cache_rows(n: int, grid, fs: float) -> tuple[list[int], list[int]]:
+    """Per grid frequency: the response cache's decimation step and its rows, over n basis rows."""
     steps = [max(int(fs / (_CACHE_SAMPLES_PER_PERIOD * fn)), 1) for fn in grid]
-    return tails, steps, [-(-(n + tail) // step) for tail, step in zip(tails, steps)]
+    # A block is the basis rows decimated, with no free-decay tail: every
+    # basis column already ends in its own filter's 60 dB ring-down, and the
+    # oscillator's free decay after that can only fall.
+    return steps, [-(-n // step) for step in steps]
 
 
 class _BandResponseCache:
     """Per-frequency SDOF responses of every basis column, stacked.
 
     Row block k (rows ``starts[k]`` up to the next start) holds the
-    q_srs-oscillator response at grid frequency k to each basis column
-    (driven samples plus a two-period free-decay tail), decimated to the
-    ``_CACHE_SAMPLES_PER_PERIOD`` step; SRS(A @ x) on the grid is then the
-    per-block peak of |R_k @ x|.  Stored float64 (on OpenBLAS the skinny
-    (particles x columns) products run faster in dgemm than in sgemm) in
-    one C-order ``matrix``, where each chunk (below) is one contiguous run
-    of rows.  That run holds the chunk's columns one after another, so read
+    q_srs-oscillator response at grid frequency k to each basis column over
+    the basis rows, decimated to the ``_CACHE_SAMPLES_PER_PERIOD`` step;
+    SRS(A @ x) on the grid is then the per-block peak of |R_k @ x|.  Stored
+    float64 (on OpenBLAS the skinny (particles x columns) products run
+    faster in dgemm than in sgemm) in one C-order ``matrix``, where each
+    chunk (below) is one contiguous run of rows.  That run holds the chunk's columns one after another, so read
     a chunk through ``_chunk``, not as rows of ``matrix``: it is the
     C-contiguous (columns, rows) operand that dgemm takes without a copy
     and packs as it packs the transpose of a Fortran-order block, so every
@@ -293,23 +286,20 @@ class _BandResponseCache:
     over their bounds; the per-block max of the bounds is the full scan's.
     ``_carry`` keeps the last batch, every chunk's peak for it (or the
     bound, where skipped) and its ``_env @ |x|``, which bound the next batch
-    of its shape more tightly; the eye probe and the first batch of a new
-    shape use the envelope alone.
+    of its shape more tightly; the first batch of a new shape uses the
+    envelope alone.
 
     ``matrix`` reserves every row, but commits a chunk's pages only once it
-    is written, sharing at most one page with each neighbour.
-    The build solves each block's all-pole part in one workspace sized for
-    the longest block, then takes each chunk's seed (the all-pole state w of
-    the two samples before it), rows and envelope from it a chunk at a time,
-    and stores the chunks holding a column's peak, which the diagonal probe
-    reads.  ``_peak`` filters any other chunk from its seed, bit for bit as
-    in the whole block, when the search first multiplies it out.
+    is written, sharing at most one page with each neighbour.  The build
+    keeps only each chunk's envelope and seed (the all-pole state w of the
+    two samples before it), and ``_peak`` fills a chunk from its seed the
+    first time the search multiplies it out.
     """
 
     def __init__(self, basis: BasisMatrix, grid: np.ndarray, q_srs: float):
         fs = basis.sample_rate
         n, m = basis.columns.shape
-        tails, steps, rows = _cache_rows(n, grid, fs)
+        steps, rows = _cache_rows(n, grid, fs)
         edges = np.concatenate([[0], np.cumsum(rows)]).astype(np.intp)
         n_bytes = int(edges[-1]) * m * 8
         # Chunks of _CHUNK_ROWS rows; a block's last chunk takes any one-row
@@ -336,27 +326,31 @@ class _BandResponseCache:
             buf.madvise(mmap.MADV_NOHUGEPAGE)
         self.matrix = np.ndarray((edges[-1], m), buffer=buf)
         self._columns = basis.columns
-        work = np.empty((n + max(tails)) * m)  # every block's all-pole solve, in turn
-        for k, ((_, a), tail) in enumerate(zip(self._filters, tails)):
-            c0, c1 = self._block_chunks[k], self._block_chunks[k + 1]
-            w = _allpole(a, basis.columns, out=work[: (n + tail) * m].reshape(-1, m, order="F"))
-            self._seeds[c0 + 1 : c1] = w[(self._chunk_edges[c0 + 1 : c1, None] - edges[k]) * steps[k] - [2, 1]]
-            for c in range(c0, c1):
-                np.abs(self._rows(c, w)).max(axis=0, out=self._env[c])
-            for c in set(np.argmax(self._env[c0:c1], axis=0).tolist()):
-                self._store(c0 + c, self._rows(c0 + c, w))
+        for c in range(self._env.shape[0]):  # each chunk seeds the next
+            np.abs(self._rows(c)).max(axis=0, out=self._env[c])
 
-    def _rows(self, c, w=None):
-        """Chunk c's rows, from its block's whole all-pole output w or else from its seed."""
+    def _rows(self, c):
+        """Chunk c's rows, solved from its seed (a block's first from rest) a piece at a time.
+
+        A piece is at most ``_CHUNK_ROWS`` raw rows, or one kept row at a longer
+        step.  The solve runs over the basis rows, zeros past their end, up to
+        chunk c + 1's first raw row, and leaves that chunk's seed in ``_seeds``:
+        the bits of one solve of the whole block, every time.
+        """
         k = self._chunk_block[c]
         r0, r1 = self._chunk_edges[c : c + 2] - self.starts[k]
-        (b, a), step, lead = self._filters[k], self._steps[k], 2 if r0 else 0
-        span = slice(r0 * step - lead, (r1 - 1) * step + 1)
-        if w is None:  # the seed, then the basis rows and zeros past its end
-            w = np.empty((span.stop - span.start, self._columns.shape[1]), order="F")
-            w = _allpole(a, self._columns[span.start + lead : span.stop], self._seeds[c] if lead else None, w)
-            span = slice(None)
-        return _fir3(b, w[span], step, lead)
+        (b, a), step = self._filters[k], self._steps[k]
+        y = np.empty((r1 - r0, self._columns.shape[1]))
+        seed = self._seeds[c] if r0 else None
+        piece = max(_CHUNK_ROWS // step, 1)  # rows kept from each piece
+        for q0 in range(r0, r1, piece):
+            q1, lead = min(q0 + piece, r1), 0 if seed is None else 2
+            w = np.empty((lead + (q1 - q0) * step, y.shape[1]), order="F")
+            w = _allpole(a, self._columns[q0 * step : q1 * step], seed, w)
+            y[q0 - r0 : q1 - r0], seed = _fir3(b, w, step, lead), w[-2:]
+        if c + 1 < len(self._seeds):
+            self._seeds[c + 1] = seed
+        return y
 
     def _chunk(self, c):
         """Chunk c's (columns, rows) block: its run of ``matrix`` rows, one column after another."""
@@ -448,7 +442,7 @@ def synthesize(
 ) -> SynthesisResult:
     """End-to-end synthesis: basis, warm start, swarm, canonical verification.
 
-    Per-dimension bounds are +-bounds_scale times the warm-start estimate
+    Per-dimension bounds are +-``_BOUNDS_SCALE`` times the warm-start estimate
     target(fc_i)/SRS(a_i)(fc_i); one particle is seeded at the positive
     warm start itself (coefficients may go negative, the bases being
     sign-symmetric oscillations).  Failure to meet the tolerance is not an
@@ -461,18 +455,19 @@ def synthesize(
     n, m = _basis_rows(len(reference), layout.centers, fs)[0], layout.centers.size
     _srs_rows(n, grid, q_srs, fs)
     advice = f"raise the lowest center ({layout.centers[0]:.6g} Hz) or lower ppo ({layout.points_per_octave})"
-    _budget("synthesis", nbytes=16 * n * (m + 1) + 8 * m * sum(_cache_rows(n, grid, fs)[2]), advice=advice)
+    _budget("synthesis", nbytes=16 * n * (m + 1) + 8 * m * sum(_cache_rows(n, grid, fs)[1]), advice=advice)
     basis = build_basis(reference, layout)
     cache = _BandResponseCache(basis, grid, q_srs)
 
-    # Per-band diagonal estimate: each column's SRS at its own center.
+    # Per-band diagonal estimate: each column's SRS at its own center, its largest chunk
+    # envelope in that block, the bits of srs_values(np.eye(m)) (a one-hot product is exact).
     center_idx = np.searchsorted(grid, layout.centers)
-    diag = cache.srs_values(np.eye(basis.n_columns))[center_idx, np.arange(basis.n_columns)]
+    diag = np.maximum.reduceat(cache._env, cache._block_chunks[:-1])[center_idx, np.arange(m)]
     if np.any(diag <= 0.0):
         raise ValueError("basis column with zero SRS at its own center")
     s_target = target.values[center_idx]
     warm = s_target / diag
-    half_width = cfg.bounds_scale * warm
+    half_width = _BOUNDS_SCALE * warm
     bounds = np.column_stack([-half_width, half_width])
 
     floor = _SRS_FLOOR_REL * float(np.max(target.values))

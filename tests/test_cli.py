@@ -326,24 +326,47 @@ print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
-def test_synth_peak_resident_size(run_cli, cli_env, tmp_path):
-    # the README plateau run peaks at about 74 MB: the response cache
-    # reserves 136 MB but commits only the pages of the fifth its peak
-    # search reads, each chunk being one contiguous run of memory, and its
-    # build solves every block in one reused workspace
-    assert run_cli("demo-ref", "--seed", 1, "--out", tmp_path / "ref.csv").returncode == 0
-    write_spec_csv(tmp_path / "spec.csv", [(100.0, 300.0), (1800.0, 10_000.0), (10_000.0, 10_000.0)])
+def _synth_peak_mib(run_cli, cli_env, tmp_path, breakpoints, *demo_ref_args):
+    """Exit code, peak resident MiB and stderr of ``synth --seed 1`` on ``demo-ref --seed 1`` and a spec."""
+    ref = tmp_path / "ref.csv"
+    assert run_cli("demo-ref", "--seed", 1, "--out", ref, *demo_ref_args).returncode == 0
+    write_spec_csv(tmp_path / "spec.csv", breakpoints)
     r = subprocess.run(
         [
             sys.executable, "-c", _RSS_LAUNCHER, sys.executable, "-m", "shocksynth.cli", "synth",
-            tmp_path / "spec.csv", tmp_path / "ref.csv", "--seed", "1",
+            tmp_path / "spec.csv", ref, "--seed", "1",
             "--out-signal", tmp_path / "s.csv", "--out-report", tmp_path / "r.json",
         ],
         capture_output=True, text=True, env=cli_env,
     )
     code, max_rss_kib = map(int, r.stdout.split()[-2:])
-    assert code == 0, r.stderr
-    assert max_rss_kib / 1024.0 < 100.0
+    return code, max_rss_kib / 1024.0, r.stderr
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_synth_peak_resident_size(run_cli, cli_env, tmp_path):
+    # the README plateau run peaks at about 69 MB: the response cache
+    # reserves 136 MB but commits only the pages of the seventh its peak
+    # search reads, each chunk being one contiguous run of memory, and its
+    # build keeps only each chunk's envelope and seed
+    plateau = [(100.0, 300.0), (1800.0, 10_000.0), (10_000.0, 10_000.0)]
+    code, peak_mib, stderr = _synth_peak_mib(run_cli, cli_env, tmp_path, plateau)
+    assert code == 0, stderr
+    assert peak_mib < 100.0
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_synth_on_a_field_length_reference_peak_resident_size(run_cli, cli_env, tmp_path):
+    # the launcher spec on a 0.2 s, 20,001-sample reference.  It peaked at
+    # 177 MB (on a 2-core x86-64 VM) while the cache's build solved each
+    # block whole, stored each column's peak chunk and the warm start read
+    # those back through an identity batch; building it one seeded chunk at
+    # a time and reading the warm start off the envelopes, 123 MB
+    launcher = [(100.0, 200.0), (250.0, 1500.0), (500.0, 900.0), (1000.0, 4000.0),
+                (2000.0, 2500.0), (3000.0, 8000.0), (6000.0, 6000.0), (10_000.0, 9000.0)]
+    code, peak_mib, stderr = _synth_peak_mib(run_cli, cli_env, tmp_path, launcher, "--duration", 0.2)
+    assert code == 0, stderr
+    assert peak_mib < 150.0
 
 
 def test_atomic_unique_temp_and_cleanup(tmp_path):

@@ -526,6 +526,40 @@ def test_synth_reference_needs_two_samples_under_the_correction_pulses():
     assert np.max(np.abs(sig.samples)) == pytest.approx(1000.0, rel=1e-12)
 
 
+def test_synth_reference_is_sized_before_it_starts(monkeypatch):
+    # a 0.1 s record, 10,001 samples, refused one byte over the limit before
+    # any array of the record is made, and made at the limit
+    need = 96 * 10_001
+    monkeypatch.setattr(signal_core, "_MAX_BYTES", need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(
+            f"demo-ref would hold {need:.3g} bytes, over the {need - 1:,}-byte limit; lower fs or duration"
+        )):
+            synth_reference(duration=0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10_001, peak
+    monkeypatch.setattr(signal_core, "_MAX_BYTES", need)
+    assert len(synth_reference(duration=0.1)) == 10_001
+
+
+@pytest.mark.parametrize("duration", [0.2, 1.0])
+def test_synth_reference_peak_is_within_its_budget_estimate(monkeypatch, duration):
+    asked = []
+    monkeypatch.setattr(signal_core, "_budget", lambda what, rows=0, nbytes=0, advice="": asked.append(nbytes))
+    tracemalloc.start()
+    try:
+        sig = synth_reference(duration=duration, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    [nbytes] = asked
+    assert nbytes == 96 * len(sig)
+    assert peak <= nbytes, (peak, nbytes)
+
+
 def test_scalar_rule_names_the_parameter_and_the_value():
     assert _scalar("q", 5) == 5.0 and type(_scalar("q", 5)) is float
     assert _scalar("fmax", 200.0, at_least=200.0) == 200.0
