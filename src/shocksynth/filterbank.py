@@ -171,7 +171,7 @@ def build_basis(reference: Signal, layout: BankLayout) -> BasisMatrix:
             filt = discretize(p, fs)
             out = apply_filter(filt, Signal(fs, np.concatenate([reference.samples, np.zeros(extra)]), reference.t0))
             peak = float(np.max(np.abs(out.samples)))
-            if peak < _ENERGY_FLOOR * ref_peak:
+            if peak <= _ENERGY_FLOOR * ref_peak:  # a zero column has none, also where the floor underflows to 0
                 raise NoBandEnergyError(
                     p.center_freq,
                     f"reference has no energy at {p.center_freq:.6g} Hz "

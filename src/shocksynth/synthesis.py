@@ -91,6 +91,10 @@ _COGNITIVE = 1.49
 _SOCIAL = 1.49
 _BOUNDS_SCALE = 4.0
 
+# _diag_refine's per-band scaling passes, and the power of target/achieved each applies.
+_REFINE_STEPS = 12
+_REFINE_RELAX = 0.7
+
 
 @dataclasses.dataclass(frozen=True)
 class PsoConfig:
@@ -419,18 +423,52 @@ class _BandResponseCache:
         np.abs(y, out=y).max(axis=1, out=peaks[c])
 
 
-def _diag_refine(cache, warm, s_target, center_idx, steps=12, relax=0.7):
+def _diag_refine(cache, warm, s_target, center_idx):
     """Deterministic per-band fixed-point polish of a coefficient vector.
 
-    Repeatedly rescales each coefficient by (target/achieved)^relax at its
-    own center frequency.  Cheap, and lands close enough to the optimum
+    Repeatedly rescales each coefficient by (target/achieved)^_REFINE_RELAX at
+    its own center frequency.  Cheap, and lands close enough to the optimum
     that the swarm only has to do local work.
     """
     x = warm.copy()
-    for _ in range(steps):
+    for _ in range(_REFINE_STEPS):
         ach = cache.srs_values(x[None, :])[center_idx, 0]
-        x *= (s_target / np.maximum(ach, 1e-30)) ** relax
+        x *= (s_target / np.maximum(ach, 1e-30)) ** _REFINE_RELAX
     return x
+
+
+def _optimize_bytes(n: int, m: int, grid, fs: float) -> int:
+    """Bytes ``_optimize`` reserves for its response cache over n basis rows of m columns."""
+    return 8 * m * sum(_cache_rows(n, grid, fs)[1])
+
+
+def _optimize(basis: BasisMatrix, target: SrsCurve, center_idx, cfg: PsoConfig, q_srs: float):
+    """Coefficients whose mix of the basis columns tracks ``target``, and the swarm iterations used.
+
+    The swarm searches the response cache on ``target.freqs`` over +-``_BOUNDS_SCALE`` times the
+    estimate target(fc_i)/SRS(a_i)(fc_i), column i's center being ``target.freqs[center_idx[i]]``,
+    seeded at that estimate and at ``_diag_refine``'s polish of it (the bases being sign-symmetric
+    oscillations, coefficients may go negative).
+    """
+    cache = _BandResponseCache(basis, target.freqs, q_srs)
+    # Each column's SRS at its own center, its largest chunk envelope there: srs_values(np.eye(m))'s bits.
+    m = basis.n_columns
+    diag = np.maximum.reduceat(cache._env, cache._block_chunks[:-1])[center_idx, np.arange(m)]
+    if np.any(diag <= 0.0):
+        raise ValueError("basis column with zero SRS at its own center")
+    s_target = target.values[center_idx]
+    warm = s_target / diag
+    bounds = np.column_stack([-_BOUNDS_SCALE * warm, _BOUNDS_SCALE * warm])
+    floor = _SRS_FLOOR_REL * float(np.max(target.values))
+    log_target = np.log10(target.values)[:, None]
+
+    def eval_batch(block):
+        vals = np.maximum(cache.srs_values(block), floor)
+        return np.linalg.norm(np.log10(vals) - log_target, axis=0)
+
+    seeds = np.vstack([warm, _diag_refine(cache, warm, s_target, center_idx)])
+    x_best, _, iters = pso_minimize(m, eval_batch, bounds, cfg, seeds)
+    return x_best, iters
 
 
 def synthesize(
@@ -440,46 +478,21 @@ def synthesize(
     cfg: PsoConfig,
     q_srs: float = 10.0,
 ) -> SynthesisResult:
-    """End-to-end synthesis: basis, warm start, swarm, canonical verification.
+    """End-to-end synthesis: budget, basis, ``_optimize``, canonical verification.
 
-    Per-dimension bounds are +-``_BOUNDS_SCALE`` times the warm-start estimate
-    target(fc_i)/SRS(a_i)(fc_i); one particle is seeded at the positive
-    warm start itself (coefficients may go negative, the bases being
-    sign-symmetric oscillations).  Failure to meet the tolerance is not an
-    error; it is reported through ``srs_report.passed``.  A ``q_srs`` or a
-    grid the SRS cannot use is rejected before the basis and cache are built.  So is work over ``signal_core._budget``:
-    the final SRS's rows, or the bytes of the basis (columns, frozen copy, a filter's input and output) and cache.
+    A ``q_srs`` or a grid the SRS cannot use is rejected before any work, and so is work over
+    ``signal_core._budget``: the final SRS's rows, or the bytes of the basis (columns, frozen copy, a
+    filter's input and output) and of what ``_optimize`` reserves.  The mix is then checked through the
+    canonical full-rate SRS and residual motion; missing the tolerance is reported, not raised.
     """
     target = _target_curve(spec, layout)
     grid, fs = target.freqs, reference.sample_rate
     n, m = _basis_rows(len(reference), layout.centers, fs)[0], layout.centers.size
     _srs_rows(n, grid, q_srs, fs)
     advice = f"raise the lowest center ({layout.centers[0]:.6g} Hz) or lower ppo ({layout.points_per_octave})"
-    _budget("synthesis", nbytes=16 * n * (m + 1) + 8 * m * sum(_cache_rows(n, grid, fs)[1]), advice=advice)
+    _budget("synthesis", nbytes=16 * n * (m + 1) + _optimize_bytes(n, m, grid, fs), advice=advice)
     basis = build_basis(reference, layout)
-    cache = _BandResponseCache(basis, grid, q_srs)
-
-    # Per-band diagonal estimate: each column's SRS at its own center, its largest chunk
-    # envelope in that block, the bits of srs_values(np.eye(m)) (a one-hot product is exact).
-    center_idx = np.searchsorted(grid, layout.centers)
-    diag = np.maximum.reduceat(cache._env, cache._block_chunks[:-1])[center_idx, np.arange(m)]
-    if np.any(diag <= 0.0):
-        raise ValueError("basis column with zero SRS at its own center")
-    s_target = target.values[center_idx]
-    warm = s_target / diag
-    half_width = _BOUNDS_SCALE * warm
-    bounds = np.column_stack([-half_width, half_width])
-
-    floor = _SRS_FLOOR_REL * float(np.max(target.values))
-    log_target = np.log10(target.values)[:, None]
-
-    def eval_batch(block):
-        vals = np.maximum(cache.srs_values(block), floor)
-        return np.linalg.norm(np.log10(vals) - log_target, axis=0)
-
-    seeds = np.vstack([warm, _diag_refine(cache, warm, s_target, center_idx)])
-    x_best, _, iters = pso_minimize(basis.n_columns, eval_batch, bounds, cfg, seeds)
-
+    x_best, iters = _optimize(basis, target, np.searchsorted(grid, layout.centers), cfg, q_srs)
     synthesized = Signal(basis.sample_rate, basis.columns @ x_best, reference.t0)
     achieved = srs(synthesized, grid, q_srs)
     report = db_error(achieved, target, spec.tolerance_db)

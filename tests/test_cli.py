@@ -7,15 +7,20 @@ import mmap
 import re
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
+from pathlib import Path
 
 import click
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import write_spec_csv
 from shocksynth.cli import main
-from shocksynth.signal_core import synth_reference, write_signal
+from shocksynth.signal_core import Signal, read_signal, residual_motion, synth_reference, write_signal
 
 
 @pytest.fixture(scope="module")
@@ -325,22 +330,26 @@ print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
+def _peak_kib(cli_env, argv):
+    """Exit code, peak resident KiB and stderr of the CLI child ``argv``."""
+    r = subprocess.run(
+        [sys.executable, "-c", _RSS_LAUNCHER, sys.executable, "-m", "shocksynth.cli", *map(str, argv)],
+        capture_output=True, text=True, env=cli_env,
+    )
+    code, max_rss_kib = map(int, r.stdout.split()[-2:])
+    return code, max_rss_kib, r.stderr
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 def _synth_peak_mib(run_cli, cli_env, tmp_path, breakpoints, *demo_ref_args):
     """Exit code, peak resident MiB and stderr of ``synth --seed 1`` on ``demo-ref --seed 1`` and a spec."""
     ref = tmp_path / "ref.csv"
     assert run_cli("demo-ref", "--seed", 1, "--out", ref, *demo_ref_args).returncode == 0
     write_spec_csv(tmp_path / "spec.csv", breakpoints)
-    r = subprocess.run(
-        [
-            sys.executable, "-c", _RSS_LAUNCHER, sys.executable, "-m", "shocksynth.cli", "synth",
-            tmp_path / "spec.csv", ref, "--seed", "1",
-            "--out-signal", tmp_path / "s.csv", "--out-report", tmp_path / "r.json",
-        ],
-        capture_output=True, text=True, env=cli_env,
-    )
-    code, max_rss_kib = map(int, r.stdout.split()[-2:])
-    return code, max_rss_kib / 1024.0, r.stderr
+    argv = ["synth", tmp_path / "spec.csv", ref, "--seed", "1",
+            "--out-signal", tmp_path / "s.csv", "--out-report", tmp_path / "r.json"]
+    code, max_rss_kib, stderr = _peak_kib(cli_env, argv)
+    return code, max_rss_kib / 1024.0, stderr
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
@@ -367,6 +376,67 @@ def test_synth_on_a_field_length_reference_peak_resident_size(run_cli, cli_env, 
     code, peak_mib, stderr = _synth_peak_mib(run_cli, cli_env, tmp_path, launcher, "--duration", 0.2)
     assert code == 0, stderr
     assert peak_mib < 150.0
+
+
+# What no ``_budget`` estimate counts: ``read_signal`` holds about 40 bytes a
+# sample at once, the parsed (n, 2) pairs, their time steps and two
+# temporaries of the step check.
+_READ_BYTES_PER_SAMPLE = 40
+
+# Each command's arguments on the record ``{r}``, with the spec in ``{d}``, writing into ``{o}``.
+_RSS_ARGS = {
+    "srs": ["{r}", "--out", "{o}/out.csv"],
+    "filter": ["{r}", "--fc", "1000", "--out", "{o}/out.csv"],
+    "verify": ["{r}", "{d}/spec.csv", "--out-report", "{o}/out.json"],
+}
+
+
+@pytest.fixture(scope="module")
+def records(tmp_path_factory):
+    """1 ms and 1 s demo records at 100 kHz, seed 1 (101 and 100,001 samples), and the launcher spec."""
+    d = tmp_path_factory.mktemp("records")
+    for name, duration in [("short", 0.001), ("long", 1.0)]:
+        write_signal(synth_reference(duration=duration, seed=1), d / f"{name}.csv")
+    write_spec_csv(d / "spec.csv", [(100.0, 200.0), (250.0, 1500.0), (500.0, 900.0), (1000.0, 4000.0),
+                                    (2000.0, 2500.0), (3000.0, 8000.0), (6000.0, 6000.0), (10_000.0, 9000.0)])
+    return d
+
+
+def _budget_bytes(argv, capsys, monkeypatch):
+    """Exit code of ``argv`` run in this process, and the most bytes any one of its ``_budget`` checks asked for."""
+    asked = [0]
+    real = importlib.import_module("shocksynth.signal_core")._budget
+
+    def record(what, rows=0, nbytes=0, advice=""):
+        asked.append(nbytes)
+        real(what, rows, nbytes, advice)
+
+    for module in ("signal_core", "srs", "nzdf", "synthesis", "cli"):
+        monkeypatch.setattr(importlib.import_module(f"shocksynth.{module}"), "_budget", record)
+    code, _ = _run_in_process(argv, capsys)
+    return code, max(asked)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+@pytest.mark.parametrize("command", ["srs", "filter", "verify", "demo-ref"])
+def test_peak_resident_size_is_within_the_budget_estimate(records, cli_env, tmp_path, capsys, monkeypatch, command):
+    # on a 1 s record, each command peaks within its own _budget byte
+    # estimate, the record as read, and its baseline: the same command's
+    # peak on a 1 ms record, which is the imports and fixed workspaces
+    def argv(name):
+        if command == "demo-ref":
+            return ["demo-ref", "--duration", {"short": 0.001, "long": 1.0}[name], "--seed", 1,
+                    "--out", tmp_path / "out.csv"]
+        return [command] + [a.format(r=records / f"{name}.csv", d=records, o=tmp_path) for a in _RSS_ARGS[command]]
+
+    code, base_kib, stderr = _peak_kib(cli_env, argv("short"))
+    assert code in (0, 1), stderr
+    code, peak_kib, stderr = _peak_kib(cli_env, argv("long"))
+    assert code in (0, 1), stderr
+    in_process_code, nbytes = _budget_bytes(argv("long"), capsys, monkeypatch)
+    assert in_process_code == code
+    read = 0 if command == "demo-ref" else _READ_BYTES_PER_SAMPLE * 100_001
+    assert 1024 * peak_kib <= 1024 * base_kib + nbytes + read, (peak_kib, base_kib, nbytes)
 
 
 def test_atomic_unique_temp_and_cleanup(tmp_path):
@@ -603,3 +673,124 @@ def test_demo_ref_too_short_for_its_correction_pulses_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
     assert main(["demo-ref", "--duration", "6e-5", "--out", str(tmp_path / "x.csv")], standalone_mode=False) is None
     assert (tmp_path / "x.csv").exists()
+
+
+def test_bank_over_budget_exits_2_before_designing_a_filter(tmp_path, capsys, monkeypatch):
+    # at the grid cap, 99,998 filters took 30 to 50 s; each is charged 0.5 ms in filtered rows
+    from shocksynth import cli
+
+    def design(*args, **kwargs):
+        raise AssertionError("a filter was designed before the budget was checked")
+
+    monkeypatch.setattr(cli, "discretize", design)
+    code, err = _run_in_process(["bank", "--ppo", 15051, "--out", tmp_path / "bank.csv"], capsys)
+    assert code == 2
+    assert err == ("error: bank of 99,998 filters would filter 3.12e+09 rows, over the 1,000,000,000-row limit; "
+                   "lower --ppo or narrow --fmin to --fmax\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bank_default_grid_is_written_as_without_its_budget_check(tmp_path, monkeypatch):
+    from shocksynth import cli
+
+    assert main(["bank", "--out", str(tmp_path / "checked.csv")], standalone_mode=False) is None
+    monkeypatch.setattr(cli, "_budget", lambda *args, **kwargs: None)
+    assert main(["bank", "--out", str(tmp_path / "unchecked.csv")], standalone_mode=False) is None
+    assert (tmp_path / "checked.csv").read_bytes() == (tmp_path / "unchecked.csv").read_bytes()
+
+
+def _in_process(argv, capsys):
+    """``_run_in_process`` with every ``UserWarning`` recorded: exit code, stderr and the warnings' messages."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        code, err = _run_in_process(argv, capsys)
+    return code, err, [str(w.message) for w in caught]
+
+
+def _synth_twice(spec, ref, out, *flags):
+    """``synth`` argv writing ``{out}{k}.csv`` and ``{out}{k}.json``, for runs k = 0 and 1."""
+    return [["synth", spec, ref, *flags, "--out-signal", f"{out}{k}.csv", "--out-report", f"{out}{k}.json"]
+            for k in range(2)]
+
+
+@pytest.mark.parametrize("fs,fmax,breakpoints,near_nyquist", [
+    (25_600.0, 2000.0, [(200.0, 100.0), (800.0, 600.0), (2000.0, 400.0)], False),
+    (51_200.0, 5000.0, [(500.0, 300.0), (2000.0, 2000.0), (5000.0, 1500.0)], False),
+    # the top center, 6,350 Hz, is over fs / 10: build_basis warns and goes on
+    (51_200.0, 5120.0, [(500.0, 300.0), (2000.0, 2000.0), (6000.0, 1500.0)], True),
+    (204_800.0, 20_000.0, [(2000.0, 1000.0), (8000.0, 5000.0), (20_000.0, 5000.0)], False),
+], ids=["25.6k", "51.2k", "51.2k-near-nyquist", "204.8k"])
+def test_demo_ref_synth_verify_at_other_sample_rates(tmp_path, capsys, fs, fmax, breakpoints, near_nyquist):
+    ref, spec = tmp_path / "ref.csv", tmp_path / "spec.csv"
+    write_spec_csv(spec, breakpoints)
+    argv = ["demo-ref", "--fs", fs, "--duration", 0.02, "--fmax", fmax, "--seed", 3, "--out", ref]
+    assert _in_process(argv, capsys)[0] == 0
+    runs = _synth_twice(spec, ref, tmp_path / "s", "--seed", 3, "--swarm-size", 10, "--max-iters", 5)
+    for argv in runs:
+        code, err, caught = _in_process(argv, capsys)
+        assert code == 0, err
+        assert any("below 10x the top center" in m for m in caught) == near_nyquist, caught
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / f"s0{suffix}").read_bytes() == (tmp_path / f"s1{suffix}").read_bytes()
+    sig = read_signal(tmp_path / "s0.csv")
+    assert sig.sample_rate == pytest.approx(fs, rel=1e-9)
+    assert residual_motion(sig, 1e-3).passed
+    code, err, _ = _in_process(["verify", tmp_path / "s0.csv", spec, "--out-report", tmp_path / "v.json"], capsys)
+    assert code == 0, err
+    report = json.loads((tmp_path / "v.json").read_text(encoding="utf-8"))
+    assert report["pass_srs"] is True and report["pass_net_zero"] is True
+
+
+# Specs of 2 to 4 breakpoints inside a 20 kHz, 20 ms demo reference's band, [50 Hz, fmax].
+_BREAKPOINTS = st.lists(st.integers(200, 2000), min_size=2, max_size=4, unique=True).map(sorted).flatmap(
+    lambda freqs: st.lists(st.integers(50, 5000), min_size=len(freqs), max_size=len(freqs)).map(
+        lambda peaks: [(float(f), float(a)) for f, a in zip(freqs, peaks)]
+    )
+)
+_SMALL_CASES = settings(max_examples=6, derandomize=True, deadline=None,
+                        suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_SMALL_CASES
+@given(breakpoints=_BREAKPOINTS, seed=st.integers(0, 1000))
+def test_synth_properties_on_small_random_cases(breakpoints, seed, capsys):
+    # the written signal is net zero, a repeat run writes the same bytes, and
+    # the reported max |dB| is what verify reads back off the written CSV
+    with tempfile.TemporaryDirectory() as d:
+        ref, spec, out = Path(d) / "ref.csv", Path(d) / "spec.csv", Path(d) / "s"
+        write_spec_csv(spec, breakpoints)
+        argv = ["demo-ref", "--fs", 20_000, "--duration", 0.02, "--fmax", 2000, "--seed", seed, "--out", ref]
+        assert _in_process(argv, capsys)[0] == 0
+        codes = set()
+        for argv in _synth_twice(spec, ref, out, "--seed", seed, "--swarm-size", 10, "--max-iters", 3):
+            code, err, _ = _in_process(argv, capsys)
+            assert code in (0, 1), err
+            codes.add(code)
+        assert len(codes) == 1
+        for suffix in (".csv", ".json"):
+            assert Path(f"{out}0{suffix}").read_bytes() == Path(f"{out}1{suffix}").read_bytes()
+        assert residual_motion(read_signal(f"{out}0.csv"), 1e-3).passed
+        report = json.loads(Path(f"{out}0.json").read_text(encoding="utf-8"))
+        code, err, _ = _in_process(["verify", f"{out}0.csv", spec, "--out-report", Path(d) / "v.json"], capsys)
+        assert code in (0, 1), err
+        verified = json.loads((Path(d) / "v.json").read_text(encoding="utf-8"))
+        assert [r["freq_hz"] for r in verified["per_freq"]] == [r["freq_hz"] for r in report["per_freq"]]
+        assert verified["max_abs_db"] == pytest.approx(report["max_abs_db"], abs=1e-6)
+
+
+@_SMALL_CASES
+@given(breakpoints=_BREAKPOINTS, amplitude=st.sampled_from([0.0, 5e-324]), at=st.integers(0, 400))
+def test_synth_on_a_reference_with_no_band_energy_is_infeasible(breakpoints, amplitude, at, capsys):
+    # a 20 ms, 20 kHz reference, zero but for at most one subnormal sample: every band filters to zero
+    with tempfile.TemporaryDirectory() as d:
+        ref, spec = Path(d) / "ref.csv", Path(d) / "spec.csv"
+        samples = np.zeros(401)
+        samples[at] = amplitude
+        write_signal(Signal(20_000.0, samples), ref)
+        write_spec_csv(spec, breakpoints)
+        argv = ["synth", spec, ref, "--swarm-size", 10, "--max-iters", 3,
+                "--out-signal", Path(d) / "s.csv", "--out-report", Path(d) / "r.json"]
+        code, err, _ = _in_process(argv, capsys)
+        assert code == 1
+        assert err.startswith("synthesis infeasible: "), err
+        assert sorted(p.name for p in Path(d).iterdir()) == ["ref.csv", "spec.csv"]

@@ -652,3 +652,40 @@ def test_report_serializes_floor_as_null(small_result):
     assert rep["objective"] is None and rep["seed"] is None
     # null must survive serialization as strict JSON
     assert json.loads(json.dumps(rep))["max_abs_db"] is None
+
+
+def test_synthesize_reaches_the_optimizer_only_through_optimize(small_problem, monkeypatch, tmp_path):
+    # with _optimize stubbed out, no response cache is built and neither the
+    # swarm nor the refine runs, and the stub's coefficients are still checked
+    # through the canonical SRS and residual motion into a valid report
+    ref, layout, spec, _ = small_problem
+    x = np.linspace(0.5, 1.5, layout.centers.size)
+    calls = []
+
+    def stub(basis, target, center_idx, cfg, q_srs):
+        calls.append((basis.n_columns, target.freqs[center_idx], cfg, q_srs))
+        return x, 7
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("optimizer internals reached outside _optimize")
+
+    monkeypatch.setattr(synthesis, "_optimize", stub)
+    for name in ("_BandResponseCache", "pso_minimize", "_diag_refine"):
+        monkeypatch.setattr(synthesis, name, forbidden)
+    res = synthesize(spec, ref, layout, _SMALL_CFG, 12.0)
+    [(m, centers, cfg, q_srs)] = calls
+    assert m == layout.centers.size and np.array_equal(centers, layout.centers)
+    assert cfg is _SMALL_CFG and q_srs == 12.0
+    assert np.array_equal(res.coefficients, x) and res.iterations_used == 7
+    basis = build_basis(ref, layout)
+    assert np.array_equal(res.synthesized.samples, basis.columns @ x)
+    assert res.achieved.q_srs == 12.0 and res.residuals.passed
+    assert np.isfinite(res.srs_report.max_abs_db) and np.isfinite(res.objective_value)
+
+    path = tmp_path / "report.json"
+    write_report(build_report(res.achieved, res.target, res.srs_report, res.residuals,
+                              res.objective_value, res.iterations_used, cfg.seed), path)
+    rep = json.loads(path.read_text(encoding="utf-8"))
+    assert rep["iterations"] == 7 and rep["pass_net_zero"] is True
+    assert rep["max_abs_db"] == res.srs_report.max_abs_db
+    assert [row["freq_hz"] for row in rep["per_freq"]] == res.target.freqs.tolist()
