@@ -270,8 +270,8 @@ def apply_filter(filt: DigitalNzdf, sig: Signal) -> Signal:
     so the transient excited by the final samples can decay inside the
     record; ``signal_core._segments`` runs the cascade.  What it holds at
     its peak, the output and its ``Signal`` copy (16 bytes a row) and the
-    cascade's segment workspaces, is checked by ``signal_core._budget``
-    before filtering.
+    cascade's segments, is checked by ``signal_core._budget`` before
+    filtering.
     """
     if not np.isclose(sig.sample_rate, filt.sample_rate, rtol=1e-9, atol=0.0):
         raise ValueError(
@@ -279,8 +279,8 @@ def apply_filter(filt: DigitalNzdf, sig: Signal) -> Signal:
             f"{filt.sample_rate:.6g} Hz"
         )
     rows = len(sig) + np.ceil(filt.params.ring_down_time * sig.sample_rate)
-    # each section's workspace and band, 32 bytes a segment row, and one segment's products
-    nbytes = 16 * rows + 32 * _SEGMENT_ROWS * (len(filt.sos) + 1)
+    # one segment of input and each section's output of it, 8 bytes a segment row each
+    nbytes = 16 * rows + 8 * _SEGMENT_ROWS * (len(filt.sos) + 1)
     p = filt.params
     _budget(f"filter at center_freq={p.center_freq:.6g} Hz with q={p.q:.6g}", nbytes=nbytes,
             advice="lower q or raise center_freq")

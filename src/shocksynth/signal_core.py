@@ -7,10 +7,12 @@ displacement, net-zero residual checks on the terminal motion, CSV
 import/export, and a deterministic synthetic reference generator used when
 no measured shock is available.
 
-It also holds the one filter runner, ``_segments``: second-order sections,
-each an all-pole solve ``_allpole`` and a 3-tap FIR ``_fir3``, a segment at a
-time.  Every SRS oscillator, every NZDF cascade and the reference's drift
-high-pass run through it; ``_iir2`` is its whole-run reference.
+It also holds the one recursive kernel, ``_run``: one second-order section
+through scipy's compiled lfilter, from a given state, returning the state it
+leaves.  ``_segments`` runs a cascade of sections over a record a segment at
+a time; every SRS oscillator, every NZDF cascade and the reference's drift
+high-pass run through it, the response cache runs ``_run`` a chunk at a
+time, and ``_iir2`` is the whole-run reference of both.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ TWO_PI = 2.0 * np.pi
 # Relative tolerance on time-step jitter when importing CSV data.
 _DT_REL_TOL = 1e-6
 
-# Rows of one filter segment: its workspace, band and products stay in cache,
-# where a whole padded record's would not.  A block of CSV text is two segments' cells.
+# Rows of one filter segment: its input and each section's output stay in
+# cache, where a whole padded record's would not.  A block of CSV text is two segments' cells.
 _SEGMENT_ROWS = 16_384
 
 # What one call may ask for, checked by ``_budget`` before any work: rows
@@ -321,9 +323,13 @@ def read_signal(path) -> Signal:
     The time column must be uniformly spaced to within a relative jitter of
     1e-6 of the median step.  Raises :class:`SignalFormatError` on malformed
     rows, empty files, or non-uniform time steps; the message names the
-    offending line number.
+    offending line number.  Raises ``ValueError`` before parsing when the
+    file is over ``_budget``.
     """
     path = Path(path)
+    # The parse holds about 40 bytes a sample at once: 1.8 a byte of
+    # write_signal's 22-byte lines, 4.5 a byte of 9-byte lines such as "123456,0".
+    _budget(f"reading {path.name}", nbytes=2 * path.stat().st_size, advice="shorten or decimate the record")
     pairs = _read_pairs(path, "time_s,accel_m_s2")
     if not len(pairs):
         raise SignalFormatError(f"{path.name}: no samples found")
@@ -363,111 +369,75 @@ def write_signal(sig: Signal, path) -> None:
     _write_table(path, "time_s,accel_m_s2", [lambda r0, r1: sig.t0 + np.arange(r0, r1) / sig.sample_rate, sig.samples])
 
 
-def _load_dtbtrs(directory: str):
-    """LAPACK's ``dtbtrs`` from scipy's compiled ``_flapack`` in ``directory``.
+def _load_linear_filter(directory: str):
+    """scipy's compiled lfilter kernel, ``_linear_filter``, from the ``_sigtools`` extension in ``directory``.
 
-    ``scipy.linalg.lapack.dtbtrs`` is this same f2py routine, but importing
-    it runs ``scipy/linalg/__init__.py``, whose array-API shim pulls in
-    ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``: about 0.2 s of
-    start-up for one function.  The extension is loaded straight from its
-    file instead and left out of ``sys.modules``, so a later
-    ``import scipy.linalg`` runs unchanged.
+    ``scipy.signal.lfilter`` runs this same function, but importing it runs
+    ``scipy/signal/__init__.py``: about a second of start-up for one
+    function.  The extension is loaded straight from its file instead and
+    left out of ``sys.modules``, so a later ``import scipy.signal`` runs
+    unchanged.  It links only libc, libm and libgcc, so no BLAS or Fortran
+    runtime of scipy's is mapped with it.
     """
-    name = "scipy.linalg._flapack"
+    name = "scipy.signal._sigtools"
     loaders = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
     spec = importlib.machinery.FileFinder(directory, loaders).find_spec(name)
     if spec is None:
-        raise ImportError(f"no LAPACK extension {name} in {directory}")
+        raise ImportError(f"no filter extension {name} in {directory}")
     imported = name in sys.modules
-    flapack = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(flapack)
+    sigtools = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sigtools)
     if not imported:
         # CPython files a single-phase extension in sys.modules as it loads
-        # it; without this, a later ``import scipy.linalg`` would find it
-        # there and never bind it as the package's ``_flapack`` attribute.
+        # it; without this, a later ``import scipy.signal`` would find it
+        # there and never bind it as the package's ``_sigtools`` attribute.
         sys.modules.pop(name, None)
-    return flapack.dtbtrs
+    return sigtools._linear_filter
 
 
 # A top-level find_spec runs no package code; ``scipy/__init__.py`` does
 # (subprocess, scipy._lib._testutils and more) before it finds a submodule.
-_dtbtrs = _load_dtbtrs(str(Path(importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")))
+_linear_filter = _load_linear_filter(
+    str(Path(importlib.util.find_spec("scipy").submodule_search_locations[0], "signal"))
+)
+
+
+def _run(b, a, x, zi=None):
+    """One second-order section along axis 0 of an (n,) or (n, m) ``x``: its output and final state.
+
+    y[n] = b0 x[n] + b1 x[n-1] + b2 x[n-2] - a1 y[n-1] - a2 y[n-2], with
+    a0 = ``a[0]`` = 1, in scipy's direct form II transposed from the state
+    ``zi`` (from rest when None).  Returns ``(y, zf)``: the pieces of a split
+    ``x``, each run from the state the one before left, are one run over the
+    whole, bit for bit.  n must be at least 1: scipy returns an unset ``zf``
+    for an empty ``x``.
+    """
+    x = np.asarray(x, dtype=float)
+    return _linear_filter(b, a, x, 0, np.zeros((2,) + x.shape[1:]) if zi is None else zi)
 
 
 def _iir2(b, a, x, step: int = 1) -> np.ndarray:
-    """Second-order IIR filter along axis 0 over one whole run, from zero state: :func:`_segments`'s reference.
-
-    Computes y[n] = b0 w[n] + b1 w[n-1] + b2 w[n-2], where
-    w[n] + a1 w[n-1] + a2 w[n-2] = x[n] and a0 = ``a[0]`` must be 1, for an
-    (n,) or (n, m) input, and returns the rows n = 0, step, 2*step, ... of y:
-    the all-pole part :func:`_allpole`, then the 3-tap FIR :func:`_fir3` on
-    the kept rows only (the two parts commute).
-    """
-    return _fir3(b, _allpole(a, x), step)
+    """Rows 0, step, 2*step, ... of one :func:`_run` over ``x`` from rest: :func:`_segments`' reference."""
+    return _run(b, a, x)[0][::step]
 
 
 def _segments(sos, x: np.ndarray, rows: int):
     """Second-order sections over ``x`` and then zeros, ``rows`` rows in all, ``_SEGMENT_ROWS`` at a time.
 
-    ``sos`` rows are (b0, b1, b2, 1, a1, a2).  Each section keeps a workspace, a band and a seed, its last
-    two all-pole states; its first segment starts from rest, unseeded.  Joined, the pieces are :func:`_iir2`
-    section by section over the zero-padded record, bit for bit, signed zeros too.
+    ``sos`` rows are (b0, b1, b2, 1, a1, a2).  Each section runs a segment
+    from the state it left at the end of the last one, so the pieces, joined,
+    are :func:`_iir2` section by section over the zero-padded record, bit for bit.
     """
-    seg = _SEGMENT_ROWS
-    stages = [[s[:3], s[3:], np.empty(seg + 2), _band(s[3:], seg + 2), None] for s in np.atleast_2d(sos)]
-    for r0 in range(0, rows, seg):
-        r1, lead = min(r0 + seg, rows), 2 if r0 else 0
+    sos = np.atleast_2d(sos)
+    states = [None] * len(sos)
+    for r0 in range(0, rows, _SEGMENT_ROWS):
+        r1 = min(r0 + _SEGMENT_ROWS, rows)
         y = x[r0:r1]
-        for stage in stages:
-            b, a, work, band, seed = stage
-            w = _allpole(a, y, seed, work[: r1 - r0 + lead], band)
-            stage[4] = w[-2:]
-            y = _fir3(b, w, 1, lead)
+        if len(y) < r1 - r0:  # zeros past the record
+            y = np.concatenate([y, np.zeros(r1 - r0 - len(y))])
+        for i, s in enumerate(sos):
+            y, states[i] = _run(s[:3], s[3:], y, states[i])
         yield y
-
-
-def _allpole(a, x, seed=None, out=None, band=None) -> np.ndarray:
-    """w[n] + a1 w[n-1] + a2 w[n-2] = x[n] along axis 0, from zero state or a seed.
-
-    LAPACK's banded ``dtbtrs``, in place on a Fortran-order copy of ``x``.  A
-    2-row ``seed`` (w of the two samples before x[0]) leads the system and the
-    result, with a zero ``ab[1, 0]`` of the first seed row's sign: a split 1-D
-    solve continues bit for bit, signed zeros too.  A 2-D ``x`` shares one
-    band, so there a -0.0 in the seed's second row may come out +0.0.  A
-    Fortran-contiguous ``out`` takes the copy in place of a new array, its rows
-    past ``x`` set to zero; the seed is copied in first, so it may be a view of
-    ``out``'s last rows.  A ``band`` from :func:`_band` of ``a`` over at least
-    as many rows is solved with in place of a new one.
-    """
-    x = np.asarray(x, dtype=float)
-    lead = 0 if seed is None else 2
-    w = np.empty((lead + x.shape[0],) + x.shape[1:], order="F") if out is None else out
-    ab = _band(a, w.shape[0]) if band is None else band[:, : w.shape[0]]
-    if seed is not None:
-        w[:2] = seed
-        ab[1, 0] = math.copysign(0.0, w[0]) if w.ndim == 1 else 0.0
-    w[lead : lead + x.shape[0]] = x
-    w[lead + x.shape[0] :] = 0.0
-    w, _ = _dtbtrs(ab, w, uplo="L", diag="U", overwrite_b=1)
-    return w
-
-
-def _band(a, rows: int) -> np.ndarray:
-    """The unit lower band of w[n] + a1 w[n-1] + a2 w[n-2] over ``rows`` rows, as ``dtbtrs`` reads it."""
-    ab = np.empty((3, rows), order="F")
-    ab[0], ab[1], ab[2] = 1.0, a[1], a[2]
-    return ab
-
-
-def _fir3(b, w, step: int = 1, lead: int = 0) -> np.ndarray:
-    """Rows k of b0 w[i] + b1 w[i-1] + b2 w[i-2] at i = lead + k * step, taps before w[0] dropped."""
-    n = w.shape[0]
-    # In C order y[k0:] is one block, which numpy adds without iteration buffers.
-    y = np.multiply(b[0], w[lead::step], order="C")
-    for lag in (1, 2):
-        k0 = max(-((lead - lag) // step), 0)  # first kept row k with lead + k * step - lag >= 0
-        y[k0:] += np.multiply(b[lag], w[lead + k0 * step - lag : n - lag : step], order="C")
-    return y
 
 
 def _bilinear_pole_pair(w: float, q: float, fs: float) -> tuple[float, np.ndarray]:

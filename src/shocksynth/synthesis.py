@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .filterbank import BankLayout, BasisMatrix, _basis_rows, build_basis, make_layout
-from .signal_core import ResidualReport, Signal, _allpole, _budget, _fir3, _frozen, _scalar, residual_motion
+from .signal_core import ResidualReport, Signal, _budget, _frozen, _run, _scalar, residual_motion
 from .srs import DbErrorReport, SrsCurve, SrsSpec, _sdof_coeffs, _srs_rows, db_error, spec_interpolate, srs
 
 __all__ = [
@@ -295,9 +295,9 @@ class _BandResponseCache:
 
     ``matrix`` reserves every row, but commits a chunk's pages only once it
     is written, sharing at most one page with each neighbour.  The build
-    keeps only each chunk's envelope and seed (the all-pole state w of the
-    two samples before it), and ``_peak`` fills a chunk from its seed the
-    first time the search multiplies it out.
+    keeps only each chunk's envelope and seed (the filter's state before its
+    first raw row), and ``_peak`` fills a chunk from its seed the first time
+    the search multiplies it out.
     """
 
     def __init__(self, basis: BasisMatrix, grid: np.ndarray, q_srs: float):
@@ -334,12 +334,13 @@ class _BandResponseCache:
             np.abs(self._rows(c)).max(axis=0, out=self._env[c])
 
     def _rows(self, c):
-        """Chunk c's rows, solved from its seed (a block's first from rest) a piece at a time.
+        """Chunk c's rows, filtered from its seed (a block's first from rest) a piece at a time.
 
         A piece is at most ``_CHUNK_ROWS`` raw rows, or one kept row at a longer
-        step.  The solve runs over the basis rows, zeros past their end, up to
-        chunk c + 1's first raw row, and leaves that chunk's seed in ``_seeds``:
-        the bits of one solve of the whole block, every time.
+        step, of which every step-th is kept.  The run goes over the basis rows
+        up to chunk c + 1's first raw row and leaves the filter's state there
+        in ``_seeds`` as that chunk's seed: the bits of one run over the whole
+        block, every time.
         """
         k = self._chunk_block[c]
         r0, r1 = self._chunk_edges[c : c + 2] - self.starts[k]
@@ -348,10 +349,9 @@ class _BandResponseCache:
         seed = self._seeds[c] if r0 else None
         piece = max(_CHUNK_ROWS // step, 1)  # rows kept from each piece
         for q0 in range(r0, r1, piece):
-            q1, lead = min(q0 + piece, r1), 0 if seed is None else 2
-            w = np.empty((lead + (q1 - q0) * step, y.shape[1]), order="F")
-            w = _allpole(a, self._columns[q0 * step : q1 * step], seed, w)
-            y[q0 - r0 : q1 - r0], seed = _fir3(b, w, step, lead), w[-2:]
+            q1 = min(q0 + piece, r1)
+            out, seed = _run(b, a, self._columns[q0 * step : q1 * step], seed)
+            y[q0 - r0 : q1 - r0] = out[::step]
         if c + 1 < len(self._seeds):
             self._seeds[c + 1] = seed
         return y

@@ -4,6 +4,7 @@ import errno
 import importlib
 import json
 import mmap
+import os
 import re
 import subprocess
 import sys
@@ -207,7 +208,7 @@ def test_cli_import_leaves_out_scipy_signal_and_integrate(cli_env):
 
 def test_cli_import_leaves_out_scipy_linalg_package(cli_env):
     # scipy.linalg's package init pulls in numpy.f2py, numpy.testing and
-    # numpy.ma, about 0.2 s of start-up; only its compiled _flapack is used
+    # numpy.ma, about 0.2 s of start-up
     names = ("scipy.linalg", "scipy._lib._array_api", "numpy.f2py", "numpy.testing", "numpy.ma")
     code = (
         f"import sys, shocksynth.cli; names = {names!r}; "
@@ -225,6 +226,17 @@ from shocksynth import cli
 
 d = sys.argv[1]
 names = ("numpy.ma", "scipy", "scipy.linalg", "scipy.signal", "scipy.integrate", "gzip")
+
+
+def mapped():
+    # mapped files of scipy's LAPACK extension, or of scipy's own OpenBLAS and Fortran runtime
+    if not sys.platform.startswith("linux"):
+        return []
+    with open("/proc/self/maps") as fh:
+        paths = {line.split(maxsplit=5)[-1].strip() for line in fh if line.count(" ") >= 5}
+    return sorted(p for p in paths if "_flapack" in p or "/scipy.libs/" in p)
+
+
 runs = [
     ["demo-ref", "--fs", "50000", "--duration", "0.02", "--fmax", "5000", "--out", d + "/ref.csv"],
     ["srs", d + "/ref.csv", "--fmin", "1000", "--fmax", "4000", "--out", d + "/srs.csv"],
@@ -240,7 +252,7 @@ for argv in runs:
         code = cli.main(argv, standalone_mode=False)
     except SystemExit as exc:
         code = exc.code
-    after.append([argv[0], code or 0, [m for m in names if m in sys.modules]])
+    after.append([argv[0], code or 0, [m for m in names if m in sys.modules], mapped()])
 print(json.dumps(after))
 """
 
@@ -248,16 +260,18 @@ print(json.dumps(after))
 def test_commands_leave_out_numpy_ma_and_scipy_packages(cli_env, tmp_path):
     # np.median and np.unique import numpy.ma lazily, after import time,
     # and scipy/__init__ runs whenever a scipy submodule is looked up by name;
-    # np.loadtxt given a path opens it through its DataSource, which imports gzip
+    # np.loadtxt given a path opens it through its DataSource, which imports gzip.
+    # On Linux no command maps scipy.linalg's _flapack, or scipy's OpenBLAS,
+    # libgfortran and libquadmath (numpy's OpenBLAS brings numpy.libs' own).
     write_spec_csv(tmp_path / "spec.csv", [(1000.0, 500.0), (2000.0, 800.0), (4000.0, 600.0)])
     r = subprocess.run(
         [sys.executable, "-c", _RUN_EVERY_COMMAND, str(tmp_path)], capture_output=True, text=True, env=cli_env
     )
     assert r.returncode == 0, r.stderr
     after = json.loads(r.stdout.splitlines()[-1])
-    assert [command for command, _, _ in after] == ["demo-ref", "srs", "filter", "bank", "synth", "verify"]
-    for command, code, modules in after:
-        assert code in (0, 1) and modules == [], (command, code, modules)
+    assert [command for command, *_ in after] == ["demo-ref", "srs", "filter", "bank", "synth", "verify"]
+    for command, code, modules, files in after:
+        assert code in (0, 1) and modules == [] and files == [], (command, code, modules, files)
 
 
 def test_srs_command_reads_byte_order_mark(workdir, run_cli, tmp_path):
@@ -378,9 +392,9 @@ def test_synth_on_a_field_length_reference_peak_resident_size(run_cli, cli_env, 
     assert peak_mib < 150.0
 
 
-# What no ``_budget`` estimate counts: ``read_signal`` holds about 40 bytes a
-# sample at once, the parsed (n, 2) pairs, their time steps and two
-# temporaries of the step check.
+# What ``read_signal`` holds at once, about 40 bytes a sample: the parsed
+# (n, 2) pairs, their time steps and two temporaries of the step check.  Its
+# own ``_budget`` check charges it from the file's size instead.
 _READ_BYTES_PER_SAMPLE = 40
 
 # Each command's arguments on the record ``{r}``, with the spec in ``{d}``, writing into ``{o}``.
@@ -403,12 +417,15 @@ def records(tmp_path_factory):
 
 
 def _budget_bytes(argv, capsys, monkeypatch):
-    """Exit code of ``argv`` run in this process, and the most bytes any one of its ``_budget`` checks asked for."""
+    """Exit code of ``argv`` run in this process, and the most bytes any one of its ``_budget`` checks asked for.
+
+    The CSV read's check is left out: the read is counted per sample, by ``_READ_BYTES_PER_SAMPLE``.
+    """
     asked = [0]
     real = importlib.import_module("shocksynth.signal_core")._budget
 
     def record(what, rows=0, nbytes=0, advice=""):
-        asked.append(nbytes)
+        asked.append(0 if what.startswith("reading ") else nbytes)
         real(what, rows, nbytes, advice)
 
     for module in ("signal_core", "srs", "nzdf", "synthesis", "cli"):
@@ -637,6 +654,31 @@ def test_over_budget_commands_refuse_before_any_filtering(workdir, tmp_path, cap
     assert re.fullmatch(r"error: .* would (filter .* rows, over the 1,000,000,000-row|hold .* bytes, over the "
                         r"1,073,741,824-byte) limit; lower q(_srs \(1e\+12\))? or raise .*\n", err), err
     assert list(tmp_path.iterdir()) == []
+
+
+# Each command that reads a record ``{r}``, as in ``_RSS_ARGS``.
+_BIG_RECORD_ARGS = dict(
+    _RSS_ARGS, synth=["{d}/spec.csv", "{r}", "--out-signal", "{o}/out.csv", "--out-report", "{o}/out.json"]
+)
+
+
+@pytest.mark.parametrize("command", sorted(_BIG_RECORD_ARGS))
+def test_oversized_record_is_refused_before_it_is_parsed(workdir, tmp_path, capsys, monkeypatch, command):
+    # a sparse 1 GiB file: its size is all the budget reads, so no data is written
+    record = tmp_path / "big.csv"
+    record.touch()
+    os.truncate(record, 1 << 30)
+
+    def parse(*args):
+        raise AssertionError("the record was parsed before the budget was checked")
+
+    monkeypatch.setattr(importlib.import_module("shocksynth.signal_core"), "_read_pairs", parse)
+    argv = [command] + [a.format(r=record, d=workdir, o=tmp_path) for a in _BIG_RECORD_ARGS[command]]
+    code, err = _run_in_process(argv, capsys)
+    assert code == 2
+    assert err == ("error: reading big.csv would hold 2.15e+09 bytes, over the 1,073,741,824-byte limit; "
+                   "shorten or decimate the record\n"), err
+    assert [p.name for p in tmp_path.iterdir()] == ["big.csv"]
 
 
 @pytest.mark.parametrize("lowest", [1.0, 2.0, 5.0])

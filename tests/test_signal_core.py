@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sci_integrate
 from scipy import signal as sci_signal
-from scipy.linalg import lapack as sci_lapack
 
 from shocksynth import (
     GammatoneParams,
@@ -25,6 +24,7 @@ from shocksynth import (
     SrsCurve,
     SrsSpec,
     db_error,
+    discretize,
     integrate,
     make_layout,
     motion_of,
@@ -38,13 +38,12 @@ from shocksynth import signal_core
 from shocksynth.signal_core import (
     _SEGMENT_ROWS,
     _cumulative_trapezoid,
-    _dtbtrs,
-    _allpole,
-    _fir3,
     _iir2,
-    _load_dtbtrs,
+    _linear_filter,
+    _load_linear_filter,
     _median,
     _read_pairs,
+    _run,
     _scalar,
     _segments,
     _write_table,
@@ -635,11 +634,9 @@ def _sdof_bank(fs):
 
 
 def test_iir2_matches_lfilter():
-    # scipy's direct-form filter as the reference, on records as long as the
-    # default reference shock (5,001 samples at 100 kHz); the error is
-    # relative to each output column's peak.  Over 41 random columns the
-    # gap reaches about 1.2e-12 at 100 Hz, most of it lfilter's own
-    # rounding (see the next test), so the block gets twice the bound.
+    # one call of scipy's compiled lfilter kernel, so scipy.signal.lfilter's
+    # bits, on records as long as the default reference shock (5,001 samples
+    # at 100 kHz), 1-D and 2-D
     fs = 100_000.0
     rng = np.random.default_rng(6)
     impulse = np.zeros(5001)
@@ -647,26 +644,25 @@ def test_iir2_matches_lfilter():
     inputs = [impulse, rng.normal(size=5001), rng.normal(size=(5001, 41))]
     for b, a in _sdof_bank(fs):
         for x in inputs:
-            ref = sci_signal.lfilter(b, a, x, axis=0)
             got = _iir2(b, a, x)
             assert got.shape == x.shape
-            peak = np.max(np.abs(ref), axis=0)
-            bound = (1e-12 if x.ndim == 1 else 2e-12) * peak
-            assert np.all(np.max(np.abs(got - ref), axis=0) <= bound)
+            np.testing.assert_array_equal(_bits(got), _bits(sci_signal.lfilter(b, a, x, axis=0)))
 
 
 @pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="needs an extended long double"
 )
 def test_iir2_at_least_as_accurate_as_lfilter():
-    # Over longer records at the lowest, most resonant frequencies the two
-    # filters drift apart by up to about 1e-12 of the peak; against a
-    # long-double recursion with the same coefficients the kernel is the
-    # closer one.
+    # Over longer records at the lowest, most resonant frequencies, against a
+    # long-double recursion with the same coefficients, the kernel stays
+    # within 1e-12 of the peak: the SRS oscillators at 100 and 300 Hz and each
+    # section of the default NZDF at 100 Hz.  The kernel is lfilter's, so the
+    # two errors are one.
     fs = 100_000.0
     x = np.random.default_rng(9).normal(size=20_001)
-    for fn in (100.0, 300.0):
-        b, a = _sdof_coeffs(fn, 10.0, 1.0 / fs)
+    sections = [_sdof_coeffs(fn, 10.0, 1.0 / fs) for fn in (100.0, 300.0)]
+    sections += [(s[:3], s[3:]) for s in discretize(NzdfParams(100.0), fs).sos]
+    for b, a in sections:
         bl, al, xl = b.astype(np.longdouble), a.astype(np.longdouble), x.astype(np.longdouble)
         exact = np.zeros(x.size, dtype=np.longdouble)
         for i in range(x.size):
@@ -678,12 +674,11 @@ def test_iir2_at_least_as_accurate_as_lfilter():
         peak = float(np.max(np.abs(exact)))
         ours = float(np.max(np.abs(_iir2(b, a, x) - exact))) / peak
         theirs = float(np.max(np.abs(sci_signal.lfilter(b, a, x) - exact))) / peak
-        assert ours <= theirs and ours <= 1e-12, (fn, ours, theirs)
+        assert ours == theirs and ours <= 1e-12, (b, a, ours, theirs)
 
 
 def test_iir2_step_keeps_every_step_th_row_exactly():
-    # the response cache keeps every step-th row; the numerator runs on
-    # those rows only, with the same operations as on the full output
+    # the response cache keeps every step-th row of one run
     x = np.random.default_rng(7).normal(size=(1003, 5))
     x0 = x.copy()
     for b, a in _sdof_bank(100_000.0)[::4]:
@@ -717,20 +712,6 @@ def test_iir2_superposition(seed, n, fn, scale_x, scale_y, spike):
     assert err <= 1e-12 * (np.max(np.abs(fx)) + np.max(np.abs(fy)))
 
 
-def _iir2_in_one(b, a, x, step):
-    """The kernel written as one function, the oracle for its two halves."""
-    w = np.array(x, dtype=float, order="F")
-    n = w.shape[0]
-    ab = np.empty((3, n), order="F")
-    ab[0], ab[1], ab[2] = 1.0, a[1], a[2]
-    w, _ = _dtbtrs(ab, w, uplo="L", diag="U", overwrite_b=1)
-    y = b[0] * w[::step]
-    for lag in (1, 2):
-        k0 = -(-lag // step)
-        y[k0:] += b[lag] * w[k0 * step - lag : n - lag : step]
-    return y
-
-
 def _bits(values):
     return np.ascontiguousarray(values).view(np.int64)
 
@@ -740,36 +721,38 @@ def _bits(values):
     seed=st.integers(0, 2**32 - 1),
     radius=st.floats(0.0, 0.9999),
     angle=st.floats(0.0, np.pi),
-    b=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
-    m=st.integers(1, 6),
+    b=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3).map(np.array),
+    m=st.integers(0, 6),
     k=st.integers(16, 600),
     step=st.sampled_from([1, 2, 7]),
     zeros=st.sampled_from([0.0, 0.3, 0.9]),
     data=st.data(),
 )
-def test_allpole_seeded_continuation_property(seed, radius, angle, b, m, k, step, zeros, data):
-    # a stable pole pair r exp(+-j angle); some inputs are exact signed zeros
+def test_run_state_carry_property(seed, radius, angle, b, m, k, step, zeros, data):
+    # a stable pole pair r exp(+-j angle), over k rows of m columns (m = 0:
+    # 1-D); some inputs are exact signed zeros
     a = np.array([1.0, -2.0 * radius * np.cos(angle), radius * radius])
+    shape = (k,) if m == 0 else (k, m)
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(k, m))
-    x[rng.random((k, m)) < zeros] = 0.0
-    x *= np.where(rng.random((k, m)) < 0.5, -1.0, 1.0)
-    whole = _allpole(a, x)
-    np.testing.assert_array_equal(_bits(_iir2(b, a, x, step)), _bits(_iir2_in_one(b, a, x, step)))
-    # a split at kept row r, solved in two pieces, the second seeded with the
-    # first's last two rows
-    r = data.draw(st.integers(max(2 // step, 1), (k - 1) // step), label="split row")
-    head = _allpole(a, x[: r * step])
-    tail = _allpole(a, x[r * step :], seed=head[-2:])
-    np.testing.assert_array_equal(tail[:2], head[-2:])
-    np.testing.assert_array_equal(tail[2:], whole[r * step :])
-    rows = _fir3(b, tail, step, lead=2)
-    np.testing.assert_array_equal(rows, _iir2(b, a, x, step)[r:])
-    # bit for bit, signed zeros too, unless the second seed row holds an exact
-    # zero: dtbtrs adds (first seed row) * 0 to it, so -0.0 may come out +0.0
-    if np.all(head[-1] != 0.0):
-        np.testing.assert_array_equal(_bits(tail[2:]), _bits(whole[r * step :]))
-        np.testing.assert_array_equal(_bits(rows), _bits(_iir2(b, a, x, step)[r:]))
+    x = rng.normal(size=shape)
+    x[rng.random(shape) < zeros] = 0.0
+    x *= np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+    whole, zf = _run(b, a, x)
+    assert zf.shape == (2,) + shape[1:]
+    np.testing.assert_array_equal(_bits(_iir2(b, a, x, step)), _bits(whole[::step]))
+    # split at any row, the second piece run from the state the first left:
+    # the whole run's rows and final state, signed zeros too
+    cut = data.draw(st.integers(1, k - 1), label="split row")
+    head, z = _run(b, a, x[:cut])
+    tail, z_end = _run(b, a, x[cut:], z)
+    np.testing.assert_array_equal(_bits(np.concatenate([head, tail])), _bits(whole))
+    np.testing.assert_array_equal(_bits(z_end), _bits(zf))
+    # split at kept row r, as the response cache's chunks are: each piece's
+    # every step-th row are the whole run's
+    r = data.draw(st.integers(1, (k - 1) // step), label="split kept row")
+    head, z = _run(b, a, x[: r * step])
+    tail, _ = _run(b, a, x[r * step :], z)
+    np.testing.assert_array_equal(_bits(np.concatenate([head[::step], tail[::step]])), _bits(whole[::step]))
 
 
 def _whole_run(sos, x, rows):
@@ -820,14 +803,12 @@ def test_segments_are_the_whole_run_bit_for_bit(seed, sos, rows, zeros, lead, si
 
 
 def test_segments_keep_signed_zeros_across_segment_edges():
-    # solved from rest, not from a zero seed, whose +0.0 taps would turn the
-    # first output -0.0 into +0.0
+    # a first sample -0.0 comes out as one run of scipy's lfilter gives it
     section = np.concatenate(_sdof_coeffs(100.0, 10.0, 1e-5))
     [y] = _segments(section, np.array([-0.0, 1.0]), 3)
-    assert math.copysign(1.0, y[0]) == -1.0
-    # a record of -0.0 over two segment edges; where a1, a2 <= 0 (the second
-    # filter) every state stays -0.0, so each seed is (-0.0, -0.0), and taps
-    # (1, 0, 0) pass the states' signs on to the output
+    np.testing.assert_array_equal(_bits(y), _bits(sci_signal.lfilter(section[:3], section[3:], [-0.0, 1.0, 0.0])))
+    # a record of -0.0 over two segment edges, each segment run from the
+    # state the last one left: the whole run's bits, signed zeros too
     for a in ([1.0, -1.98, 0.99], [1.0, -0.5, -0.2]):
         sos = np.array([[1.0, 0.0, 0.0, *a]])
         x = np.full(2 * _S + 5, -0.0)
@@ -835,17 +816,16 @@ def test_segments_keep_signed_zeros_across_segment_edges():
         np.testing.assert_array_equal(_bits(got), _bits(_whole_run(sos, x, 2 * _S + 9)))
 
 
-def test_loaded_dtbtrs_matches_scipy_linalg_lapack():
+def test_loaded_linear_filter_matches_scipy_signal_lfilter():
     rng = np.random.default_rng(11)
+    b, a = np.array([0.3, -0.2, 0.1]), np.array([1.0, -1.99, 0.995])
     for shape in [(5001,), (5001, 41)]:
-        rhs = np.asfortranarray(rng.normal(size=shape))
-        # the unit lower-banded matrix _iir2 hands to dtbtrs
-        ab = np.empty((3, shape[0]), order="F")
-        ab[0], ab[1], ab[2] = 1.0, -1.99, 0.995
-        ours, info = _dtbtrs(ab, rhs, uplo="L", diag="U")
-        ref, ref_info = sci_lapack.dtbtrs(ab, rhs, uplo="L", diag="U")
-        assert info == ref_info == 0
-        assert ours.tobytes() == ref.tobytes()
+        x = rng.normal(size=shape)
+        zi = rng.normal(size=(2,) + shape[1:])
+        ours, zf = _linear_filter(b, a, x, 0, zi)
+        ref, ref_zf = sci_signal.lfilter(b, a, x, axis=0, zi=zi)
+        assert ours.tobytes() == ref.tobytes() and zf.tobytes() == ref_zf.tobytes()
+        assert _linear_filter(b, a, x, 0).tobytes() == sci_signal.lfilter(b, a, x, axis=0).tobytes()
 
 
 _FILTER_BITS = """
@@ -863,9 +843,11 @@ print(hashlib.sha256(y.tobytes()).hexdigest())
 
 
 def test_filter_bits_do_not_depend_on_import_order(cli_env):
-    # loading _flapack before scipy.linalg, or after it, gives the same kernel
+    # loading _sigtools before scipy.signal, or after it, gives the same
+    # kernel, and scipy.signal imported after it still filters
     digests = []
-    for before, after in [("import scipy.linalg", ""), ("", "import scipy.linalg")]:
+    later = "import scipy.signal; scipy.signal.lfilter([1.0], [1.0, 0.5], [1.0, 2.0])"
+    for before, after in [("import scipy.signal", ""), ("", later)]:
         code = _FILTER_BITS.format(before=before, after=after)
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env)
         assert r.returncode == 0, r.stderr
@@ -876,6 +858,6 @@ def test_filter_bits_do_not_depend_on_import_order(cli_env):
     assert digests == [hashlib.sha256(here.tobytes()).hexdigest()] * 2
 
 
-def test_load_dtbtrs_names_the_directory_without_flapack(tmp_path):
+def test_load_linear_filter_names_the_directory_without_sigtools(tmp_path):
     with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
-        _load_dtbtrs(str(tmp_path))
+        _load_linear_filter(str(tmp_path))

@@ -433,10 +433,10 @@ def test_nan_coefficient_reaches_every_frequency(small_problem, eager, cache_nam
 
 
 def test_cache_build_peak_is_one_workspace(small_problem, small_cache):
-    # the build solves one chunk at a time, at most _CHUNK_ROWS raw rows at a
-    # time, and keeps only envelopes and seeds.  A piece's all-pole workspace
-    # and band, the chunk's rows and, in _fir3, a piece's rows, one product
-    # and numpy's buffer for its transposing copy are all it holds at once.
+    # the build filters one chunk at a time, at most _CHUNK_ROWS raw rows at a
+    # time, and keeps only envelopes and seeds.  A piece's filtered rows and
+    # state, the chunk's rows, one product and numpy's buffer for its
+    # transposing copy are all it holds at once.
     # The matrix itself is an mmap, which tracemalloc does not see
     basis, cache = small_problem[3], small_cache
     (n, m), fs = basis.columns.shape, basis.sample_rate
