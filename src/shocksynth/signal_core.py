@@ -12,7 +12,7 @@ through scipy's compiled lfilter, from a given state, returning the state it
 leaves.  ``_segments`` runs a cascade of sections over a record a segment at
 a time; every SRS oscillator, every NZDF cascade and the reference's drift
 high-pass run through it, the response cache runs ``_run`` a chunk at a
-time, and ``_iir2`` is the whole-run reference of both.
+time.
 """
 
 from __future__ import annotations
@@ -271,17 +271,20 @@ def _read_pairs(path: Path, header: str) -> np.ndarray:
                 return pairs
         except (ValueError, Warning):
             pass
-    return _parse_lines(path.read_text(encoding="utf-8-sig"), header, path.name)
+        fh.seek(0)
+        return _parse_lines(fh, header, path.name)
 
 
 def _is_header(line: str, header: str) -> bool:
     return line.strip().lower().replace(" ", "") == header
 
 
-def _parse_lines(text: str, header: str, name: str) -> np.ndarray:
-    """The line-by-line reading of :func:`_read_pairs`; raises on the first fault."""
-    rows = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
+def _parse_lines(lines, header: str, name: str) -> np.ndarray:
+    """The line-by-line reading of :func:`_read_pairs` into one flat buffer, 16 bytes a row; raises on the first fault."""
+    import array  # an extension module: loaded only for the files numpy's reader refuses
+
+    values = array.array("d")
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or (lineno == 1 and _is_header(line, header)):
             continue
@@ -296,8 +299,8 @@ def _parse_lines(text: str, header: str, name: str) -> np.ndarray:
             raise SignalFormatError(f"{name}: non-numeric value on line {lineno}: {line!r}") from None
         if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
             raise SignalFormatError(f"{name}: non-finite value on line {lineno}")
-        rows.append(pair)
-    return np.array(rows, dtype=float).reshape(-1, 2)
+        values.extend(pair)
+    return np.frombuffer(values, dtype=float).reshape(-1, 2)
 
 
 def _write_table(path, header: str, columns) -> None:
@@ -416,17 +419,12 @@ def _run(b, a, x, zi=None):
     return _linear_filter(b, a, x, 0, np.zeros((2,) + x.shape[1:]) if zi is None else zi)
 
 
-def _iir2(b, a, x, step: int = 1) -> np.ndarray:
-    """Rows 0, step, 2*step, ... of one :func:`_run` over ``x`` from rest: :func:`_segments`' reference."""
-    return _run(b, a, x)[0][::step]
-
-
 def _segments(sos, x: np.ndarray, rows: int):
     """Second-order sections over ``x`` and then zeros, ``rows`` rows in all, ``_SEGMENT_ROWS`` at a time.
 
     ``sos`` rows are (b0, b1, b2, 1, a1, a2).  Each section runs a segment
     from the state it left at the end of the last one, so the pieces, joined,
-    are :func:`_iir2` section by section over the zero-padded record, bit for bit.
+    are one :func:`_run` from rest section by section over the zero-padded record, bit for bit.
     """
     sos = np.atleast_2d(sos)
     states = [None] * len(sos)
@@ -499,8 +497,8 @@ def synth_reference(
     if fs < 10.0 * fmax:
         raise ValueError(f"fs must be at least 10*fmax ({10.0 * fmax:.6g} Hz), got {fs:.6g}")
     n = int(round(duration * fs)) + 1
-    # tracemalloc reads about 89 bytes a sample held at once (8.9 MB for
-    # 100,001 samples): a dozen float64 arrays of the record and temporaries.
+    # tracemalloc reads 57 to 64 bytes a sample held at once (6.4 MB for
+    # 100,001 samples): seven or eight float64 arrays of the record and temporaries.
     _budget("demo-ref", rows=n, nbytes=96 * n, advice="lower fs or duration")
     t = np.arange(n) / fs
     t1, t2 = 0.28 * duration, 0.60 * duration
@@ -526,14 +524,12 @@ def synth_reference(
     # The envelope rises with the sweep (amplitude ~ f^0.6) so that the
     # early low-frequency content stays weak; what little drift it causes
     # is cheap to correct.  Past the sweep it decays in a few percent of
-    # the record, leaving the tail quiet.
+    # the record, leaving the tail quiet: one exp of a piecewise exponent.
     growth = 0.6 * rate
     ring_out = 75.0 / duration
-    env = np.where(
-        t <= sweep_end,
-        np.exp(growth * (t - sweep_end)),
-        np.exp(-ring_out * (t - sweep_end)),
-    )
+    env = t - sweep_end
+    env *= np.where(env <= 0.0, growth, -ring_out)
+    np.exp(env, out=env)
     env *= -np.expm1(-((t / (0.04 * duration)) ** 2))  # smooth turn-on
 
     # Gentle random coloring: a few slow cosines on the log envelope.
@@ -543,9 +539,12 @@ def synth_reference(
     color = np.zeros(n)
     for m in range(n_modes):
         color += c[m] * np.cos(TWO_PI * (m + 1) * t_sweep / sweep_end + ph[m])
-    env *= np.exp(color)
+    env *= np.exp(color, out=color)
+    env *= np.cos(theta, out=theta)
+    del t_sweep, theta, color  # only the burst goes through the high-pass
 
-    x = np.concatenate(list(_segments(np.concatenate(_highpass_ba(45.0, fs)), env * np.cos(theta), n)))
+    x = np.concatenate(list(_segments(np.concatenate(_highpass_ba(45.0, fs)), env, n)))
+    del env
 
     # Cancel the terminal velocity and displacement exactly with an even and
     # an odd smooth bump over the middle of the record (2x2 linear solve).

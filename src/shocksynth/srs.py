@@ -283,10 +283,11 @@ def db_error(actual: SrsCurve, target: SrsCurve, tolerance_db: float = 3.0) -> D
 
 
 def read_spec(path, tolerance_db: float = 3.0) -> SrsSpec:
-    """Read a breakpoint spec CSV (``freq_hz,peak_accel_m_s2``)."""
+    """Read a breakpoint spec CSV (``freq_hz,peak_accel_m_s2``), charged to ``_budget`` before the parse as a record is."""
     # Before the file: the file's own faults are reported under its name.
     tolerance_db = _scalar("tolerance_db", tolerance_db, above=0.0)
     path = Path(path)
+    _budget(f"reading {path.name}", nbytes=2 * path.stat().st_size, advice="list fewer breakpoints")
     rows = _read_pairs(path, "freq_hz,peak_accel_m_s2")
     if len(rows) < 2:
         raise SignalFormatError(f"{path.name}: need at least 2 breakpoints")

@@ -98,26 +98,23 @@ _REFINE_RELAX = 0.7
 
 @dataclasses.dataclass(frozen=True)
 class PsoConfig:
-    """Swarm size, iteration cap, seed and stall rule; frozen for determinism."""
+    """Swarm size, iteration cap and seed; frozen for determinism."""
 
     swarm_size: int = 32
     max_iters: int = 220
     seed: int = 0
-    stall_iters: int = 60
-    stall_tol: float = 1e-4
+    # The stall rule, a class constant: stop once the best has gained less
+    # than stall_tol over the last stall_iters iterations.
+    stall_iters = 60
+    stall_tol = 1e-4
 
     def __post_init__(self):
         if int(self.swarm_size) < 10:
             raise ValueError(f"swarm_size must be >= 10, got {self.swarm_size}")
         if int(self.max_iters) < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not np.isfinite(self.stall_tol):
-            raise ValueError("stall_tol must be finite")
-        if int(self.stall_iters) < 1:
-            raise ValueError(f"stall_iters must be >= 1, got {self.stall_iters}")
         object.__setattr__(self, "swarm_size", int(self.swarm_size))
         object.__setattr__(self, "max_iters", int(self.max_iters))
-        object.__setattr__(self, "stall_iters", int(self.stall_iters))
         object.__setattr__(self, "seed", int(self.seed))
 
 

@@ -681,6 +681,26 @@ def test_oversized_record_is_refused_before_it_is_parsed(workdir, tmp_path, caps
     assert [p.name for p in tmp_path.iterdir()] == ["big.csv"]
 
 
+@pytest.mark.parametrize("command", ["synth", "verify"])
+def test_oversized_spec_is_refused_before_it_is_parsed(workdir, tmp_path, capsys, monkeypatch, command):
+    # a sparse 1 GiB spec is charged by the record's rule; verify still parses its record first
+    spec = tmp_path / "big.csv"
+    spec.touch()
+    os.truncate(spec, 1 << 30)
+
+    def parse(*args):
+        raise AssertionError("the spec was parsed before the budget was checked")
+
+    monkeypatch.setattr(importlib.import_module("shocksynth.srs"), "_read_pairs", parse)
+    args = {"synth": ["{s}", "{d}/ref.csv", "--out-signal", "{o}/out.csv", "--out-report", "{o}/out.json"],
+            "verify": ["{d}/ref.csv", "{s}", "--out-report", "{o}/out.json"]}[command]
+    code, err = _run_in_process([command] + [a.format(s=spec, d=workdir, o=tmp_path) for a in args], capsys)
+    assert code == 2
+    assert err == ("error: reading big.csv would hold 2.15e+09 bytes, over the 1,073,741,824-byte limit; "
+                   "list fewer breakpoints\n"), err
+    assert [p.name for p in tmp_path.iterdir()] == ["big.csv"]
+
+
 @pytest.mark.parametrize("lowest", [1.0, 2.0, 5.0])
 def test_synth_over_budget_refuses_before_the_basis(demo_ref, tmp_path, capsys, monkeypatch, lowest):
     # the basis and cache a low first breakpoint needs are sized up front

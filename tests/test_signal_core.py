@@ -38,7 +38,6 @@ from shocksynth import signal_core
 from shocksynth.signal_core import (
     _SEGMENT_ROWS,
     _cumulative_trapezoid,
-    _iir2,
     _linear_filter,
     _load_linear_filter,
     _median,
@@ -358,7 +357,8 @@ def test_long_valid_record_never_reaches_the_per_line_pass(tmp_path, monkeypatch
     rng = np.random.default_rng(5)
     path = tmp_path / "long.csv"
     write_signal(Signal(100_000.0, rng.normal(size=100_001) * 10.0 ** rng.integers(-6, 6, 100_001)), path)
-    per_line = signal_core._parse_lines(path.read_text(encoding="utf-8"), _HEADER, path.name)
+    with path.open(encoding="utf-8") as fh:
+        per_line = signal_core._parse_lines(fh, _HEADER, path.name)
 
     def refuse(*args):
         raise AssertionError("the per-line pass ran on a valid file")
@@ -383,6 +383,26 @@ def test_malformed_file_reaches_the_per_line_pass(tmp_path, monkeypatch):
     with pytest.raises(SignalFormatError, match="expected 2 comma-separated fields on line 2, got 3"):
         read_signal(bad)
     assert seen == ["u.csv", "w.csv", "e.csv", "bad.csv"]
+
+
+def test_per_line_pass_holds_a_flat_buffer_not_the_text(tmp_path, monkeypatch):
+    # one whitespace-only line sends a 100,001-row record to the per-line
+    # pass, which keeps 16 bytes a row, not the file's text and a tuple a row
+    path = tmp_path / "spaced.csv"
+    write_signal(Signal(100_000.0, np.random.default_rng(8).normal(size=100_001)), path)
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(" \n")
+    seen = []
+    parse_lines = signal_core._parse_lines
+    monkeypatch.setattr(signal_core, "_parse_lines", lambda *args: seen.append(args[2]) or parse_lines(*args))
+    tracemalloc.start()
+    try:
+        pairs = _read_pairs(path, _HEADER)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seen == ["spaced.csv"] and pairs.shape == (100_001, 2)
+    assert peak <= 48 * len(pairs), peak / len(pairs)
 
 
 def test_median_is_numpys_bit_for_bit():
@@ -644,7 +664,7 @@ def test_iir2_matches_lfilter():
     inputs = [impulse, rng.normal(size=5001), rng.normal(size=(5001, 41))]
     for b, a in _sdof_bank(fs):
         for x in inputs:
-            got = _iir2(b, a, x)
+            got, _ = _run(b, a, x)
             assert got.shape == x.shape
             np.testing.assert_array_equal(_bits(got), _bits(sci_signal.lfilter(b, a, x, axis=0)))
 
@@ -672,23 +692,9 @@ def test_iir2_at_least_as_accurate_as_lfilter():
                     acc += bl[k] * xl[i - k] - al[k] * exact[i - k]
             exact[i] = acc
         peak = float(np.max(np.abs(exact)))
-        ours = float(np.max(np.abs(_iir2(b, a, x) - exact))) / peak
+        ours = float(np.max(np.abs(_run(b, a, x)[0] - exact))) / peak
         theirs = float(np.max(np.abs(sci_signal.lfilter(b, a, x) - exact))) / peak
         assert ours == theirs and ours <= 1e-12, (b, a, ours, theirs)
-
-
-def test_iir2_step_keeps_every_step_th_row_exactly():
-    # the response cache keeps every step-th row of one run
-    x = np.random.default_rng(7).normal(size=(1003, 5))
-    x0 = x.copy()
-    for b, a in _sdof_bank(100_000.0)[::4]:
-        full = _iir2(b, a, x)
-        for step in (1, 2, 3, 7, 1002, 1003, 5000):
-            np.testing.assert_array_equal(_iir2(b, a, x, step), full[::step])
-            for n in (1, 2, 3):
-                np.testing.assert_array_equal(_iir2(b, a, x[:n], step), full[:n:step])
-        np.testing.assert_array_equal(_iir2(b, a, x[:, 0]), full[:, 0])
-    np.testing.assert_array_equal(x, x0)  # the input is never overwritten
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
@@ -707,8 +713,8 @@ def test_iir2_superposition(seed, n, fn, scale_x, scale_y, spike):
     if spike:
         y[rng.integers(n)] += 1e3
     b, a = _sdof_coeffs(fn, 10.0, 1e-5)
-    fx, fy = _iir2(b, a, x), _iir2(b, a, y)
-    err = np.max(np.abs(_iir2(b, a, x + y) - (fx + fy)))
+    (fx, _), (fy, _) = _run(b, a, x), _run(b, a, y)
+    err = np.max(np.abs(_run(b, a, x + y)[0] - (fx + fy)))
     assert err <= 1e-12 * (np.max(np.abs(fx)) + np.max(np.abs(fy)))
 
 
@@ -739,7 +745,6 @@ def test_run_state_carry_property(seed, radius, angle, b, m, k, step, zeros, dat
     x *= np.where(rng.random(shape) < 0.5, -1.0, 1.0)
     whole, zf = _run(b, a, x)
     assert zf.shape == (2,) + shape[1:]
-    np.testing.assert_array_equal(_bits(_iir2(b, a, x, step)), _bits(whole[::step]))
     # split at any row, the second piece run from the state the first left:
     # the whole run's rows and final state, signed zeros too
     cut = data.draw(st.integers(1, k - 1), label="split row")
@@ -756,11 +761,11 @@ def test_run_state_carry_property(seed, radius, angle, b, m, k, step, zeros, dat
 
 
 def _whole_run(sos, x, rows):
-    """The oracle of ``_segments``: ``_iir2`` section by section over the zero-padded record."""
+    """The oracle of ``_segments``: one ``_run`` from rest section by section over the zero-padded record."""
     y = np.zeros(rows)
     y[: len(x)] = x
     for section in sos:
-        y = _iir2(section[:3], section[3:], y)
+        y, _ = _run(section[:3], section[3:], y)
     return y
 
 
@@ -832,12 +837,12 @@ _FILTER_BITS = """
 import hashlib, sys
 import numpy as np
 {before}
-from shocksynth.signal_core import _iir2
+from shocksynth.signal_core import _run
 from shocksynth.srs import _sdof_coeffs
 {after}
 x = np.random.default_rng(12).normal(size=(5001, 41))
 b, a = _sdof_coeffs(100.0, 10.0, 1e-5)
-y = np.concatenate([_iir2(b, a, x).ravel(), _iir2(b, a, x[:, 7])])
+y = np.concatenate([_run(b, a, x)[0].ravel(), _run(b, a, x[:, 7])[0]])
 print(hashlib.sha256(y.tobytes()).hexdigest())
 """
 
@@ -854,7 +859,7 @@ def test_filter_bits_do_not_depend_on_import_order(cli_env):
         digests.append(r.stdout.strip())
     x = np.random.default_rng(12).normal(size=(5001, 41))
     b, a = _sdof_coeffs(100.0, 10.0, 1e-5)
-    here = np.concatenate([_iir2(b, a, x).ravel(), _iir2(b, a, x[:, 7])])
+    here = np.concatenate([_run(b, a, x)[0].ravel(), _run(b, a, x[:, 7])[0]])
     assert digests == [hashlib.sha256(here.tobytes()).hexdigest()] * 2
 
 

@@ -21,7 +21,7 @@ from shocksynth import (
     write_curve,
 )
 from shocksynth.filterbank import make_layout
-from shocksynth.signal_core import _MAX_ROWS, _SEGMENT_ROWS, _iir2, _write_table
+from shocksynth.signal_core import _MAX_ROWS, _SEGMENT_ROWS, _run, _write_table
 from shocksynth.srs import _ring_down_samples, _sdof_coeffs
 
 
@@ -201,7 +201,7 @@ def _whole_run_peaks(sig, freqs, q_srs):
     for fn in freqs:
         padded = np.zeros(len(sig) + int(_ring_down_samples(fn, q_srs, sig.sample_rate)))
         padded[: len(sig)] = sig.samples
-        peaks.append(np.max(np.abs(_iir2(*_sdof_coeffs(fn, q_srs, sig.dt), padded))))
+        peaks.append(np.max(np.abs(_run(*_sdof_coeffs(fn, q_srs, sig.dt), padded)[0])))
     return np.array(peaks)
 
 

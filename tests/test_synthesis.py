@@ -32,7 +32,7 @@ from shocksynth import (
     write_report,
 )
 from shocksynth import signal_core, synthesis
-from shocksynth.signal_core import _iir2
+from shocksynth.signal_core import _run
 from shocksynth.srs import _sdof_coeffs
 from shocksynth.synthesis import _BandResponseCache
 
@@ -42,8 +42,6 @@ def test_pso_config_validation():
         PsoConfig(swarm_size=5)
     with pytest.raises(ValueError):
         PsoConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        PsoConfig(stall_iters=0)
 
 
 _SPHERE_CENTER = np.array([1.3, -2.1, 0.4, 3.2, -0.7])
@@ -55,7 +53,7 @@ def _sphere(block):
 
 
 def test_pso_sphere_converges():
-    cfg = PsoConfig(swarm_size=24, max_iters=150, stall_iters=150, stall_tol=0.0, seed=3)
+    cfg = PsoConfig(swarm_size=24, max_iters=150, seed=3)
     pos, val, iters = pso_minimize(5, _sphere, _BOX, cfg)
     assert val < 1e-6
     assert np.linalg.norm(pos - _SPHERE_CENTER) < 1e-2
@@ -85,7 +83,7 @@ def test_pso_nonfinite_fitness_treated_as_worst():
         v[np.linalg.norm(block, axis=1) > 4.5] = np.nan
         return v
 
-    cfg = PsoConfig(swarm_size=24, max_iters=150, stall_iters=150, stall_tol=0.0, seed=3)
+    cfg = PsoConfig(swarm_size=24, max_iters=150, seed=3)
     _, val, _ = pso_minimize(5, holed, _BOX, cfg)
     assert np.isfinite(val) and val < 1e-6
 
@@ -180,7 +178,7 @@ def small_cache(small_problem):
 
 @pytest.fixture(scope="module")
 def eager(small_problem, small_cache):
-    """The cache's full layout as one uninterrupted ``_iir2`` per block computes it.
+    """The cache's full layout as one uninterrupted ``_run`` per block computes it.
 
     The cache itself commits only the chunks its peak search reads, so its
     ``matrix`` is no reference for the rows it never filled.
@@ -190,7 +188,7 @@ def eager(small_problem, small_cache):
     blocks = []
     for fn in grid:
         step = max(int(fs / (synthesis._CACHE_SAMPLES_PER_PERIOD * fn)), 1)
-        blocks.append(_iir2(*_sdof_coeffs(fn, 10.0, 1.0 / fs), basis.columns, step))
+        blocks.append(_run(*_sdof_coeffs(fn, 10.0, 1.0 / fs), basis.columns)[0][::step])
     np.testing.assert_array_equal(np.cumsum([0] + [len(b) for b in blocks[:-1]]), small_cache.starts)
     return np.asfortranarray(np.concatenate(blocks))
 
@@ -563,7 +561,7 @@ def test_cache_tracks_single_off_resonance_column(small_problem, small_cache):
     assert abs(fast[k] - slow[k]) / slow[k] < 2.5e-2
 
 
-_SMALL_CFG = PsoConfig(swarm_size=16, max_iters=60, stall_iters=30, seed=5)
+_SMALL_CFG = PsoConfig(swarm_size=16, max_iters=60, seed=5)
 
 
 @pytest.fixture(scope="module")
