@@ -175,10 +175,10 @@ def cmd_bank(fmin, fmax, ppo, fs, q, out):
 def cmd_synth(spec_csv, ref_csv, tolerance_db, seed, q_srs, ppo, swarm_size, max_iters,
               out_signal, out_report):
     """Synthesize a shock matching SPEC_CSV from the reference REF_CSV."""
+    cfg = PsoConfig(swarm_size=swarm_size, max_iters=max_iters, seed=seed)  # a negative seed, before any work
     spec = read_spec(spec_csv, tolerance_db)
     ref = read_signal(ref_csv)
     layout = make_layout(spec.freqs[0], spec.freqs[-1], ppo)
-    cfg = PsoConfig(swarm_size=swarm_size, max_iters=max_iters, seed=seed)
     result = synthesize(spec, ref, layout, cfg, q_srs)
     report = build_report(
         result.achieved,

@@ -113,6 +113,8 @@ class PsoConfig:
             raise ValueError(f"swarm_size must be >= 10, got {self.swarm_size}")
         if int(self.max_iters) < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if int(self.seed) < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "swarm_size", int(self.swarm_size))
         object.__setattr__(self, "max_iters", int(self.max_iters))
         object.__setattr__(self, "seed", int(self.seed))
@@ -173,9 +175,10 @@ def pso_minimize(dim, eval_batch, bounds, cfg: PsoConfig, initial_positions=None
     """Global-best PSO over a box, deterministic for a given seed.
 
     ``eval_batch`` maps an (n_particles, dim) position block to a vector of
-    objective values; non-finite values are treated as +inf.  Each particle
-    owns a counter-based RNG stream (Philox, jumped per particle), drawn in
-    fixed order, so trajectories are reproducible bit for bit.  Velocities
+    objective values; non-finite values are treated as +inf.  Particle i owns
+    the counter-based RNG stream ``Generator(Philox(seed).jumped(i))``, drawn
+    in fixed order, so trajectories are reproducible bit for bit.  The streams
+    are numpy's, drawn in lockstep blocks by ``_philox.PhiloxStreams``.  Velocities
     are clamped to 20% of the box width per dimension.  Returns
     (best position, best value, evaluation sweeps used).
     """
@@ -189,13 +192,12 @@ def pso_minimize(dim, eval_batch, bounds, cfg: PsoConfig, initial_positions=None
     if not np.all(np.isfinite(bounds)) or np.any(hi <= lo):
         raise ValueError("bounds must be finite with hi > lo")
 
-    n = cfg.swarm_size
-    base = np.random.Philox(cfg.seed)
-    streams = [np.random.Generator(base.jumped(i)) for i in range(n)]
+    # Imported here: a command that runs no swarm neither compiles nor holds it.
+    from ._philox import PhiloxStreams
 
-    pos = np.empty((n, dim))
-    for i, g in enumerate(streams):
-        pos[i] = lo + (hi - lo) * g.random(dim)
+    n = cfg.swarm_size
+    streams = PhiloxStreams(cfg.seed, n)
+    pos = lo + (hi - lo) * streams.random(dim)
     if initial_positions is not None:
         init = np.atleast_2d(np.asarray(initial_positions, dtype=float))
         if init.shape[1] != dim or init.shape[0] > n:
@@ -224,11 +226,8 @@ def pso_minimize(dim, eval_batch, bounds, cfg: PsoConfig, initial_positions=None
     iters = 1
 
     while iters < cfg.max_iters:
-        r1 = np.empty((n, dim))
-        r2 = np.empty((n, dim))
-        for i, g in enumerate(streams):
-            r1[i] = g.random(dim)
-            r2[i] = g.random(dim)
+        r = streams.random(2 * dim)  # each stream's r1, then its r2
+        r1, r2 = r[:, :dim], r[:, dim:]
         vel = (
             _INERTIA * vel
             + _COGNITIVE * r1 * (pbest_pos - pos)

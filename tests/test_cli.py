@@ -224,8 +224,8 @@ import json
 import sys
 from shocksynth import cli
 
-d = sys.argv[1]
-names = ("numpy.ma", "scipy", "scipy.linalg", "scipy.signal", "scipy.integrate", "gzip")
+# the work directory, the modules to look for (comma-separated), then the commands to run in turn
+d, names, commands = sys.argv[1], sys.argv[2].split(","), sys.argv[3:]
 
 
 def mapped():
@@ -237,24 +237,35 @@ def mapped():
     return sorted(p for p in paths if "_flapack" in p or "/scipy.libs/" in p)
 
 
-runs = [
-    ["demo-ref", "--fs", "50000", "--duration", "0.02", "--fmax", "5000", "--out", d + "/ref.csv"],
-    ["srs", d + "/ref.csv", "--fmin", "1000", "--fmax", "4000", "--out", d + "/srs.csv"],
-    ["filter", d + "/ref.csv", "--fc", "2000", "--out", d + "/f.csv"],
-    ["bank", "--fmin", "1000", "--fmax", "4000", "--out", d + "/bank.csv"],
-    ["synth", d + "/spec.csv", d + "/ref.csv", "--swarm-size", "10", "--max-iters", "3",
-     "--out-signal", d + "/s.csv", "--out-report", d + "/r.json"],
-    ["verify", d + "/s.csv", d + "/spec.csv", "--out-report", d + "/v.json"],
-]
+runs = {
+    "demo-ref": ["--fs", "50000", "--duration", "0.02", "--fmax", "5000", "--out", d + "/ref.csv"],
+    "srs": [d + "/ref.csv", "--fmin", "1000", "--fmax", "4000", "--out", d + "/srs.csv"],
+    "filter": [d + "/ref.csv", "--fc", "2000", "--out", d + "/f.csv"],
+    "bank": ["--fmin", "1000", "--fmax", "4000", "--out", d + "/bank.csv"],
+    "synth": [d + "/spec.csv", d + "/ref.csv", "--swarm-size", "10", "--max-iters", "3",
+              "--out-signal", d + "/s.csv", "--out-report", d + "/r.json"],
+    "verify": [d + "/s.csv", d + "/spec.csv", "--out-report", d + "/v.json"],
+}
 after = []
-for argv in runs:
+for command in commands:
     try:
-        code = cli.main(argv, standalone_mode=False)
+        code = cli.main([command] + runs[command], standalone_mode=False)
     except SystemExit as exc:
         code = exc.code
-    after.append([argv[0], code or 0, [m for m in names if m in sys.modules], mapped()])
+    after.append([command, code or 0, [m for m in names if m in sys.modules], mapped()])
 print(json.dumps(after))
 """
+
+
+def _run_commands(cli_env, workdir, names, commands):
+    """[command, exit code, which of ``names`` are in sys.modules, scipy LAPACK files mapped] after each command,
+    all run in turn in one fresh interpreter."""
+    r = subprocess.run([sys.executable, "-c", _RUN_EVERY_COMMAND, str(workdir), ",".join(names), *commands],
+                       capture_output=True, text=True, env=cli_env)
+    assert r.returncode == 0, r.stderr
+    after = json.loads(r.stdout.splitlines()[-1])
+    assert [command for command, *_ in after] == commands
+    return after
 
 
 def test_commands_leave_out_numpy_ma_and_scipy_packages(cli_env, tmp_path):
@@ -264,14 +275,21 @@ def test_commands_leave_out_numpy_ma_and_scipy_packages(cli_env, tmp_path):
     # On Linux no command maps scipy.linalg's _flapack, or scipy's OpenBLAS,
     # libgfortran and libquadmath (numpy's OpenBLAS brings numpy.libs' own).
     write_spec_csv(tmp_path / "spec.csv", [(1000.0, 500.0), (2000.0, 800.0), (4000.0, 600.0)])
-    r = subprocess.run(
-        [sys.executable, "-c", _RUN_EVERY_COMMAND, str(tmp_path)], capture_output=True, text=True, env=cli_env
-    )
-    assert r.returncode == 0, r.stderr
-    after = json.loads(r.stdout.splitlines()[-1])
-    assert [command for command, *_ in after] == ["demo-ref", "srs", "filter", "bank", "synth", "verify"]
-    for command, code, modules, files in after:
+    names = ["numpy.ma", "scipy", "scipy.linalg", "scipy.signal", "scipy.integrate", "gzip"]
+    commands = ["demo-ref", "srs", "filter", "bank", "synth", "verify"]
+    for command, code, modules, files in _run_commands(cli_env, tmp_path, names, commands):
         assert code in (0, 1) and modules == [] and files == [], (command, code, modules, files)
+
+
+def test_commands_leave_out_numpy_random_and_openssl(workdir, cli_env, tmp_path):
+    # numpy.random imports secrets, and through hmac OpenSSL's _hashlib; the swarm draws its
+    # Philox streams without it.  demo-ref is the one command that loads numpy.random (its
+    # default_rng), so its record is made beforehand, in another process.
+    for name in ("ref.csv", "spec.csv"):
+        (tmp_path / name).write_bytes((workdir / name).read_bytes())
+    commands = ["srs", "filter", "bank", "synth", "verify"]
+    for command, code, modules, _ in _run_commands(cli_env, tmp_path, ["numpy.random", "secrets", "_hashlib"], commands):
+        assert code in (0, 1) and modules == [], (command, code, modules)
 
 
 def test_srs_command_reads_byte_order_mark(workdir, run_cli, tmp_path):
@@ -368,7 +386,7 @@ def _synth_peak_mib(run_cli, cli_env, tmp_path, breakpoints, *demo_ref_args):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 def test_synth_peak_resident_size(run_cli, cli_env, tmp_path):
-    # the README plateau run peaks at about 69 MB: the response cache
+    # the README plateau run peaks at about 61 MB: the response cache
     # reserves 136 MB but commits only the pages of the seventh its peak
     # search reads, each chunk being one contiguous run of memory, and its
     # build keeps only each chunk's envelope and seed
@@ -699,6 +717,19 @@ def test_oversized_spec_is_refused_before_it_is_parsed(workdir, tmp_path, capsys
     assert err == ("error: reading big.csv would hold 2.15e+09 bytes, over the 1,073,741,824-byte limit; "
                    "list fewer breakpoints\n"), err
     assert [p.name for p in tmp_path.iterdir()] == ["big.csv"]
+
+
+def test_negative_seed_is_refused_before_any_work(workdir, tmp_path, capsys, monkeypatch):
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the seed was checked")
+
+    for name in ("read_spec", "read_signal", "synthesize"):
+        monkeypatch.setattr(importlib.import_module("shocksynth.cli"), name, work)
+    code, err = _run_in_process(["synth", workdir / "spec.csv", workdir / "ref.csv", "--seed", "-1",
+                                 "--out-signal", tmp_path / "s.csv", "--out-report", tmp_path / "r.json"], capsys)
+    assert code == 2
+    assert err == "error: seed must be >= 0, got -1\n", err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("lowest", [1.0, 2.0, 5.0])

@@ -42,6 +42,8 @@ def test_pso_config_validation():
         PsoConfig(swarm_size=5)
     with pytest.raises(ValueError):
         PsoConfig(max_iters=0)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        PsoConfig(seed=-1)
 
 
 _SPHERE_CENTER = np.array([1.3, -2.1, 0.4, 3.2, -0.7])
