@@ -49,6 +49,10 @@ _DT_REL_TOL = 1e-6
 # cache, where a whole padded record's would not.  A block of CSV text is two segments' cells.
 _SEGMENT_ROWS = 16_384
 
+# Bytes of a CSV file read at a time to count its lines before the parse,
+# and the longest line the parse accepts.
+_TEXT_BLOCK = 1 << 20
+
 # What one call may ask for, checked by ``_budget`` before any work: rows
 # filtered, which bound its time (1e9 take about 16 s on one core of a 2-core
 # x86-64 VM), and bytes of arrays held at once, which bound its memory.
@@ -244,6 +248,39 @@ def residual_motion(accel: Signal, tolerance: float = 1e-3) -> ResidualReport:
     return ResidualReport(rv, rd, tolerance, rv <= tolerance and rd <= tolerance)
 
 
+def _charge_csv(path: Path, advice: str) -> None:
+    """Charge ``_budget`` for parsing the CSV file at ``path``, and refuse a line longer than a block, before the parse.
+
+    The parse holds about 40 bytes a line at once (numpy's reader and the
+    checks after it), and about 6 bytes a byte of one long line.  The file's
+    size is charged first, at 2 bytes a byte; then one pass over its bytes,
+    ``_TEXT_BLOCK`` at a time into one buffer, counts the lines as universal
+    newlines break them (LF, CR or CRLF), and the larger of the two charges
+    is checked.  :class:`SignalFormatError` names the first line longer than
+    a block.
+    """
+    what, size = f"reading {path.name}", path.stat().st_size
+    _budget(what, nbytes=2 * size, advice=advice)
+    block = bytearray(_TEXT_BLOCK)
+    breaks, run, after_cr = 0, 0, False  # line breaks so far, bytes since the last, whether it was a CR
+    with path.open("rb") as fh:
+        while n := fh.readinto(block):
+            if n < len(block):
+                del block[n:]
+            lf, cr = block.find(b"\n"), block.find(b"\r")
+            first = n if lf < 0 and cr < 0 else min(i for i in (lf, cr) if i >= 0)
+            if run + first > _TEXT_BLOCK:
+                raise SignalFormatError(f"{path.name}: line {breaks + 1} is longer than {_TEXT_BLOCK:,} bytes")
+            breaks += block.count(b"\n") - (after_cr and lf == 0)  # the LF of a CRLF across blocks ends no line
+            last = block.rfind(b"\n")
+            if cr >= 0:  # CRs break lines too, less the LF of each CRLF
+                breaks += block.count(b"\r") - block.count(b"\r\n")
+                last = max(last, block.rfind(b"\r"))
+            run = run + n if last < 0 else n - 1 - last
+            after_cr = block[-1] == 13
+    _budget(what, nbytes=max(2 * size, 40 * (breaks + 1)), advice=advice)
+
+
 def _read_pairs(path: Path, header: str) -> np.ndarray:
     """Parse a two-column numeric CSV file into an (n, 2) float array.
 
@@ -327,12 +364,11 @@ def read_signal(path) -> Signal:
     1e-6 of the median step.  Raises :class:`SignalFormatError` on malformed
     rows, empty files, or non-uniform time steps; the message names the
     offending line number.  Raises ``ValueError`` before parsing when the
-    file is over ``_budget``.
+    file is over ``_budget``, and with :class:`SignalFormatError` on a line
+    longer than ``_TEXT_BLOCK`` bytes.
     """
     path = Path(path)
-    # The parse holds about 40 bytes a sample at once: 1.8 a byte of
-    # write_signal's 22-byte lines, 4.5 a byte of 9-byte lines such as "123456,0".
-    _budget(f"reading {path.name}", nbytes=2 * path.stat().st_size, advice="shorten or decimate the record")
+    _charge_csv(path, advice="shorten or decimate the record")
     pairs = _read_pairs(path, "time_s,accel_m_s2")
     if not len(pairs):
         raise SignalFormatError(f"{path.name}: no samples found")
@@ -343,12 +379,15 @@ def read_signal(path) -> Signal:
     dt = float(_median(steps))
     if dt <= 0.0:
         raise SignalFormatError(f"{path.name}: time column must be increasing")
-    bad = np.nonzero(np.abs(steps - dt) > _DT_REL_TOL * dt)[0]
+    np.abs(np.subtract(steps, dt, out=steps), out=steps)  # each step's jitter, in place
+    bad = np.nonzero(steps > _DT_REL_TOL * dt)[0]
+    del steps  # before Signal copies the samples: the parse peaks at the median, 32 bytes a sample
     if bad.size:
         # +2: diff index -> second row of the offending pair, 1-based with header.
+        i = int(bad[0])
         raise SignalFormatError(
-            f"{path.name}: non-uniform time step near line {int(bad[0]) + 3} "
-            f"(step {steps[bad[0]]:.6g} s vs median {dt:.6g} s)"
+            f"{path.name}: non-uniform time step near line {i + 3} "
+            f"(step {t_arr[i + 1] - t_arr[i]:.6g} s vs median {dt:.6g} s)"
         )
     return Signal(1.0 / dt, pairs[:, 1], t0=float(t_arr[0]))
 

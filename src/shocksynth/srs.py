@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .signal_core import (
-    TWO_PI, Signal, SignalFormatError, _budget, _frozen, _read_pairs, _ring_down_factor, _scalar, _segments,
+    TWO_PI, Signal, SignalFormatError, _budget, _charge_csv, _frozen, _read_pairs, _ring_down_factor, _scalar, _segments,
     _write_table,
 )
 
@@ -287,7 +287,7 @@ def read_spec(path, tolerance_db: float = 3.0) -> SrsSpec:
     # Before the file: the file's own faults are reported under its name.
     tolerance_db = _scalar("tolerance_db", tolerance_db, above=0.0)
     path = Path(path)
-    _budget(f"reading {path.name}", nbytes=2 * path.stat().st_size, advice="list fewer breakpoints")
+    _charge_csv(path, advice="list fewer breakpoints")
     rows = _read_pairs(path, "freq_hz,peak_accel_m_s2")
     if len(rows) < 2:
         raise SignalFormatError(f"{path.name}: need at least 2 breakpoints")

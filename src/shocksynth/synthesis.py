@@ -9,18 +9,21 @@ warm-started from the per-band diagonal estimate target(fc_i)/SRS(a_i)(fc_i).
 Inside the swarm loop the SRS is evaluated through a precomputed bank of
 SDOF-filtered basis responses: SRS(A @ x) at grid frequency f is the
 segment-wise peak of R_f @ x, where R_f holds the f-oscillator response of
-every basis column.  Filtering is linear, so the mix needs no refiltering;
-the cache is approximate only where it drops samples (the decimation, and
-the free decay past the basis's own ring-down), and all reported numbers
-are recomputed afterwards through the canonical full-rate path.
+every basis column.  Filtering is linear, so the mix needs no refiltering.
+The cache stores float32 and multiplies it by the batch in float32: it only
+steers the swarm, being approximate where it rounds and where it drops
+samples (the decimation, and the free decay past the basis's own
+ring-down), and all reported numbers are recomputed afterwards through the
+canonical float64 full-rate path.
 
-The peak search skips most of the cache exactly.  Each block is cut into
-fixed chunks of rows, and the cache keeps each chunk's per-column envelope
-env[c, j] = max |R[r, j]| over its rows r.  By the triangle inequality
-|R_r @ x| <= env[c] @ |x| for every row r of chunk c, so a chunk whose bound
-does not exceed a peak already found in its block cannot hold the block's
-maximum.  Every other chunk is multiplied out on its own, and its bound
-replaced by its exact peak, so the largest of a block's bounds is its peak.
+The peak search skips most of the cache exactly, for the stored rows.
+Each block is cut into fixed chunks of rows, and the cache keeps each
+chunk's per-column envelope env[c, j] = max |R[r, j]| over its rows r.
+By the triangle inequality |R_r @ x| <= env[c] @ |x| for every row r of
+chunk c, up to a float32 rounding slack, so a chunk whose bound does not
+exceed a peak already found in its block cannot hold the block's maximum.
+Every other chunk is multiplied out on its own, and its bound replaced by
+its exact peak, so the largest of a block's bounds is its peak.
 
 The swarm's batches change little from one to the next, so the cache also
 keeps the last batch x_prev and each chunk's peak for it, and bounds a
@@ -78,11 +81,19 @@ _CACHE_SAMPLES_PER_PERIOD = 20.0
 # the launcher spec, each still a gemm of useful size when it is not skipped.
 _CHUNK_ROWS = 512
 
-# Relative slack on a chunk's envelope bound.  Rounding moves the bound and
-# each row's product by at most about n_columns * 2**-53 times the bound
-# (under 1e-13 for a few hundred columns), so a chunk whose bound times
-# 1 + slack does not exceed the running peak holds no larger computed value.
-_BOUND_SLACK = 1e-9
+# float32's unit roundoff.  A stored chunk row R_r (float32, |R_r| <= env
+# column by column) times x32, the coefficient row x rounded to float32,
+# |x32 - x| <= u |x|, is summed in m float32 multiply-adds, which round it
+# by at most gamma_m |R_r| @ |x32|, gamma_m = m u / (1 - m u), in any order
+# and with or without FMA (Higham, "Accuracy and Stability of Numerical
+# Algorithms", 2nd ed., 3.1).  As (1 + gamma_m)(1 + u) <= 1 + gamma_{m+1},
+# the computed |R_r x32| is at most (1 + gamma_{m+1}) env @ |x|.  The bounds
+# take gamma_{m+2}: the extra u covers the float64 products and sums that
+# form them, each within (m + 3) 2**-53 relative.  Below float32's normal
+# range a cast or a product is off by up to 2**-150 (half the smallest
+# subnormal) instead, so each bound also adds m (1 + max env) 2**-148: m
+# products and m casts, for each of the two batches a carried bound spans.
+_U32 = 2.0**-24
 
 # The swarm's inertia, its pulls to each particle's best and the swarm's, and its
 # box, +-_BOUNDS_SCALE times the warm start: invented knobs, fixed for determinism.
@@ -268,22 +279,22 @@ class _BandResponseCache:
     Row block k (rows ``starts[k]`` up to the next start) holds the
     q_srs-oscillator response at grid frequency k to each basis column over
     the basis rows, decimated to the ``_CACHE_SAMPLES_PER_PERIOD`` step;
-    SRS(A @ x) on the grid is then the per-block peak of |R_k @ x|.  Stored
-    float64 (on OpenBLAS the skinny (particles x columns) products run
-    faster in dgemm than in sgemm) in one C-order ``matrix``, where each
-    chunk (below) is one contiguous run of rows.  That run holds the chunk's columns one after another, so read
-    a chunk through ``_chunk``, not as rows of ``matrix``: it is the
-    C-contiguous (columns, rows) operand that dgemm takes without a copy
-    and packs as it packs the transpose of a Fortran-order block, so every
-    product keeps that layout's bits.  The same rows stored row after row
-    and multiplied as a transpose round differently.
+    SRS(A @ x) on the grid is then the per-block peak of |R_k @ x|.  Rows are
+    filtered in float64 by ``_rows`` and stored float32, rounded once, in one
+    C-order ``matrix``, and a batch is cast to float32 for the products:
+    half dgemm's bytes and time.  Each chunk (below) is one contiguous run
+    of rows that holds the chunk's columns one after another, so read it
+    through ``_chunk``: the C-contiguous (columns, rows) operand that sgemm
+    takes without a copy.  A product's bits depend on its operands' shapes.
 
     Each block is split into ``_CHUNK_ROWS``-row chunks, and ``_env`` holds
-    every chunk's column-wise peak magnitude.  ``_env @ |x|`` then bounds
-    |R_r @ x| over each chunk's rows, and ``srs_values`` multiplies out, one
-    at a time, only the chunks whose bound, with a rounding slack, beats the
-    peak of the best-bounded chunk of their block, writing their exact peaks
-    over their bounds; the per-block max of the bounds is the full scan's.
+    every chunk's column-wise peak stored magnitude (in float64).
+    ``_env @ |x|`` then bounds |R_r @ x| over each chunk's rows, and
+    ``srs_values`` multiplies out, one at a time, only the chunks whose
+    bound, with ``_U32``'s rounding slack, beats the peak of the
+    best-bounded chunk of their block, writing their exact peaks over their
+    bounds; the per-block max of the bounds is the full scan's, for
+    coefficients within float32's range.
     ``_carry`` keeps the last batch, every chunk's peak for it (or the
     bound, where skipped) and its ``_env @ |x|``, which bound the next batch
     of its shape more tightly; the first batch of a new shape uses the
@@ -301,7 +312,7 @@ class _BandResponseCache:
         n, m = basis.columns.shape
         steps, rows = _cache_rows(n, grid, fs)
         edges = np.concatenate([[0], np.cumsum(rows)]).astype(np.intp)
-        n_bytes = int(edges[-1]) * m * 8
+        n_bytes = int(edges[-1]) * m * 4
         # Chunks of _CHUNK_ROWS rows; a block's last chunk takes any one-row
         # remainder, since numpy sends a one-row operand to gemv, which
         # rounds differently from the gemm of the full block.
@@ -324,10 +335,16 @@ class _BandResponseCache:
             raise ValueError(f"could not reserve {n_bytes:,} bytes for the response cache: {exc}") from None
         if hasattr(mmap, "MADV_NOHUGEPAGE"):
             buf.madvise(mmap.MADV_NOHUGEPAGE)
-        self.matrix = np.ndarray((edges[-1], m), buffer=buf)
+        self.matrix = np.ndarray((edges[-1], m), dtype=np.float32, buffer=buf)
         self._columns = basis.columns
         for c in range(self._env.shape[0]):  # each chunk seeds the next
             np.abs(self._rows(c)).max(axis=0, out=self._env[c])
+        # Rounding is monotone and odd, so the largest stored magnitude is the
+        # float64 envelope rounded once: what an identity batch reads back.
+        self._env[...] = self._env.astype(np.float32)
+        # The bounds' rounding slack and absolute term, as _U32's comment derives them
+        self._slack = (m + 2) * _U32 / (1.0 - (m + 2) * _U32)
+        self._tiny = m * (1.0 + float(self._env.max())) * 2.0**-148
 
     def _rows(self, c):
         """Chunk c's rows, filtered from its seed (a block's first from rest) a piece at a time.
@@ -357,7 +374,7 @@ class _BandResponseCache:
         return self.matrix[self._chunk_edges[c] : self._chunk_edges[c + 1]].reshape(self.matrix.shape[1], -1)
 
     def _store(self, c, rows):
-        self._chunk(c)[...] = rows.T
+        self._chunk(c)[...] = rows.T  # rounded to float32
         self._filled[c] = True
 
     def srs_values(self, coeff_block: np.ndarray) -> np.ndarray:
@@ -365,10 +382,10 @@ class _BandResponseCache:
 
         Equal to the per-block peak of |matrix @ x| over every row, but only
         the chunks whose bound can still beat a peak already found are
-        multiplied out.  Every particle's values are bit-identical whatever
-        batch it comes in: a lone particle is evaluated as a two-row block,
-        because numpy sends a one-row product to gemv, which rounds
-        differently from gemm.
+        multiplied out.  Each product is float32: the stored chunk times
+        the batch rounded to float32.  A lone particle is evaluated as a
+        two-row block, because numpy sends a one-row product to gemv, which
+        rounds differently from gemm.
 
         A batch of the previous batch's shape is bounded through that batch
         as well: |R_r x| <= |R_r x_prev| + |R_r| |x - x_prev| for every row
@@ -379,17 +396,19 @@ class _BandResponseCache:
         n_particles = x.shape[0]
         if n_particles == 1:
             x = np.vstack([x, x])
+        x32 = x.astype(np.float32)
         reach = self._env @ np.abs(x).T
-        bound = reach * (1.0 + _BOUND_SLACK)
+        bound = reach * (1.0 + self._slack) + self._tiny
         if self._carry is not None and self._carry[0].shape == x.shape:
-            # Each carried peak P is within n_columns * 2**-53 of
-            # env @ |x_prev| of the exact one, or is a bound that already
-            # holds its own slack; the difference term and this product
-            # round by as little relative to env @ (|x| + |x_prev|), which
-            # the slack covers as it covers the plain bound.  fmin takes
-            # the plain bound where a NaN in x_prev made the carried one NaN.
+            # Each carried peak P is a computed peak for x_prev, within
+            # slack * env @ |x_prev| of the exact one, or a bound on it.  The
+            # row values for x differ from those for x_prev by at most
+            # env @ |x - x_prev| exactly, plus the rounding of both batches'
+            # casts and products, which the slack bounds relative to
+            # env @ (|x| + |x_prev|).  fmin takes the plain bound where a
+            # NaN in x_prev made the carried one NaN.
             x_prev, peaks_prev, reach_prev = self._carry
-            carried = peaks_prev + self._env @ np.abs(x - x_prev).T + _BOUND_SLACK * (reach + reach_prev)
+            carried = peaks_prev + self._env @ np.abs(x - x_prev).T + (self._slack * (reach + reach_prev) + self._tiny)
             np.fmin(bound, carried, out=bound)
         # Pass 1: each block's chunk with the largest bound is multiplied out,
         # and its exact peak is the block's running peak.  Multiplying a chunk
@@ -399,13 +418,13 @@ class _BandResponseCache:
         pairs = zip(self._block_chunks[:-1], self._block_chunks[1:])
         lead = np.array([c0 + np.argmax(score[c0:c1]) for c0, c1 in pairs])
         for c in lead:
-            self._peak(x, c, bound)
+            self._peak(x32, c, bound)
         # Pass 2: every other chunk whose bound beats its block's lead peak
         # for some particle.  A NaN coefficient makes the lead peak NaN, and
         # NaN compares False against every bound, so its chunks stay skipped.
         live = np.any(bound > bound[lead][self._chunk_block], axis=1)
         for c in np.flatnonzero(live):
-            self._peak(x, c, bound)
+            self._peak(x32, c, bound)
         self._carry = (x, bound, reach)
         # Each chunk holds its exact peaks, or a bound no larger than its lead
         # peak for every particle, so each block's max is its peak (or NaN).
@@ -435,7 +454,7 @@ def _diag_refine(cache, warm, s_target, center_idx):
 
 def _optimize_bytes(n: int, m: int, grid, fs: float) -> int:
     """Bytes ``_optimize`` reserves for its response cache over n basis rows of m columns."""
-    return 8 * m * sum(_cache_rows(n, grid, fs)[1])
+    return 4 * m * sum(_cache_rows(n, grid, fs)[1])
 
 
 def _optimize(basis: BasisMatrix, target: SrsCurve, center_idx, cfg: PsoConfig, q_srs: float):
@@ -446,17 +465,22 @@ def _optimize(basis: BasisMatrix, target: SrsCurve, center_idx, cfg: PsoConfig, 
     seeded at that estimate and at ``_diag_refine``'s polish of it (the bases being sign-symmetric
     oscillations, coefficients may go negative).
     """
+    # The search runs on the target over the power of two at its peak, which keeps the cache's float32
+    # products near 1 for any spec, and its result is scaled back.  Both scalings are exact, so a
+    # target scaled by a power of two gives the same search and the scaled coefficients.
+    exp = int(np.frexp(np.max(target.values))[1])
+    values = np.ldexp(target.values, -exp)  # peaks in [0.5, 1)
     cache = _BandResponseCache(basis, target.freqs, q_srs)
     # Each column's SRS at its own center, its largest chunk envelope there: srs_values(np.eye(m))'s bits.
     m = basis.n_columns
     diag = np.maximum.reduceat(cache._env, cache._block_chunks[:-1])[center_idx, np.arange(m)]
     if np.any(diag <= 0.0):
         raise ValueError("basis column with zero SRS at its own center")
-    s_target = target.values[center_idx]
+    s_target = values[center_idx]
     warm = s_target / diag
     bounds = np.column_stack([-_BOUNDS_SCALE * warm, _BOUNDS_SCALE * warm])
-    floor = _SRS_FLOOR_REL * float(np.max(target.values))
-    log_target = np.log10(target.values)[:, None]
+    floor = _SRS_FLOOR_REL * float(np.max(values))
+    log_target = np.log10(values)[:, None]
 
     def eval_batch(block):
         vals = np.maximum(cache.srs_values(block), floor)
@@ -464,7 +488,7 @@ def _optimize(basis: BasisMatrix, target: SrsCurve, center_idx, cfg: PsoConfig, 
 
     seeds = np.vstack([warm, _diag_refine(cache, warm, s_target, center_idx)])
     x_best, _, iters = pso_minimize(m, eval_batch, bounds, cfg, seeds)
-    return x_best, iters
+    return np.ldexp(x_best, exp), iters
 
 
 def synthesize(

@@ -324,15 +324,15 @@ def test_malformed_csv_exits_2(workdir, run_cli, tmp_path):
 
 
 def test_synth_over_cache_budget_exits_2(workdir, run_cli, tmp_path):
-    # a 5 Hz lowest frequency would need a ~1.4 GB response cache
+    # a 3 Hz lowest frequency would need a ~1.3 GB response cache
     spec = tmp_path / "low.csv"
-    write_spec_csv(spec, [(5.0, 10.0), (2000.0, 800.0), (4000.0, 600.0)])
+    write_spec_csv(spec, [(3.0, 10.0), (2000.0, 800.0), (4000.0, 600.0)])
     out = tmp_path / "s.csv"
     r = run_cli(
         "synth", spec, workdir / "ref.csv", "--out-signal", out, "--out-report", tmp_path / "r.json",
     )
     assert r.returncode == 2
-    assert r.stderr.endswith("-byte limit; raise the lowest center (5 Hz) or lower ppo (6)\n")
+    assert r.stderr.endswith("-byte limit; raise the lowest center (3 Hz) or lower ppo (6)\n")
     assert not out.exists()
 
 
@@ -386,10 +386,10 @@ def _synth_peak_mib(run_cli, cli_env, tmp_path, breakpoints, *demo_ref_args):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 def test_synth_peak_resident_size(run_cli, cli_env, tmp_path):
-    # the README plateau run peaks at about 61 MB: the response cache
-    # reserves 136 MB but commits only the pages of the seventh its peak
-    # search reads, each chunk being one contiguous run of memory, and its
-    # build keeps only each chunk's envelope and seed
+    # the README plateau run peaks at about 51 MiB: the response cache
+    # reserves 68 MB of float32 but commits only the pages of the seventh
+    # its peak search reads, each chunk being one contiguous run of memory,
+    # and its build keeps only each chunk's envelope and seed
     plateau = [(100.0, 300.0), (1800.0, 10_000.0), (10_000.0, 10_000.0)]
     code, peak_mib, stderr = _synth_peak_mib(run_cli, cli_env, tmp_path, plateau)
     assert code == 0, stderr
@@ -399,15 +399,16 @@ def test_synth_peak_resident_size(run_cli, cli_env, tmp_path):
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 def test_synth_on_a_field_length_reference_peak_resident_size(run_cli, cli_env, tmp_path):
     # the launcher spec on a 0.2 s, 20,001-sample reference.  It peaked at
-    # 177 MB (on a 2-core x86-64 VM) while the cache's build solved each
+    # 177 MiB (on a 2-core x86-64 VM) while the cache's build solved each
     # block whole, stored each column's peak chunk and the warm start read
     # those back through an identity batch; building it one seeded chunk at
-    # a time and reading the warm start off the envelopes, 123 MB
+    # a time and reading the warm start off the envelopes, 123 MiB; 115 MiB
+    # with the last float64 cache, and 82 MiB with the float32 one
     launcher = [(100.0, 200.0), (250.0, 1500.0), (500.0, 900.0), (1000.0, 4000.0),
                 (2000.0, 2500.0), (3000.0, 8000.0), (6000.0, 6000.0), (10_000.0, 9000.0)]
     code, peak_mib, stderr = _synth_peak_mib(run_cli, cli_env, tmp_path, launcher, "--duration", 0.2)
     assert code == 0, stderr
-    assert peak_mib < 150.0
+    assert peak_mib < 100.0
 
 
 # What ``read_signal`` holds at once, about 40 bytes a sample: the parsed

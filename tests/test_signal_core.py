@@ -405,6 +405,44 @@ def test_per_line_pass_holds_a_flat_buffer_not_the_text(tmp_path, monkeypatch):
     assert peak <= 48 * len(pairs), peak / len(pairs)
 
 
+def test_short_lines_are_read_within_their_charge(tmp_path, monkeypatch):
+    # 1,000,001 lines "i,0" of 8.9 bytes: 2 bytes a file byte undercounts
+    # what the parse holds a line, the 40 bytes a line it is charged do not
+    path = tmp_path / "short.csv"
+    path.write_text("".join(f"{i},0\n" for i in range(1_000_001)), encoding="utf-8")
+    asked = []
+    monkeypatch.setattr(signal_core, "_budget", lambda what, rows=0, nbytes=0, advice="": asked.append(nbytes))
+    tracemalloc.start()
+    try:
+        sig = read_signal(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sig) == 1_000_001 and sig.sample_rate == 1.0
+    assert asked[-1] == 40 * 1_000_002
+    assert peak <= asked[-1], (peak, asked)
+
+
+@pytest.mark.parametrize(
+    "head, lineno",
+    [(b"", 1), (b"time_s,accel_m_s2\r\n0,1\r\n", 3), (b"0,1\r" + b"1" * 900_000 + b"\n", 3)],
+    ids=["alone", "after-crlf-lines", "after-a-line-across-a-block"],
+)
+def test_a_line_longer_than_a_block_is_refused_before_the_parse(tmp_path, head, lineno):
+    # numpy's reader would hold about 6 bytes a byte of the line; the line
+    # count reads the file a block at a time, into one buffer
+    path = tmp_path / "one.csv"
+    path.write_bytes(head + b"1" * 5_000_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SignalFormatError, match=rf"^one\.csv: line {lineno} is longer than 1,048,576 bytes$"):
+            read_signal(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * signal_core._TEXT_BLOCK, peak
+
+
 def test_median_is_numpys_bit_for_bit():
     rng = np.random.default_rng(21)
     for n in (1, 2, 3, 4, 7, 10, 101, 1000):

@@ -180,7 +180,7 @@ def small_cache(small_problem):
 
 @pytest.fixture(scope="module")
 def eager(small_problem, small_cache):
-    """The cache's full layout as one uninterrupted ``_run`` per block computes it.
+    """The cache's full layout as one uninterrupted ``_run`` per block computes it, rounded to float32 as stored.
 
     The cache itself commits only the chunks its peak search reads, so its
     ``matrix`` is no reference for the rows it never filled.
@@ -192,15 +192,17 @@ def eager(small_problem, small_cache):
         step = max(int(fs / (synthesis._CACHE_SAMPLES_PER_PERIOD * fn)), 1)
         blocks.append(_run(*_sdof_coeffs(fn, 10.0, 1.0 / fs), basis.columns)[0][::step])
     np.testing.assert_array_equal(np.cumsum([0] + [len(b) for b in blocks[:-1]]), small_cache.starts)
-    return np.asfortranarray(np.concatenate(blocks))
+    return np.concatenate(blocks).astype(np.float32)
 
 
 def test_cache_matches_unfused_peak(small_problem, small_cache, eager):
-    # the per-block peak equals the segmented max of the whole product
+    # the per-block peak is the segmented max of the whole product, rounded
+    # in float32 by no more than the bound the search itself derives
     basis, cache = small_problem[3], small_cache
     block = np.random.default_rng(9).normal(size=(32, basis.n_columns)) * 50.0
     unfused = np.maximum.reduceat(np.abs(eager @ block.T), cache.starts, axis=0)
-    np.testing.assert_allclose(cache.srs_values(block), unfused, rtol=1e-12, atol=0.0)
+    reach = np.maximum.reduceat(np.abs(eager) @ np.abs(block).T, cache.starts, axis=0)
+    assert np.all(np.abs(cache.srs_values(block) - unfused) <= cache._slack * reach + cache._tiny)
 
 
 def test_cache_batch_slices_exact(small_problem, small_cache):
@@ -216,20 +218,33 @@ def test_cache_batch_slices_exact(small_problem, small_cache):
         np.testing.assert_array_equal(diag[:, j], cache.srs_values(eye[j : j + 1])[:, 0])
 
 
+def _chunk_products(matrix, cache, block):
+    """|x @ R.T| over each of the cache's chunks of ``matrix``'s rows, multiplied as the cache does.
+
+    A float32 product's bits depend on its operands' shapes, so each chunk
+    is its own C-contiguous (columns, rows) operand, and a lone particle is
+    two rows.
+    """
+    x = (np.vstack([block, block]) if len(block) == 1 else block).astype(np.float32)
+    edges = cache._chunk_edges
+    return [np.abs(x @ np.ascontiguousarray(matrix[s:e].T)) for s, e in zip(edges[:-1], edges[1:])]
+
+
 def _full_scan(matrix, cache, block):
-    return np.maximum.reduceat(np.abs(matrix @ block.T), cache.starts, axis=0)
+    """Every row multiplied out, and the segmented max over each block's rows, in float64 as the cache returns it."""
+    rows = np.concatenate(_chunk_products(matrix, cache, block), axis=1)
+    return np.maximum.reduceat(rows, cache.starts, axis=1).T[:, : len(block)].astype(float)
 
 
 def _block_peaks(matrix, cache, block):
-    """Unpruned reference: every row of every block multiplied out."""
-    x = np.vstack([block, block]) if len(block) == 1 else block
-    edges = np.append(cache.starts, matrix.shape[0])
-    peaks = [np.abs(x @ matrix[s:e].T).max(axis=1) for s, e in zip(edges[:-1], edges[1:])]
-    return np.array(peaks)[:, : len(block)]
+    """Unpruned reference: every chunk of every block multiplied out, its peak, then the block's."""
+    peaks = np.array([y.max(axis=1) for y in _chunk_products(matrix, cache, block)], dtype=float)
+    return np.maximum.reduceat(peaks, cache._block_chunks[:-1], axis=0)[:, : len(block)]
 
 
 def _bits(values):
-    return np.ascontiguousarray(values).view(np.int64)
+    values = np.ascontiguousarray(values)
+    return values.view(f"i{values.itemsize}")
 
 
 def test_envelope_peaks_are_the_identity_batch(small_problem, small_cache):
@@ -298,7 +313,7 @@ def test_filled_chunk_commits_only_its_own_pages(small_problem, small_cache):
     cache = _BandResponseCache(small_problem[3], small_cache.grid, 10.0)
     cache.srs_values(np.random.default_rng(13).normal(size=(32, small_problem[3].n_columns)) * 50.0)
     page, m = mmap.PAGESIZE, cache.matrix.shape[1]
-    chunk_bytes = np.diff(cache._chunk_edges)[cache._filled] * m * 8
+    chunk_bytes = np.diff(cache._chunk_edges)[cache._filled] * m * cache.matrix.itemsize
     allowed = page * int(np.sum(-(-chunk_bytes // page) + 1))
     assert _resident_bytes(cache.matrix.ctypes.data) <= allowed
 
@@ -370,8 +385,8 @@ def test_carried_bound_matches_full_scan_property(small_problem, small_cache, fi
             np.testing.assert_array_equal(_bits(vals), _bits(_block_peaks(eager, cache, block)))
             # what the next batch is bounded through: each chunk's peak or more
             x, peaks = cache._carry[:2]
-            exact = np.maximum.reduceat(np.abs(x @ eager.T), cache._chunk_edges[:-1], axis=1)
-            assert np.all(peaks >= exact.T)
+            exact = np.array([y.max(axis=1) for y in _chunk_products(eager, cache, x)])
+            assert np.all(peaks >= exact)
 
 
 @pytest.mark.parametrize("cache_name", ["small_cache", "fine_cache"])
@@ -502,7 +517,7 @@ def test_synthesis_budget_terms_bound_what_they_count():
     finally:
         tracemalloc.stop()
     (n, m), grid = basis.columns.shape, verification_grid(spec, layout)
-    cache_term = 8 * m * sum(synthesis._cache_rows(n, grid, ref.sample_rate)[1])
+    cache_term = 4 * m * sum(synthesis._cache_rows(n, grid, ref.sample_rate)[1])
     assert cache_term == _BandResponseCache(basis, grid, 10.0).matrix.nbytes
     assert peak <= nbytes - cache_term, (peak, nbytes - cache_term)
 
@@ -539,14 +554,16 @@ def test_cache_tracks_canonical_srs_property(small_problem, small_cache, data):
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(data=st.data())
 def test_cache_never_over_reads_property(small_problem, small_cache, data):
-    # the cache keeps a subset of the canonical response samples
-    basis = small_problem[3]
+    # the cache keeps a subset of the canonical response samples, rounded
+    # in float32 by no more than the bound the search itself derives
+    basis, cache = small_problem[3], small_cache
     n = basis.n_columns
     unit = st.floats(-1.0, 1.0, allow_subnormal=False)
     x = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
     assume(np.max(np.abs(x)) > 0.1)
-    fast, slow = _cache_and_canonical(small_cache, basis, 50.0 * x)
-    assert np.all(fast <= slow * (1.0 + 1e-9))
+    fast, slow = _cache_and_canonical(cache, basis, 50.0 * x)
+    reach = np.maximum.reduceat(cache._env @ np.abs(50.0 * x), cache._block_chunks[:-1])
+    assert np.all(fast <= slow + cache._slack * reach + cache._tiny)
 
 
 @pytest.mark.xfail(
@@ -603,6 +620,29 @@ def test_verify_agrees_with_synthesize(small_problem, small_result):
     db_rep, res_rep = verify(small_result.synthesized, spec, ppo=3)
     assert db_rep.max_abs_db == small_result.srs_report.max_abs_db
     assert res_rep.passed
+
+
+@pytest.mark.parametrize("k", [150, -150])
+def test_spec_scaled_by_a_power_of_two_synthesizes_the_scaled_signal(small_problem, small_result, monkeypatch, k):
+    # the search runs on the target over the power of two at its peak, so a
+    # spec 2**150 times larger or smaller, past float32's range either way,
+    # gives the same search and exactly the scaled signal.  The log-log
+    # interpolation rounds the scaled target differently, so the run gets
+    # the unscaled target times 2**k, which it is to within that rounding
+    ref, layout, spec, _ = small_problem
+    scaled_spec = SrsSpec(np.column_stack([spec.freqs, np.ldexp(spec.peaks, k)]))
+    scaled = SrsCurve(small_result.target.freqs, np.ldexp(small_result.target.values, k))
+    target_curve = synthesis._target_curve
+
+    def exactly_scaled(s, lay):
+        np.testing.assert_allclose(target_curve(s, lay).values, scaled.values, rtol=1e-14, atol=0.0)
+        return scaled
+
+    monkeypatch.setattr(synthesis, "_target_curve", exactly_scaled)
+    res = synthesize(scaled_spec, ref, layout, _SMALL_CFG)
+    assert res.synthesized.samples.tobytes() == np.ldexp(small_result.synthesized.samples, k).tobytes()
+    assert res.srs_report.max_abs_db == small_result.srs_report.max_abs_db
+    assert res.srs_report.passed and res.residuals.passed
 
 
 def test_report_structure(small_result, tmp_path):
