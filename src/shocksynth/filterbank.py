@@ -179,6 +179,8 @@ def build_basis(reference: Signal, layout: BankLayout) -> BasisMatrix:
                 )
             cols[:, i] = out.samples / peak
             norms[i] = peak
+    cols.setflags(write=False)  # frozen in place, so BasisMatrix holds it without a copy
+    norms.setflags(write=False)
     return BasisMatrix(layout, fs, cols, norms)
 
 

@@ -65,7 +65,13 @@ class SignalFormatError(ValueError):
 
 
 def _frozen(values) -> np.ndarray:
-    """A read-only float64 copy of ``values``: the arrays of every value type."""
+    """A read-only float64 array of ``values``: the arrays of every value type.
+
+    A read-only float64 ndarray that owns its data is frozen already, and is
+    returned as it is; anything else is copied.
+    """
+    if type(values) is np.ndarray and values.dtype == np.float64 and values.flags.owndata and not values.flags.writeable:
+        return values
     out = np.array(values, dtype=float)
     out.setflags(write=False)
     return out

@@ -14,7 +14,9 @@ The cache stores float32 and multiplies it by the batch in float32: it only
 steers the swarm, being approximate where it rounds and where it drops
 samples (the decimation, and the free decay past the basis's own
 ring-down), and all reported numbers are recomputed afterwards through the
-canonical float64 full-rate path.
+canonical float64 full-rate path.  The search reads a float32 copy of the
+basis, and no float64 basis is held while it runs: ``build_basis`` is
+deterministic, so ``synthesize`` builds the basis again for the mix A @ x.
 
 The peak search skips most of the cache exactly, for the stored rows.
 Each block is cut into fixed chunks of rows, and the cache keeps each
@@ -42,6 +44,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import mmap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -277,15 +280,16 @@ class _BandResponseCache:
     """Per-frequency SDOF responses of every basis column, stacked.
 
     Row block k (rows ``starts[k]`` up to the next start) holds the
-    q_srs-oscillator response at grid frequency k to each basis column over
-    the basis rows, decimated to the ``_CACHE_SAMPLES_PER_PERIOD`` step;
+    q_srs-oscillator response at grid frequency k to each of the ``columns``
+    (the basis, which ``synthesize`` hands over rounded to float32) over
+    their rows, decimated to the ``_CACHE_SAMPLES_PER_PERIOD`` step;
     SRS(A @ x) on the grid is then the per-block peak of |R_k @ x|.  Rows are
     filtered in float64 by ``_rows`` and stored float32, rounded once, in one
     C-order ``matrix``, and a batch is cast to float32 for the products:
     half dgemm's bytes and time.  Each chunk (below) is one contiguous run
-    of rows that holds the chunk's columns one after another, so read it
-    through ``_chunk``: the C-contiguous (columns, rows) operand that sgemm
-    takes without a copy.  A product's bits depend on its operands' shapes.
+    of rows that holds the chunk's columns one after another; ``_views``
+    holds each as the C-contiguous (columns, rows) operand that sgemm takes
+    without a copy.  A product's bits depend on its operands' shapes.
 
     Each block is split into ``_CHUNK_ROWS``-row chunks, and ``_env`` holds
     every chunk's column-wise peak stored magnitude (in float64).
@@ -303,13 +307,12 @@ class _BandResponseCache:
     ``matrix`` reserves every row, but commits a chunk's pages only once it
     is written, sharing at most one page with each neighbour.  The build
     keeps only each chunk's envelope and seed (the filter's state before its
-    first raw row), and ``_peak`` fills a chunk from its seed the first time
+    first raw row), and ``_peaks`` fills a chunk from its seed the first time
     the search multiplies it out.
     """
 
-    def __init__(self, basis: BasisMatrix, grid: np.ndarray, q_srs: float):
-        fs = basis.sample_rate
-        n, m = basis.columns.shape
+    def __init__(self, columns: np.ndarray, fs: float, grid: np.ndarray, q_srs: float):
+        n, m = columns.shape
         steps, rows = _cache_rows(n, grid, fs)
         edges = np.concatenate([[0], np.cumsum(rows)]).astype(np.intp)
         n_bytes = int(edges[-1]) * m * 4
@@ -336,12 +339,15 @@ class _BandResponseCache:
         if hasattr(mmap, "MADV_NOHUGEPAGE"):
             buf.madvise(mmap.MADV_NOHUGEPAGE)
         self.matrix = np.ndarray((edges[-1], m), dtype=np.float32, buffer=buf)
-        self._columns = basis.columns
+        self._views = [self.matrix[s:e].reshape(m, -1) for s, e in zip(self._chunk_edges[:-1], self._chunk_edges[1:])]
+        self._columns = columns
         for c in range(self._env.shape[0]):  # each chunk seeds the next
-            np.abs(self._rows(c)).max(axis=0, out=self._env[c])
+            rows = self._rows(c)
+            np.maximum(rows.max(axis=0), -rows.min(axis=0), out=self._env[c])
         # Rounding is monotone and odd, so the largest stored magnitude is the
         # float64 envelope rounded once: what an identity batch reads back.
-        self._env[...] = self._env.astype(np.float32)
+        # The abs clears the sign that max(max, -min) leaves on a zero column.
+        self._env[...] = np.abs(self._env.astype(np.float32))
         # The bounds' rounding slack and absolute term, as _U32's comment derives them
         self._slack = (m + 2) * _U32 / (1.0 - (m + 2) * _U32)
         self._tiny = m * (1.0 + float(self._env.max())) * 2.0**-148
@@ -369,12 +375,8 @@ class _BandResponseCache:
             self._seeds[c + 1] = seed
         return y
 
-    def _chunk(self, c):
-        """Chunk c's (columns, rows) block: its run of ``matrix`` rows, one column after another."""
-        return self.matrix[self._chunk_edges[c] : self._chunk_edges[c + 1]].reshape(self.matrix.shape[1], -1)
-
     def _store(self, c, rows):
-        self._chunk(c)[...] = rows.T  # rounded to float32
+        self._views[c][...] = rows.T  # rounded to float32
         self._filled[c] = True
 
     def srs_values(self, coeff_block: np.ndarray) -> np.ndarray:
@@ -398,7 +400,8 @@ class _BandResponseCache:
             x = np.vstack([x, x])
         x32 = x.astype(np.float32)
         reach = self._env @ np.abs(x).T
-        bound = reach * (1.0 + self._slack) + self._tiny
+        bound = reach * (1.0 + self._slack)
+        bound += self._tiny
         if self._carry is not None and self._carry[0].shape == x.shape:
             # Each carried peak P is a computed peak for x_prev, within
             # slack * env @ |x_prev| of the exact one, or a bound on it.  The
@@ -406,36 +409,55 @@ class _BandResponseCache:
             # env @ |x - x_prev| exactly, plus the rounding of both batches'
             # casts and products, which the slack bounds relative to
             # env @ (|x| + |x_prev|).  fmin takes the plain bound where a
-            # NaN in x_prev made the carried one NaN.
-            x_prev, peaks_prev, reach_prev = self._carry
-            carried = peaks_prev + self._env @ np.abs(x - x_prev).T + (self._slack * (reach + reach_prev) + self._tiny)
+            # NaN in x_prev made the carried one NaN.  The carry's arrays
+            # are the last batch's, so the sums go into them in place.
+            x_prev, carried, slack = self._carry
+            carried += self._env @ np.abs(x - x_prev).T
+            slack += reach
+            slack *= self._slack
+            slack += self._tiny
+            carried += slack
             np.fmin(bound, carried, out=bound)
         # Pass 1: each block's chunk with the largest bound is multiplied out,
         # and its exact peak is the block's running peak.  Multiplying a chunk
         # out overwrites its bound with its exact peaks, which the next batch
         # carries.
-        score = bound.max(axis=1)
-        pairs = zip(self._block_chunks[:-1], self._block_chunks[1:])
-        lead = np.array([c0 + np.argmax(score[c0:c1]) for c0, c1 in pairs])
-        for c in lead:
-            self._peak(x32, c, bound)
+        lead = _first_max(bound.max(axis=1), self._block_chunks[:-1])
+        self._peaks(x32, lead, bound)
         # Pass 2: every other chunk whose bound beats its block's lead peak
         # for some particle.  A NaN coefficient makes the lead peak NaN, and
         # NaN compares False against every bound, so its chunks stay skipped.
         live = np.any(bound > bound[lead][self._chunk_block], axis=1)
-        for c in np.flatnonzero(live):
-            self._peak(x32, c, bound)
+        self._peaks(x32, np.flatnonzero(live), bound)
         self._carry = (x, bound, reach)
         # Each chunk holds its exact peaks, or a bound no larger than its lead
         # peak for every particle, so each block's max is its peak (or NaN).
         return np.maximum.reduceat(bound, self._block_chunks[:-1], axis=0)[:, :n_particles]
 
-    def _peak(self, x, c, peaks):
-        """Chunk c's row max of |x @ R.T| into peaks[c], filling the chunk from its seed on first use."""
-        if not self._filled[c]:
-            self._store(c, self._rows(c))
-        y = x @ self._chunk(c)
-        np.abs(y, out=y).max(axis=1, out=peaks[c])
+    def _peaks(self, x, chunks, peaks):
+        """Each listed chunk c's row max of |x @ R.T| into peaks[c], filling a chunk from its seed on first use.
+
+        The max is taken in float32 and then widened, which is exact.
+        """
+        views, filled = self._views, self._filled
+        for c in chunks.tolist():
+            if not filled[c]:
+                self._store(c, self._rows(c))
+            y = x @ views[c]
+            np.abs(y, out=y)
+            peaks[c] = y.max(axis=1)
+
+
+def _first_max(score, starts):
+    """Per segment of ``score`` (the segments begin at ``starts``), the index of its first maximum.
+
+    ``np.argmax``'s pick in each segment: the first of tied maxima, and the
+    first NaN where there is one.
+    """
+    top = np.maximum.reduceat(score, starts)  # NaN where the segment holds one
+    seg = np.repeat(np.arange(starts.size), np.diff(np.append(starts, score.size)))
+    hit = np.flatnonzero((score == top[seg]) | np.isnan(score))
+    return hit[np.r_[True, seg[hit[1:]] != seg[hit[:-1]]]]
 
 
 def _diag_refine(cache, warm, s_target, center_idx):
@@ -457,8 +479,8 @@ def _optimize_bytes(n: int, m: int, grid, fs: float) -> int:
     return 4 * m * sum(_cache_rows(n, grid, fs)[1])
 
 
-def _optimize(basis: BasisMatrix, target: SrsCurve, center_idx, cfg: PsoConfig, q_srs: float):
-    """Coefficients whose mix of the basis columns tracks ``target``, and the swarm iterations used.
+def _optimize(columns: np.ndarray, fs: float, target: SrsCurve, center_idx, cfg: PsoConfig, q_srs: float):
+    """Coefficients whose mix of the basis ``columns`` (at rate ``fs``) tracks ``target``, and the swarm iterations used.
 
     The swarm searches the response cache on ``target.freqs`` over +-``_BOUNDS_SCALE`` times the
     estimate target(fc_i)/SRS(a_i)(fc_i), column i's center being ``target.freqs[center_idx[i]]``,
@@ -470,9 +492,9 @@ def _optimize(basis: BasisMatrix, target: SrsCurve, center_idx, cfg: PsoConfig, 
     # target scaled by a power of two gives the same search and the scaled coefficients.
     exp = int(np.frexp(np.max(target.values))[1])
     values = np.ldexp(target.values, -exp)  # peaks in [0.5, 1)
-    cache = _BandResponseCache(basis, target.freqs, q_srs)
+    cache = _BandResponseCache(columns, fs, target.freqs, q_srs)
     # Each column's SRS at its own center, its largest chunk envelope there: srs_values(np.eye(m))'s bits.
-    m = basis.n_columns
+    m = columns.shape[1]
     diag = np.maximum.reduceat(cache._env, cache._block_chunks[:-1])[center_idx, np.arange(m)]
     if np.any(diag <= 0.0):
         raise ValueError("basis column with zero SRS at its own center")
@@ -501,9 +523,11 @@ def synthesize(
     """End-to-end synthesis: budget, basis, ``_optimize``, canonical verification.
 
     A ``q_srs`` or a grid the SRS cannot use is rejected before any work, and so is work over
-    ``signal_core._budget``: the final SRS's rows, or the bytes of the basis (columns, frozen copy, a
-    filter's input and output) and of what ``_optimize`` reserves.  The mix is then checked through the
-    canonical full-rate SRS and residual motion; missing the tolerance is reported, not raised.
+    ``signal_core._budget``: the final SRS's rows, or the bytes of the basis (the float64 columns and
+    the search's float32 copy of them, a filter's input and output) and of what ``_optimize`` reserves.
+    The search reads only the float32 copy, and the float64 basis is built again for the mix once the
+    search is done.  The mix is then checked through the canonical full-rate SRS and residual motion;
+    missing the tolerance is reported, not raised.
     """
     target = _target_curve(spec, layout)
     grid, fs = target.freqs, reference.sample_rate
@@ -511,8 +535,14 @@ def synthesize(
     _srs_rows(n, grid, q_srs, fs)
     advice = f"raise the lowest center ({layout.centers[0]:.6g} Hz) or lower ppo ({layout.points_per_octave})"
     _budget("synthesis", nbytes=16 * n * (m + 1) + _optimize_bytes(n, m, grid, fs), advice=advice)
-    basis = build_basis(reference, layout)
-    x_best, iters = _optimize(basis, target, np.searchsorted(grid, layout.centers), cfg, q_srs)
+    # The search reads a float32 copy of the basis, and no float64 basis is held while it runs.
+    search = build_basis(reference, layout).columns.astype(np.float32)
+    x_best, iters = _optimize(search, fs, target, np.searchsorted(grid, layout.centers), cfg, q_srs)
+    del search
+    # build_basis is deterministic, so the mix multiplies the columns the search was rounded from.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the first build has shown its warnings
+        basis = build_basis(reference, layout)
     synthesized = Signal(basis.sample_rate, basis.columns @ x_best, reference.t0)
     achieved = srs(synthesized, grid, q_srs)
     report = db_error(achieved, target, spec.tolerance_db)

@@ -386,7 +386,7 @@ def _synth_peak_mib(run_cli, cli_env, tmp_path, breakpoints, *demo_ref_args):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 def test_synth_peak_resident_size(run_cli, cli_env, tmp_path):
-    # the README plateau run peaks at about 51 MiB: the response cache
+    # the README plateau run peaks at about 48 MiB: the response cache
     # reserves 68 MB of float32 but commits only the pages of the seventh
     # its peak search reads, each chunk being one contiguous run of memory,
     # and its build keeps only each chunk's envelope and seed
@@ -403,7 +403,8 @@ def test_synth_on_a_field_length_reference_peak_resident_size(run_cli, cli_env, 
     # block whole, stored each column's peak chunk and the warm start read
     # those back through an identity batch; building it one seeded chunk at
     # a time and reading the warm start off the envelopes, 123 MiB; 115 MiB
-    # with the last float64 cache, and 82 MiB with the float32 one
+    # with the last float64 cache, 82 MiB with the float32 one, and 76 MiB
+    # with the search on a float32 copy of the basis
     launcher = [(100.0, 200.0), (250.0, 1500.0), (500.0, 900.0), (1000.0, 4000.0),
                 (2000.0, 2500.0), (3000.0, 8000.0), (6000.0, 6000.0), (10_000.0, 9000.0)]
     code, peak_mib, stderr = _synth_peak_mib(run_cli, cli_env, tmp_path, launcher, "--duration", 0.2)

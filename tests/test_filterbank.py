@@ -1,5 +1,7 @@
 """Bank layout, basis assembly, and the four-coordinate ratios."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from shocksynth import (
     residual_motion,
     synth_reference,
 )
+from shocksynth.signal_core import _frozen
 
 
 def test_layout_sixth_octave():
@@ -111,6 +114,45 @@ def test_any_basis_mix_is_net_zero_property(small_case, data):
     x[list(mix)] = list(mix.values())
     report = residual_motion(Signal(basis.sample_rate, basis.columns @ x), 1e-3)
     assert report.passed, (report.residual_velocity_ratio, report.residual_displacement_ratio)
+
+
+def test_build_basis_holds_the_basis_once():
+    # the README reference and bank: build_basis fills one array, freezes it
+    # in place and hands it over, so BasisMatrix keeps it without a copy and
+    # the build peaks at the basis plus one column's filter workspace
+    ref, layout = synth_reference(seed=1), make_layout(100.0, 10_000.0)
+    tracemalloc.start()
+    try:
+        with pytest.warns(UserWarning, match="close to Nyquist"):
+            basis = build_basis(ref, layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.columns.flags.owndata and not basis.columns.flags.writeable
+    assert peak < 1.5 * basis.columns.nbytes, (peak, basis.columns.nbytes)
+
+
+def test_frozen_aliases_only_a_read_only_owning_float64_array():
+    frozen = np.arange(6.0)
+    frozen.setflags(write=False)
+    assert _frozen(frozen) is frozen
+    writable = np.arange(6.0)
+    view = frozen[1:]
+    single = np.arange(6.0, dtype=np.float32)
+    single.setflags(write=False)
+    swapped = np.arange(6.0).astype(">f8")
+    swapped.setflags(write=False)
+
+    class Sub(np.ndarray):
+        pass
+
+    sub = np.arange(6.0).view(Sub).copy()
+    sub.setflags(write=False)
+    for values in (writable, view, single, swapped, sub, [0.0, 1.0]):
+        out = _frozen(values)
+        assert out is not values and not np.shares_memory(out, np.asarray(values))
+        assert type(out) is np.ndarray and out.dtype == np.float64 and not out.flags.writeable
+        np.testing.assert_array_equal(out, np.asarray(values, dtype=float))
 
 
 def test_basis_rate_guards():

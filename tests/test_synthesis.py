@@ -34,7 +34,7 @@ from shocksynth import (
 from shocksynth import signal_core, synthesis
 from shocksynth.signal_core import _run
 from shocksynth.srs import _sdof_coeffs
-from shocksynth.synthesis import _BandResponseCache
+from shocksynth.synthesis import _BandResponseCache, _first_max
 
 
 def test_pso_config_validation():
@@ -152,7 +152,7 @@ def test_objective_validation_and_floor(small_problem):
 def test_cache_tracks_canonical_srs(small_problem):
     _, layout, spec, basis = small_problem
     grid = verification_grid(spec, layout)
-    cache = _BandResponseCache(basis, grid, 10.0)
+    cache = _cache_of(basis, grid)
     rng = np.random.default_rng(7)
     for _ in range(4):
         x = rng.normal(size=basis.n_columns) * 50.0
@@ -164,7 +164,7 @@ def test_cache_tracks_canonical_srs(small_problem):
 def test_cache_batch_matches_single(small_problem):
     _, layout, spec, basis = small_problem
     grid = verification_grid(spec, layout)
-    cache = _BandResponseCache(basis, grid, 10.0)
+    cache = _cache_of(basis, grid)
     rng = np.random.default_rng(8)
     block = rng.normal(size=(5, basis.n_columns))
     batch = cache.srs_values(block)
@@ -172,10 +172,15 @@ def test_cache_batch_matches_single(small_problem):
         np.testing.assert_array_equal(batch[:, j], cache.srs_values(block[j][None, :])[:, 0])
 
 
+def _cache_of(basis, grid):
+    """The response cache ``synthesize`` searches: over the basis columns rounded to float32."""
+    return _BandResponseCache(basis.columns.astype(np.float32), basis.sample_rate, grid, 10.0)
+
+
 @pytest.fixture(scope="module")
 def small_cache(small_problem):
     _, layout, spec, basis = small_problem
-    return _BandResponseCache(basis, verification_grid(spec, layout), 10.0)
+    return _cache_of(basis, verification_grid(spec, layout))
 
 
 @pytest.fixture(scope="module")
@@ -190,7 +195,7 @@ def eager(small_problem, small_cache):
     blocks = []
     for fn in grid:
         step = max(int(fs / (synthesis._CACHE_SAMPLES_PER_PERIOD * fn)), 1)
-        blocks.append(_run(*_sdof_coeffs(fn, 10.0, 1.0 / fs), basis.columns)[0][::step])
+        blocks.append(_run(*_sdof_coeffs(fn, 10.0, 1.0 / fs), basis.columns.astype(np.float32))[0][::step])
     np.testing.assert_array_equal(np.cumsum([0] + [len(b) for b in blocks[:-1]]), small_cache.starts)
     return np.concatenate(blocks).astype(np.float32)
 
@@ -262,7 +267,7 @@ def test_envelope_peaks_are_the_identity_batch(small_problem, small_cache):
 @pytest.mark.parametrize("chunk_rows", [512, 22])
 def test_forcing_every_chunk_gives_eager_rows(small_problem, small_cache, eager, chunk_rows, monkeypatch):
     monkeypatch.setattr(synthesis, "_CHUNK_ROWS", chunk_rows)
-    cache = _BandResponseCache(small_problem[3], small_cache.grid, 10.0)
+    cache = _cache_of(small_problem[3], small_cache.grid)
     # the build keeps envelopes and seeds only; every chunk is filled on first use
     assert not cache._filled.any()
     for c in range(cache._filled.size):
@@ -270,7 +275,7 @@ def test_forcing_every_chunk_gives_eager_rows(small_problem, small_cache, eager,
     assert cache._filled.all()
     for c in range(cache._filled.size):
         rows = slice(cache._chunk_edges[c], cache._chunk_edges[c + 1])
-        np.testing.assert_array_equal(_bits(cache._chunk(c).T), _bits(eager[rows]))
+        np.testing.assert_array_equal(_bits(cache._views[c].T), _bits(eager[rows]))
     np.testing.assert_array_equal(
         cache._env, np.maximum.reduceat(np.abs(eager), cache._chunk_edges[:-1], axis=0)
     )
@@ -279,7 +284,7 @@ def test_forcing_every_chunk_gives_eager_rows(small_problem, small_cache, eager,
 def test_query_fills_a_chunk_the_build_did_not_store(small_problem, small_cache, eager, monkeypatch):
     # 18-row chunks, as in fine_cache: a 512-row chunk is most of a block here
     monkeypatch.setattr(synthesis, "_CHUNK_ROWS", 18)
-    cache = _BandResponseCache(small_problem[3], small_cache.grid, 10.0)
+    cache = _cache_of(small_problem[3], small_cache.grid)
     block = np.random.default_rng(12).normal(size=(6, small_problem[3].n_columns)) * 50.0
     vals = cache.srs_values(block)
     new = np.flatnonzero(cache._filled)  # the build stores none
@@ -288,7 +293,7 @@ def test_query_fills_a_chunk_the_build_did_not_store(small_problem, small_cache,
     np.testing.assert_allclose(vals, _full_scan(eager, cache, block), rtol=1e-12, atol=0.0)
     for c in new:
         rows = slice(cache._chunk_edges[c], cache._chunk_edges[c + 1])
-        np.testing.assert_array_equal(_bits(cache._chunk(c).T), _bits(eager[rows]))
+        np.testing.assert_array_equal(_bits(cache._views[c].T), _bits(eager[rows]))
 
 
 def _resident_bytes(address):
@@ -310,7 +315,7 @@ def _resident_bytes(address):
 def test_filled_chunk_commits_only_its_own_pages(small_problem, small_cache):
     # each chunk is one contiguous run of the matrix, so filling it commits
     # its own pages and at most one page it shares with a neighbour at each end
-    cache = _BandResponseCache(small_problem[3], small_cache.grid, 10.0)
+    cache = _cache_of(small_problem[3], small_cache.grid)
     cache.srs_values(np.random.default_rng(13).normal(size=(32, small_problem[3].n_columns)) * 50.0)
     page, m = mmap.PAGESIZE, cache.matrix.shape[1]
     chunk_bytes = np.diff(cache._chunk_edges)[cache._filled] * m * cache.matrix.itemsize
@@ -326,7 +331,7 @@ def fine_cache(small_problem, small_cache):
     assert small_cache.starts[1] == 51 * 18 + 1
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(synthesis, "_CHUNK_ROWS", 18)
-        return _BandResponseCache(small_problem[3], small_cache.grid, 10.0)
+        return _cache_of(small_problem[3], small_cache.grid)
 
 
 def test_fine_cache_has_no_one_row_chunk(fine_cache):
@@ -413,13 +418,13 @@ def test_carried_bound_multiplies_fewer_rows(small_problem, fine_cache, eager, m
     rng = np.random.default_rng(14)
     x_star = rng.normal(size=n) * 50.0
     batches = [x_star + 0.5**t * rng.normal(size=(8, n)) * 50.0 for t in range(16)]
-    rows, peak = [], cache._peak
+    rows, peaks = [], cache._peaks
 
-    def counted(x, c, peaks):
-        rows.append(cache._chunk_edges[c + 1] - cache._chunk_edges[c])
-        peak(x, c, peaks)
+    def counted(x, chunks, out):
+        rows.extend(cache._chunk_edges[chunks + 1] - cache._chunk_edges[chunks])
+        peaks(x, chunks, out)
 
-    monkeypatch.setattr(cache, "_peak", counted)
+    monkeypatch.setattr(cache, "_peaks", counted)
 
     def multiplied(carry):
         rows.clear()
@@ -459,13 +464,69 @@ def test_cache_build_peak_is_one_workspace(small_problem, small_cache):
     raw = 2 + max(synthesis._CHUNK_ROWS, *steps)  # a piece's seed and raw span
     tile = np.diff(cache._chunk_edges).max() * m * 8
     bound = raw * m * 8 + 3 * raw * 8 + cache._env.nbytes + cache._seeds.nbytes + 4 * tile
+    columns = basis.columns.astype(np.float32)
     tracemalloc.start()
     try:
-        _BandResponseCache(basis, small_cache.grid, 10.0)
+        _BandResponseCache(columns, fs, small_cache.grid, 10.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= bound, (peak, bound)
+
+
+def test_lead_pick_follows_argmax():
+    # each block's lead chunk is the first of tied largest bounds, and the
+    # first NaN where a block holds one, as np.argmax picks
+    cases = [(np.array([1.0, 3.0, 3.0, np.nan, 2.0, np.nan, 0.0, -0.0, 5.0]), np.array([0, 3, 6, 8]))]
+    rng = np.random.default_rng(15)
+    values, p = [-np.inf, -0.0, 0.0, 1.0, 2.0, np.nan, np.inf], [0.1, 0.1, 0.1, 0.2, 0.4, 0.05, 0.05]
+    for _ in range(20):
+        sizes = rng.integers(1, 6, size=12)
+        cases.append((rng.choice(values, size=sizes.sum(), p=p), np.concatenate([[0], np.cumsum(sizes)[:-1]])))
+    for score, starts in cases:
+        ends = np.append(starts[1:], score.size)
+        expected = [s0 + np.argmax(score[s0:s1]) for s0, s1 in zip(starts, ends)]
+        np.testing.assert_array_equal(_first_max(score, starts), expected)
+
+
+class _SearchStarted(Exception):
+    """Raised in place of ``pso_minimize``: what ``synthesize`` holds once the search begins."""
+
+
+def test_search_holds_no_float64_basis(monkeypatch):
+    # while the swarm runs, synthesize holds the basis rounded to float32
+    # and the cache's envelopes and seeds, plus its bookkeeping: a view and
+    # three index entries a chunk, the filters, target, warm start and box,
+    # each no larger than the grid or the columns.  The float64 basis is
+    # rebuilt for the mix once the search is done.  The matrix itself is an
+    # mmap, which tracemalloc does not see.
+    ref = synth_reference(fs=5e4, duration=0.05, fmax=5000.0, seed=2)
+    layout = make_layout(1000.0, 4000.0, 3)
+    spec = SrsSpec([[1000.0, 500.0], [2000.0, 800.0], [4000.0, 600.0]])
+    basis = build_basis(ref, layout)
+    caches, traced = [], []
+
+    class Spied(_BandResponseCache):
+        def __init__(self, *args):
+            super().__init__(*args)
+            caches.append(self)
+
+    def started(*args):
+        traced.append(tracemalloc.get_traced_memory()[0])
+        raise _SearchStarted
+
+    monkeypatch.setattr(synthesis, "_BandResponseCache", Spied)
+    monkeypatch.setattr(synthesis, "pso_minimize", started)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_SearchStarted):
+            synthesize(spec, ref, layout, _SMALL_CFG)
+    finally:
+        tracemalloc.stop()
+    [cache], [held] = caches, traced
+    search = basis.columns.astype(np.float32).nbytes + cache._env.nbytes + cache._seeds.nbytes
+    bound = search + 256 * cache._env.shape[0] + 32 * 1024
+    assert held <= bound < basis.columns.nbytes, (held, bound, basis.columns.nbytes)
 
 
 class _Built(Exception):
@@ -488,7 +549,7 @@ def _budget_asked(monkeypatch, spec, ref, layout):
 
 
 def test_cache_rejects_over_budget(small_problem, small_cache, monkeypatch):
-    # the basis, its frozen copy and the cache's reservation, refused before any is built
+    # the basis, the search's float32 copy and the cache's reservation, refused before any is built
     ref, layout, spec, basis = small_problem
     need = _budget_asked(monkeypatch, spec, ref, layout)
     assert need > 2 * basis.columns.nbytes + small_cache.matrix.nbytes
@@ -518,7 +579,7 @@ def test_synthesis_budget_terms_bound_what_they_count():
         tracemalloc.stop()
     (n, m), grid = basis.columns.shape, verification_grid(spec, layout)
     cache_term = 4 * m * sum(synthesis._cache_rows(n, grid, ref.sample_rate)[1])
-    assert cache_term == _BandResponseCache(basis, grid, 10.0).matrix.nbytes
+    assert cache_term == _cache_of(basis, grid).matrix.nbytes
     assert peak <= nbytes - cache_term, (peak, nbytes - cache_term)
 
 
@@ -529,7 +590,7 @@ def test_cache_names_the_bytes_a_refused_reservation_asked_for(small_problem, sm
     monkeypatch.setattr(synthesis.mmap, "mmap", refuse)
     need = small_cache.matrix.nbytes
     with pytest.raises(ValueError, match=f"could not reserve {need:,} bytes for the response cache"):
-        _BandResponseCache(small_problem[3], small_cache.grid, 10.0)
+        _cache_of(small_problem[3], small_cache.grid)
 
 
 def _cache_and_canonical(cache, basis, x):
@@ -702,8 +763,8 @@ def test_synthesize_reaches_the_optimizer_only_through_optimize(small_problem, m
     x = np.linspace(0.5, 1.5, layout.centers.size)
     calls = []
 
-    def stub(basis, target, center_idx, cfg, q_srs):
-        calls.append((basis.n_columns, target.freqs[center_idx], cfg, q_srs))
+    def stub(columns, fs, target, center_idx, cfg, q_srs):
+        calls.append((columns, fs, target.freqs[center_idx], cfg, q_srs))
         return x, 7
 
     def forbidden(*args, **kwargs):
@@ -713,11 +774,14 @@ def test_synthesize_reaches_the_optimizer_only_through_optimize(small_problem, m
     for name in ("_BandResponseCache", "pso_minimize", "_diag_refine"):
         monkeypatch.setattr(synthesis, name, forbidden)
     res = synthesize(spec, ref, layout, _SMALL_CFG, 12.0)
-    [(m, centers, cfg, q_srs)] = calls
-    assert m == layout.centers.size and np.array_equal(centers, layout.centers)
+    [(columns, fs, centers, cfg, q_srs)] = calls
+    basis = build_basis(ref, layout)
+    # the search gets the basis rounded to float32, and the mix the float64 basis
+    assert columns.dtype == np.float32 and fs == basis.sample_rate
+    np.testing.assert_array_equal(_bits(columns), _bits(basis.columns.astype(np.float32)))
+    assert np.array_equal(centers, layout.centers)
     assert cfg is _SMALL_CFG and q_srs == 12.0
     assert np.array_equal(res.coefficients, x) and res.iterations_used == 7
-    basis = build_basis(ref, layout)
     assert np.array_equal(res.synthesized.samples, basis.columns @ x)
     assert res.achieved.q_srs == 12.0 and res.residuals.passed
     assert np.isfinite(res.srs_report.max_abs_db) and np.isfinite(res.objective_value)
