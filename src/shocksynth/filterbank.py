@@ -14,8 +14,8 @@ import warnings
 
 import numpy as np
 
-from .nzdf import NzdfParams, apply_filter, discretize
-from .signal_core import TWO_PI, Signal, _frozen, _scalar, motion_of
+from .nzdf import NzdfParams, _run_bytes, apply_filter, discretize
+from .signal_core import TWO_PI, Signal, _budget, _frozen, _scalar, motion_of
 
 __all__ = [
     "BankLayout",
@@ -144,19 +144,23 @@ def build_basis(reference: Signal, layout: BankLayout) -> BasisMatrix:
     All columns are then brought to the common length set by the lowest
     center (the longest ring-down) by pre-extending the filter input, so
     every tail is the filter's natural decay rather than a truncation.
+    The matrix and one column's run, its padded input and what
+    :func:`apply_filter` holds, are checked by ``signal_core._budget``
+    before the matrix is allocated.
     """
     top = float(layout.centers[-1])
     fs = reference.sample_rate
     if fs < 2.5 * top:
         raise ValueError(f"reference rate {fs:.6g} Hz is below 2.5x the top center {top:.6g} Hz")
+    n_common, extensions = _basis_rows(len(reference), layout.centers, fs)
+    _budget("basis", nbytes=8 * n_common * (layout.centers.size + 1) + _run_bytes(n_common, NzdfParams(top).order),
+            advice=f"raise the lowest center ({layout.centers[0]:.6g} Hz) or lower ppo ({layout.points_per_octave})")
     if fs < 10.0 * top:
         warnings.warn(
             f"reference rate {fs:.6g} Hz is below 10x the top center {top:.6g} Hz; "
             f"upper-band filters operate close to Nyquist",
             stacklevel=2,
         )
-
-    n_common, extensions = _basis_rows(len(reference), layout.centers, fs)
 
     ref_peak = float(np.max(np.abs(reference.samples)))
     if ref_peak == 0.0:

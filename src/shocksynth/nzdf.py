@@ -263,6 +263,15 @@ def discretize(params: NzdfParams, fs: float) -> DigitalNzdf:
     return DigitalNzdf(params, fs, sos)
 
 
+def _run_bytes(rows, sections: int):
+    """Bytes :func:`apply_filter` holds for ``rows`` rows, pad included, through ``sections`` sections.
+
+    The output and its ``Signal`` copy, 16 bytes a row, and one segment of
+    input and each section's output of it, 8 bytes a segment row each.
+    """
+    return 16 * rows + 8 * _SEGMENT_ROWS * (sections + 1)
+
+
 def apply_filter(filt: DigitalNzdf, sig: Signal) -> Signal:
     """Filter a signal and append the ring-down pad.
 
@@ -279,10 +288,8 @@ def apply_filter(filt: DigitalNzdf, sig: Signal) -> Signal:
             f"{filt.sample_rate:.6g} Hz"
         )
     rows = len(sig) + np.ceil(filt.params.ring_down_time * sig.sample_rate)
-    # one segment of input and each section's output of it, 8 bytes a segment row each
-    nbytes = 16 * rows + 8 * _SEGMENT_ROWS * (len(filt.sos) + 1)
     p = filt.params
-    _budget(f"filter at center_freq={p.center_freq:.6g} Hz with q={p.q:.6g}", nbytes=nbytes,
+    _budget(f"filter at center_freq={p.center_freq:.6g} Hz with q={p.q:.6g}", nbytes=_run_bytes(rows, len(filt.sos)),
             advice="lower q or raise center_freq")
     y = np.concatenate(list(_segments(filt.sos, sig.samples, int(rows))))
     return Signal(sig.sample_rate, y, t0=sig.t0)
@@ -292,9 +299,15 @@ def impulse_response(filt: DigitalNzdf, duration: float) -> Signal:
     """Response to a unit-area discrete impulse (amplitude fs at t = 0).
 
     ``duration`` sets the pre-pad record length; :func:`apply_filter`
-    appends its usual ring-down on top.
+    appends its usual ring-down on top.  The impulse, its ``Signal`` copy
+    and the filter's run are checked by ``signal_core._budget`` before any
+    of them is allocated.
     """
     n = int(round(_scalar("duration", duration, above=0.0) * filt.sample_rate)) + 1
+    p = filt.params
+    rows = n + np.ceil(p.ring_down_time * filt.sample_rate)
+    _budget(f"impulse response at center_freq={p.center_freq:.6g} Hz with q={p.q:.6g}",
+            nbytes=16 * n + _run_bytes(rows, len(filt.sos)), advice="shorten duration, lower q or raise center_freq")
     x = np.zeros(n)
     x[0] = filt.sample_rate
     return apply_filter(filt, Signal(filt.sample_rate, x))
@@ -324,9 +337,14 @@ class GammatoneParams:
 
 
 def gammatone_impulse(gp: GammatoneParams, fs: float, duration: float) -> Signal:
-    """Sample a * t^(N-1) * exp(-b t) * cos(wc t + phi) on a uniform grid."""
+    """Sample a * t^(N-1) * exp(-b t) * cos(wc t + phi) on a uniform grid.
+
+    tracemalloc reads 32 bytes a sample held at once (the times and three
+    temporaries); ``signal_core._budget`` is charged 40 before any of them.
+    """
     fs = _scalar("fs", fs, above=0.0)
     n = int(round(_scalar("duration", duration, above=0.0) * fs)) + 1
+    _budget("gammatone impulse", nbytes=40 * n, advice="lower fs or shorten duration")
     t = np.arange(n) / fs
     wc = TWO_PI * gp.center_freq
     env = gp.amplitude * t ** (gp.order - 1) * np.exp(-gp.bandwidth * t)

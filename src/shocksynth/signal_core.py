@@ -254,23 +254,37 @@ def residual_motion(accel: Signal, tolerance: float = 1e-3) -> ResidualReport:
     return ResidualReport(rv, rd, tolerance, rv <= tolerance and rd <= tolerance)
 
 
-def _charge_csv(path: Path, advice: str) -> None:
-    """Charge ``_budget`` for parsing the CSV file at ``path``, and refuse a line longer than a block, before the parse.
+def _read_pairs(path: Path, header: str, advice: str) -> np.ndarray:
+    """Parse a two-column numeric CSV file into an (n, 2) float array, charged to ``_budget`` first.
 
     The parse holds about 40 bytes a line at once (numpy's reader and the
     checks after it), and about 6 bytes a byte of one long line.  The file's
     size is charged first, at 2 bytes a byte; then one pass over its bytes,
     ``_TEXT_BLOCK`` at a time into one buffer, counts the lines as universal
     newlines break them (LF, CR or CRLF), and the larger of the two charges
-    is checked.  :class:`SignalFormatError` names the first line longer than
-    a block.
+    is checked, naming ``advice``.  :class:`SignalFormatError` names the
+    first line longer than a block.  The buffer is dropped before the parse.
+
+    Blank lines are skipped, and line 1 may be ``header`` (compared without
+    case or spaces).  Every other line must hold exactly two finite
+    numbers; :class:`SignalFormatError` names the first line that does not.
+
+    numpy's compiled text reader parses every file it accepts whole: two
+    columns, at least one row, finite values.  Anything else, whitespace-only
+    lines and numbers only ``float`` reads (``1_000``) among them, goes to
+    the per-line pass :func:`_parse_lines`, which finds the first fault.
     """
     what, size = f"reading {path.name}", path.stat().st_size
     _budget(what, nbytes=2 * size, advice=advice)
-    block = bytearray(_TEXT_BLOCK)
-    breaks, run, after_cr = 0, 0, False  # line breaks so far, bytes since the last, whether it was a CR
-    with path.open("rb") as fh:
-        while n := fh.readinto(block):
+    # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes;
+    # universal newlines make a lone \r a line break.  The count reads the
+    # bytes under the text layer; numpy reads the open handle: given the
+    # path, it would open the file again through its DataSource, which
+    # imports gzip.
+    with path.open(encoding="utf-8-sig") as fh:
+        block = bytearray(_TEXT_BLOCK)
+        breaks, run, after_cr = 0, 0, False  # line breaks so far, bytes since the last, whether it was a CR
+        while n := fh.buffer.readinto(block):
             if n < len(block):
                 del block[n:]
             lf, cr = block.find(b"\n"), block.find(b"\r")
@@ -284,52 +298,31 @@ def _charge_csv(path: Path, advice: str) -> None:
                 last = max(last, block.rfind(b"\r"))
             run = run + n if last < 0 else n - 1 - last
             after_cr = block[-1] == 13
-    _budget(what, nbytes=max(2 * size, 40 * (breaks + 1)), advice=advice)
-
-
-def _read_pairs(path: Path, header: str) -> np.ndarray:
-    """Parse a two-column numeric CSV file into an (n, 2) float array.
-
-    Blank lines are skipped, and line 1 may be ``header`` (compared without
-    case or spaces).  Every other line must hold exactly two finite
-    numbers; :class:`SignalFormatError` names the first line that does not.
-
-    numpy's compiled text reader parses every file it accepts whole: two
-    columns, at least one row, finite values.  Anything else, whitespace-only
-    lines and numbers only ``float`` reads (``1_000``) among them, goes to
-    the per-line pass :func:`_parse_lines`, which finds the first fault.
-    """
-    # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes;
-    # universal newlines make a lone \r a line break.  numpy reads the open
-    # handle: given the path, it would open the file again through its
-    # DataSource, which imports gzip.
-    with path.open(encoding="utf-8-sig") as fh:
-        skip = int(_is_header(fh.readline(), header))
+        del block
+        _budget(what, nbytes=max(2 * size, 40 * (breaks + 1)), advice=advice)
+        fh.seek(0)
+        skip = fh.readline().strip().lower().replace(" ", "") == header
         fh.seek(0)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # an empty file only warns
-                pairs = np.loadtxt(fh, delimiter=",", comments=None, skiprows=skip, ndmin=2)
+                pairs = np.loadtxt(fh, delimiter=",", comments=None, skiprows=int(skip), ndmin=2)
             if pairs.shape[1] == 2 and np.isfinite(pairs).all():
                 return pairs
         except (ValueError, Warning):
             pass
         fh.seek(0)
-        return _parse_lines(fh, header, path.name)
+        return _parse_lines(fh, skip, path.name)
 
 
-def _is_header(line: str, header: str) -> bool:
-    return line.strip().lower().replace(" ", "") == header
-
-
-def _parse_lines(lines, header: str, name: str) -> np.ndarray:
+def _parse_lines(lines, skip_header: bool, name: str) -> np.ndarray:
     """The line-by-line reading of :func:`_read_pairs` into one flat buffer, 16 bytes a row; raises on the first fault."""
     import array  # an extension module: loaded only for the files numpy's reader refuses
 
     values = array.array("d")
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
-        if not line or (lineno == 1 and _is_header(line, header)):
+        if not line or (lineno == 1 and skip_header):
             continue
         fields = line.split(",")
         if len(fields) != 2:
@@ -374,8 +367,7 @@ def read_signal(path) -> Signal:
     longer than ``_TEXT_BLOCK`` bytes.
     """
     path = Path(path)
-    _charge_csv(path, advice="shorten or decimate the record")
-    pairs = _read_pairs(path, "time_s,accel_m_s2")
+    pairs = _read_pairs(path, "time_s,accel_m_s2", advice="shorten or decimate the record")
     if not len(pairs):
         raise SignalFormatError(f"{path.name}: no samples found")
     if len(pairs) == 1:

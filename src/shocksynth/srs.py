@@ -20,8 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .signal_core import (
-    TWO_PI, Signal, SignalFormatError, _budget, _charge_csv, _frozen, _read_pairs, _ring_down_factor, _scalar, _segments,
-    _write_table,
+    TWO_PI, Signal, SignalFormatError, _budget, _frozen, _read_pairs, _ring_down_factor, _scalar, _segments, _write_table,
 )
 
 __all__ = [
@@ -287,8 +286,7 @@ def read_spec(path, tolerance_db: float = 3.0) -> SrsSpec:
     # Before the file: the file's own faults are reported under its name.
     tolerance_db = _scalar("tolerance_db", tolerance_db, above=0.0)
     path = Path(path)
-    _charge_csv(path, advice="list fewer breakpoints")
-    rows = _read_pairs(path, "freq_hz,peak_accel_m_s2")
+    rows = _read_pairs(path, "freq_hz,peak_accel_m_s2", advice="list fewer breakpoints")
     if len(rows) < 2:
         raise SignalFormatError(f"{path.name}: need at least 2 breakpoints")
     try:

@@ -676,6 +676,21 @@ def test_over_budget_commands_refuse_before_any_filtering(workdir, tmp_path, cap
     assert list(tmp_path.iterdir()) == []
 
 
+def _refuse_to_parse(monkeypatch, name, what):
+    """Make numpy's reader and the per-line pass fail on the file ``name``, and read every other file."""
+    signal_core = importlib.import_module("shocksynth.signal_core")
+
+    def refusing(parse, file_name):
+        def checked(*args, **kwargs):
+            if file_name(args) == name:
+                raise AssertionError(f"{what} was parsed before the budget was checked")
+            return parse(*args, **kwargs)
+        return checked
+
+    monkeypatch.setattr(np, "loadtxt", refusing(np.loadtxt, lambda args: Path(args[0].name).name))
+    monkeypatch.setattr(signal_core, "_parse_lines", refusing(signal_core._parse_lines, lambda args: args[2]))
+
+
 # Each command that reads a record ``{r}``, as in ``_RSS_ARGS``.
 _BIG_RECORD_ARGS = dict(
     _RSS_ARGS, synth=["{d}/spec.csv", "{r}", "--out-signal", "{o}/out.csv", "--out-report", "{o}/out.json"]
@@ -689,10 +704,7 @@ def test_oversized_record_is_refused_before_it_is_parsed(workdir, tmp_path, caps
     record.touch()
     os.truncate(record, 1 << 30)
 
-    def parse(*args):
-        raise AssertionError("the record was parsed before the budget was checked")
-
-    monkeypatch.setattr(importlib.import_module("shocksynth.signal_core"), "_read_pairs", parse)
+    _refuse_to_parse(monkeypatch, "big.csv", "the record")
     argv = [command] + [a.format(r=record, d=workdir, o=tmp_path) for a in _BIG_RECORD_ARGS[command]]
     code, err = _run_in_process(argv, capsys)
     assert code == 2
@@ -708,10 +720,7 @@ def test_oversized_spec_is_refused_before_it_is_parsed(workdir, tmp_path, capsys
     spec.touch()
     os.truncate(spec, 1 << 30)
 
-    def parse(*args):
-        raise AssertionError("the spec was parsed before the budget was checked")
-
-    monkeypatch.setattr(importlib.import_module("shocksynth.srs"), "_read_pairs", parse)
+    _refuse_to_parse(monkeypatch, "big.csv", "the spec")
     args = {"synth": ["{s}", "{d}/ref.csv", "--out-signal", "{o}/out.csv", "--out-report", "{o}/out.json"],
             "verify": ["{d}/ref.csv", "{s}", "--out-report", "{o}/out.json"]}[command]
     code, err = _run_in_process([command] + [a.format(s=spec, d=workdir, o=tmp_path) for a in args], capsys)

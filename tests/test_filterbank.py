@@ -1,5 +1,6 @@
 """Bank layout, basis assembly, and the four-coordinate ratios."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from shocksynth import (
     residual_motion,
     synth_reference,
 )
+from shocksynth import filterbank, signal_core
 from shocksynth.signal_core import _frozen
 
 
@@ -116,11 +118,33 @@ def test_any_basis_mix_is_net_zero_property(small_case, data):
     assert report.passed, (report.residual_velocity_ratio, report.residual_displacement_ratio)
 
 
-def test_build_basis_holds_the_basis_once():
+class _Charged(Exception):
+    pass
+
+
+def _basis_charge(monkeypatch, ref, layout):
+    """The bytes ``build_basis`` asks ``_budget`` for, stopped before its matrix is allocated."""
+    asked = []
+
+    def charge(what, rows=0, nbytes=0, advice=""):
+        asked.append(nbytes)
+        raise _Charged
+
+    with monkeypatch.context() as m:
+        m.setattr(filterbank, "_budget", charge)
+        with pytest.raises(_Charged):
+            build_basis(ref, layout)
+    [nbytes] = asked
+    return nbytes
+
+
+def test_build_basis_holds_the_basis_once(monkeypatch):
     # the README reference and bank: build_basis fills one array, freezes it
     # in place and hands it over, so BasisMatrix keeps it without a copy and
-    # the build peaks at the basis plus one column's filter workspace
+    # the build peaks at the basis plus one column's filter workspace, within
+    # what it charges
     ref, layout = synth_reference(seed=1), make_layout(100.0, 10_000.0)
+    need = _basis_charge(monkeypatch, ref, layout)
     tracemalloc.start()
     try:
         with pytest.warns(UserWarning, match="close to Nyquist"):
@@ -130,6 +154,29 @@ def test_build_basis_holds_the_basis_once():
         tracemalloc.stop()
     assert basis.columns.flags.owndata and not basis.columns.flags.writeable
     assert peak < 1.5 * basis.columns.nbytes, (peak, basis.columns.nbytes)
+    assert peak <= need, (peak, need)
+
+
+def test_build_basis_is_refused_below_its_charge_before_any_filter(monkeypatch):
+    # the README reference and bank: the matrix and one column's run are
+    # charged before the matrix is allocated, and the build runs at the charge
+    ref, layout = synth_reference(seed=1), make_layout(100.0, 10_000.0)
+    need = _basis_charge(monkeypatch, ref, layout)
+
+    def filtering(*args):
+        raise AssertionError("a column was filtered before the budget was checked")
+
+    monkeypatch.setattr(signal_core, "_MAX_BYTES", need - 1)
+    with monkeypatch.context() as m:
+        m.setattr(filterbank, "apply_filter", filtering)
+        with pytest.raises(ValueError, match=re.escape(
+            f"basis would hold {need:.3g} bytes, over the {need - 1:,}-byte limit; "
+            "raise the lowest center (100 Hz) or lower ppo (6)"
+        )):
+            build_basis(ref, layout)
+    monkeypatch.setattr(signal_core, "_MAX_BYTES", need)
+    with pytest.warns(UserWarning, match="close to Nyquist"):
+        assert build_basis(ref, layout).n_columns == 41
 
 
 def test_frozen_aliases_only_a_read_only_owning_float64_array():

@@ -1,5 +1,6 @@
 """Analog filter math, discretization, and the gammatone contrast."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,7 @@ from shocksynth import (
     synth_reference,
     validate_order,
 )
-from shocksynth import nzdf
+from shocksynth import nzdf, signal_core
 from shocksynth.signal_core import _MAX_BYTES, Signal, _ring_down_factor
 
 
@@ -401,6 +402,59 @@ def test_impulse_response_validation():
     filt = discretize(NzdfParams(1000.0), 100_000.0)
     with pytest.raises(ValueError):
         impulse_response(filt, duration=0.0)
+
+
+def test_impulse_response_is_refused_before_its_impulse_is_allocated(monkeypatch):
+    # 1e6 s at 100 kHz would be a 745 GiB impulse; 0.5 s is refused under a
+    # 1 MiB limit before the impulse, its Signal copy or the filter's run,
+    # and at the default limit holds less than its charge
+    filt = discretize(NzdfParams(1000.0), 100_000.0)
+    with pytest.raises(ValueError, match=r"^impulse response at center_freq=1000 Hz with q=5 would hold 3\.2e\+12 "):
+        impulse_response(filt, 1e6)
+    monkeypatch.setattr(signal_core, "_MAX_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="1,048,576-byte limit; shorten duration, lower q or raise center_freq$"):
+            impulse_response(filt, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 50_001, peak
+    monkeypatch.undo()
+    asked = []
+    monkeypatch.setattr(nzdf, "_budget", lambda what, rows=0, nbytes=0, advice="": asked.append(nbytes))
+    tracemalloc.start()
+    try:
+        h = impulse_response(filt, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    charge = asked[0]  # then apply_filter's own, within it
+    assert h.samples.nbytes < peak <= charge, (peak, asked)
+
+
+def test_gammatone_impulse_is_refused_before_it_is_sampled(monkeypatch):
+    # one second at 100 kHz: 40 bytes a sample are charged, about 32 held
+    gp = GammatoneParams(1000.0, 600.0)
+    monkeypatch.setattr(signal_core, "_MAX_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(
+            "gammatone impulse would hold 4e+06 bytes, over the 1,048,576-byte limit; lower fs or shorten duration"
+        )):
+            gammatone_impulse(gp, 100_000.0, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 100_001, peak
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        g = gammatone_impulse(gp, 100_000.0, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.samples.nbytes < peak <= 40 * len(g), peak / len(g)
 
 
 def test_gammatone_samples():

@@ -3,11 +3,13 @@
 import dataclasses
 import hashlib
 import math
+import os
 import re
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from shocksynth import (
     make_layout,
     motion_of,
     read_signal,
+    read_spec,
     residual_motion,
     srs,
     synth_reference,
@@ -232,6 +235,7 @@ def test_read_signal_skips_utf8_byte_order_mark(tmp_path):
 
 
 _HEADER = "time_s,accel_m_s2"
+_ADVICE = "shorten or decimate the record"
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -241,7 +245,7 @@ def test_write_table_reads_back_at_12_digits(tmp_path_factory, table):
     path = tmp_path_factory.mktemp("table") / "t.csv"
     _write_table(path, _HEADER, np.array(table, dtype=float).reshape(-1, 2).T)
     expected = np.array([[float(f"{v:.12g}") for v in row] for row in table]).reshape(-1, 2)
-    assert _read_pairs(path, _HEADER).tobytes() == expected.tobytes()
+    assert _read_pairs(path, _HEADER, _ADVICE).tobytes() == expected.tobytes()
 
 
 def _csv_oracle(data: bytes, header: str):
@@ -310,10 +314,10 @@ def test_read_pairs_matches_line_by_line_oracle(
     path.write_bytes(data)
     rows, message = _csv_oracle(data, _HEADER)
     if message is None:
-        np.testing.assert_array_equal(_read_pairs(path, _HEADER), np.array(rows).reshape(-1, 2))
+        np.testing.assert_array_equal(_read_pairs(path, _HEADER, _ADVICE), np.array(rows).reshape(-1, 2))
     else:
         with pytest.raises(SignalFormatError) as info:
-            _read_pairs(path, _HEADER)
+            _read_pairs(path, _HEADER, _ADVICE)
         assert str(info.value) == f"{path.name}: {message}"
 
 
@@ -346,10 +350,10 @@ def test_read_pairs_matches_oracle_where_numpy_and_float_differ(
     path.write_bytes(data)
     rows, message = _csv_oracle(data, _HEADER)
     if message is None:
-        assert _read_pairs(path, _HEADER).tobytes() == np.array(rows, dtype=float).reshape(-1, 2).tobytes()
+        assert _read_pairs(path, _HEADER, _ADVICE).tobytes() == np.array(rows, dtype=float).reshape(-1, 2).tobytes()
     else:
         with pytest.raises(SignalFormatError) as info:
-            _read_pairs(path, _HEADER)
+            _read_pairs(path, _HEADER, _ADVICE)
         assert str(info.value) == f"{path.name}: {message}"
 
 
@@ -358,13 +362,13 @@ def test_long_valid_record_never_reaches_the_per_line_pass(tmp_path, monkeypatch
     path = tmp_path / "long.csv"
     write_signal(Signal(100_000.0, rng.normal(size=100_001) * 10.0 ** rng.integers(-6, 6, 100_001)), path)
     with path.open(encoding="utf-8") as fh:
-        per_line = signal_core._parse_lines(fh, _HEADER, path.name)
+        per_line = signal_core._parse_lines(fh, True, path.name)
 
     def refuse(*args):
         raise AssertionError("the per-line pass ran on a valid file")
 
     monkeypatch.setattr(signal_core, "_parse_lines", refuse)
-    assert _read_pairs(path, _HEADER).tobytes() == per_line.tobytes()
+    assert _read_pairs(path, _HEADER, _ADVICE).tobytes() == per_line.tobytes()
     assert len(read_signal(path)) == 100_001
 
 
@@ -375,9 +379,9 @@ def test_malformed_file_reaches_the_per_line_pass(tmp_path, monkeypatch):
     cases = [("u.csv", "0,1_000\n1e-5,2\n"), ("w.csv", "0,1\n \n1e-5,2\n"), ("e.csv", "")]
     for name, content in cases:
         (tmp_path / name).write_text(content, encoding="utf-8")
-    np.testing.assert_array_equal(_read_pairs(tmp_path / "u.csv", _HEADER), [[0.0, 1000.0], [1e-5, 2.0]])
-    np.testing.assert_array_equal(_read_pairs(tmp_path / "w.csv", _HEADER), [[0.0, 1.0], [1e-5, 2.0]])
-    assert _read_pairs(tmp_path / "e.csv", _HEADER).shape == (0, 2)
+    np.testing.assert_array_equal(_read_pairs(tmp_path / "u.csv", _HEADER, _ADVICE), [[0.0, 1000.0], [1e-5, 2.0]])
+    np.testing.assert_array_equal(_read_pairs(tmp_path / "w.csv", _HEADER, _ADVICE), [[0.0, 1.0], [1e-5, 2.0]])
+    assert _read_pairs(tmp_path / "e.csv", _HEADER, _ADVICE).shape == (0, 2)
     bad = tmp_path / "bad.csv"
     bad.write_text("0,1\n1e-5,2,3\n", encoding="utf-8")
     with pytest.raises(SignalFormatError, match="expected 2 comma-separated fields on line 2, got 3"):
@@ -397,7 +401,7 @@ def test_per_line_pass_holds_a_flat_buffer_not_the_text(tmp_path, monkeypatch):
     monkeypatch.setattr(signal_core, "_parse_lines", lambda *args: seen.append(args[2]) or parse_lines(*args))
     tracemalloc.start()
     try:
-        pairs = _read_pairs(path, _HEADER)
+        pairs = _read_pairs(path, _HEADER, _ADVICE)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -441,6 +445,42 @@ def test_a_line_longer_than_a_block_is_refused_before_the_parse(tmp_path, head, 
     finally:
         tracemalloc.stop()
     assert peak <= 2 * signal_core._TEXT_BLOCK, peak
+
+
+def test_each_csv_read_opens_its_file_once(tmp_path, monkeypatch):
+    # the line count and the parse read one handle
+    write_signal(Signal(1000.0, [1.0, 2.0, 3.0]), tmp_path / "r.csv")
+    (tmp_path / "s.csv").write_text("freq_hz,peak_accel_m_s2\n100,10\n1000,100\n", encoding="utf-8")
+    opened, path_open = [], Path.open
+    monkeypatch.setattr(Path, "open", lambda self, *args, **kw: opened.append(self.name) or path_open(self, *args, **kw))
+    assert len(read_signal(tmp_path / "r.csv")) == 3
+    assert len(read_spec(tmp_path / "s.csv").freqs) == 2
+    assert opened == ["r.csv", "s.csv"]
+
+
+@pytest.mark.parametrize("size_charge", [True, False], ids=["file-size", "line-count"])
+def test_read_pairs_refuses_an_over_budget_file_before_numpys_reader(tmp_path, monkeypatch, size_charge):
+    # a sparse 1 GiB file is refused on its size, before it is opened; 200,000
+    # lines "0" in 400 kB are refused on their count, with the parse not begun
+    path = tmp_path / "big.csv"
+    if size_charge:
+        path.touch()
+        os.truncate(path, 1 << 30)
+        need, limit = 2 * (1 << 30), signal_core._MAX_BYTES
+    else:
+        path.write_bytes(b"0\n" * 200_000)
+        need, limit = 40 * 200_001, 1 << 20
+        monkeypatch.setattr(signal_core, "_MAX_BYTES", limit)
+
+    def parse(*args, **kwargs):
+        raise AssertionError("the file was parsed before the budget was checked")
+
+    monkeypatch.setattr(np, "loadtxt", parse)
+    monkeypatch.setattr(signal_core, "_parse_lines", parse)
+    with pytest.raises(ValueError, match=re.escape(
+        f"reading big.csv would hold {need:.3g} bytes, over the {limit:,}-byte limit; {_ADVICE}"
+    )):
+        _read_pairs(path, _HEADER, _ADVICE)
 
 
 def test_median_is_numpys_bit_for_bit():
