@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .nzdf import NzdfParams, _run_bytes, apply_filter, discretize
+from .nzdf import NzdfParams, _run_size, apply_filter, discretize
 from .signal_core import TWO_PI, Signal, _budget, _frozen, _scalar, motion_of
 
 __all__ = [
@@ -130,7 +130,7 @@ class BasisMatrix:
 
 def _basis_rows(n: int, centers, fs: float) -> tuple[int, list[int]]:
     """The basis's common length for n reference samples, and the zeros each center's filter input gets to reach it."""
-    pads = [int(np.ceil(NzdfParams(fc).ring_down_time * fs)) for fc in centers]
+    pads = [_run_size(NzdfParams(fc), fs, 0)[0] for fc in centers]  # each filter's ring-down rows
     return n + max(pads), [max(pads) - pad for pad in pads]
 
 
@@ -152,15 +152,18 @@ def build_basis(reference: Signal, layout: BankLayout) -> BasisMatrix:
     fs = reference.sample_rate
     if fs < 2.5 * top:
         raise ValueError(f"reference rate {fs:.6g} Hz is below 2.5x the top center {top:.6g} Hz")
-    n_common, extensions = _basis_rows(len(reference), layout.centers, fs)
-    _budget("basis", nbytes=8 * n_common * (layout.centers.size + 1) + _run_bytes(n_common, NzdfParams(top).order),
-            advice=f"raise the lowest center ({layout.centers[0]:.6g} Hz) or lower ppo ({layout.points_per_octave})")
     if fs < 10.0 * top:
         warnings.warn(
             f"reference rate {fs:.6g} Hz is below 10x the top center {top:.6g} Hz; "
             f"upper-band filters operate close to Nyquist",
             stacklevel=2,
         )
+
+    n_common, extensions = _basis_rows(len(reference), layout.centers, fs)
+    # the lowest center's run is the longest: the reference, unextended, and the longest ring-down
+    run = _run_size(NzdfParams(layout.centers[0]), fs, len(reference))[1]
+    _budget("basis", nbytes=8 * n_common * (layout.centers.size + 1) + run,
+            advice=f"raise the lowest center ({layout.centers[0]:.6g} Hz) or lower ppo ({layout.points_per_octave})")
 
     ref_peak = float(np.max(np.abs(reference.samples)))
     if ref_peak == 0.0:

@@ -263,13 +263,14 @@ def discretize(params: NzdfParams, fs: float) -> DigitalNzdf:
     return DigitalNzdf(params, fs, sos)
 
 
-def _run_bytes(rows, sections: int):
-    """Bytes :func:`apply_filter` holds for ``rows`` rows, pad included, through ``sections`` sections.
+def _run_size(params: NzdfParams, fs: float, n: int) -> tuple[int, int]:
+    """Rows :func:`apply_filter` returns for n samples at ``fs`` through ``params``, pad included, and bytes it holds.
 
     The output and its ``Signal`` copy, 16 bytes a row, and one segment of
     input and each section's output of it, 8 bytes a segment row each.
     """
-    return 16 * rows + 8 * _SEGMENT_ROWS * (sections + 1)
+    rows = n + int(np.ceil(params.ring_down_time * fs))
+    return rows, 16 * rows + 8 * _SEGMENT_ROWS * (params.order + 1)
 
 
 def apply_filter(filt: DigitalNzdf, sig: Signal) -> Signal:
@@ -287,11 +288,11 @@ def apply_filter(filt: DigitalNzdf, sig: Signal) -> Signal:
             f"signal rate {sig.sample_rate:.6g} Hz does not match filter rate "
             f"{filt.sample_rate:.6g} Hz"
         )
-    rows = len(sig) + np.ceil(filt.params.ring_down_time * sig.sample_rate)
     p = filt.params
-    _budget(f"filter at center_freq={p.center_freq:.6g} Hz with q={p.q:.6g}", nbytes=_run_bytes(rows, len(filt.sos)),
+    rows, nbytes = _run_size(p, sig.sample_rate, len(sig))
+    _budget(f"filter at center_freq={p.center_freq:.6g} Hz with q={p.q:.6g}", nbytes=nbytes,
             advice="lower q or raise center_freq")
-    y = np.concatenate(list(_segments(filt.sos, sig.samples, int(rows))))
+    y = np.concatenate(list(_segments(filt.sos, sig.samples, rows)))
     return Signal(sig.sample_rate, y, t0=sig.t0)
 
 
@@ -305,9 +306,8 @@ def impulse_response(filt: DigitalNzdf, duration: float) -> Signal:
     """
     n = int(round(_scalar("duration", duration, above=0.0) * filt.sample_rate)) + 1
     p = filt.params
-    rows = n + np.ceil(p.ring_down_time * filt.sample_rate)
     _budget(f"impulse response at center_freq={p.center_freq:.6g} Hz with q={p.q:.6g}",
-            nbytes=16 * n + _run_bytes(rows, len(filt.sos)), advice="shorten duration, lower q or raise center_freq")
+            nbytes=16 * n + _run_size(p, filt.sample_rate, n)[1], advice="shorten duration, lower q or raise center_freq")
     x = np.zeros(n)
     x[0] = filt.sample_rate
     return apply_filter(filt, Signal(filt.sample_rate, x))
