@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import click
@@ -65,29 +64,19 @@ class _Commands(click.Group):
 def _atomic(path, write_fn) -> None:
     """Write through a unique temp file in the target directory, then rename.
 
-    Concurrent writers of one target each get their own temp file, and a
-    failed write leaves no temp file behind.  ``mkstemp`` creates the file
-    0600, so it is given the mode a plain ``open`` would (0666 less the
-    umask) before the rename.
+    Concurrent writers of one target each get their own temp file, created
+    exclusively under a random name with the mode a plain ``open`` gives
+    (0666 less the umask), and a failed write leaves no temp file behind.
     """
     path = Path(path)
-    fd, name = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
-    os.close(fd)
-    tmp = Path(name)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
         write_fn(tmp)
-        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _umask() -> int:
-    """The process umask; reading it means setting it, so it is put back."""
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
 
 
 def _write_bode_csv(path, freqs, response) -> None:

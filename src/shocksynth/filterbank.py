@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from .nzdf import NzdfParams, _run_size, apply_filter, discretize
-from .signal_core import TWO_PI, Signal, _budget, _frozen, _scalar, motion_of
+from .signal_core import TWO_PI, Signal, _budget, _frozen, _grid, _scalar, motion_of
 
 __all__ = [
     "BankLayout",
@@ -48,7 +48,8 @@ class BankLayout:
     """Geometric frequency grid with ``points_per_octave`` points per octave.
 
     ``centers[k] = fmin * 2**(k / points_per_octave)``; the last center is
-    the first grid point at or above ``fmax``.
+    the first grid point at or above ``fmax``.  The centers are a frequency
+    list by ``signal_core._grid``'s rule.
     """
 
     fmin: float
@@ -57,10 +58,7 @@ class BankLayout:
     centers: np.ndarray
 
     def __post_init__(self):
-        centers = _frozen(self.centers)
-        if centers.ndim != 1 or centers.size == 0 or not np.isfinite(centers).all():
-            raise ValueError("centers must be a non-empty 1-D array of finite values")
-        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "centers", _frozen(_grid("centers", self.centers)))
 
 
 def make_layout(fmin: float, fmax: float, ppo: int = 6) -> BankLayout:

@@ -304,11 +304,11 @@ def impulse_response(filt: DigitalNzdf, duration: float) -> Signal:
     and the filter's run are checked by ``signal_core._budget`` before any
     of them is allocated.
     """
-    n = int(round(_scalar("duration", duration, above=0.0) * filt.sample_rate)) + 1
+    n = round(_scalar("duration", duration, above=0.0) * filt.sample_rate, 0) + 1  # a float until charged
     p = filt.params
     _budget(f"impulse response at center_freq={p.center_freq:.6g} Hz with q={p.q:.6g}",
             nbytes=16 * n + _run_size(p, filt.sample_rate, n)[1], advice="shorten duration, lower q or raise center_freq")
-    x = np.zeros(n)
+    x = np.zeros(int(n))
     x[0] = filt.sample_rate
     return apply_filter(filt, Signal(filt.sample_rate, x))
 
@@ -343,9 +343,9 @@ def gammatone_impulse(gp: GammatoneParams, fs: float, duration: float) -> Signal
     temporaries); ``signal_core._budget`` is charged 40 before any of them.
     """
     fs = _scalar("fs", fs, above=0.0)
-    n = int(round(_scalar("duration", duration, above=0.0) * fs)) + 1
+    n = round(_scalar("duration", duration, above=0.0) * fs, 0) + 1  # a float until charged
     _budget("gammatone impulse", nbytes=40 * n, advice="lower fs or shorten duration")
-    t = np.arange(n) / fs
+    t = np.arange(int(n)) / fs
     wc = TWO_PI * gp.center_freq
     env = gp.amplitude * t ** (gp.order - 1) * np.exp(-gp.bandwidth * t)
     return Signal(fs, env * np.cos(wc * t + gp.phase))

@@ -91,6 +91,19 @@ def _scalar(name: str, value, above: float = -math.inf, at_least: float = -math.
     raise ValueError(f"{name} must be finite{bound}, got {x:.6g}")
 
 
+def _grid(name: str, values) -> np.ndarray:
+    """``values`` as a 1-D float array, checked by the package's one rule for a frequency list.
+
+    Raises ``ValueError`` naming ``name`` unless it holds at least one value
+    and its values are finite, positive and strictly increasing; a scalar is
+    a list of one.
+    """
+    x = np.atleast_1d(np.asarray(values, dtype=float))
+    if x.ndim == 1 and x.size and np.isfinite(x).all() and x[0] > 0.0 and (x[1:] > x[:-1]).all():
+        return x
+    raise ValueError(f"{name} must be finite, positive and strictly increasing, in a non-empty 1-D list")
+
+
 def _budget(what: str, rows=0, nbytes=0, advice: str = "") -> None:
     """The package's one rule for the work a call may ask for: ``ValueError`` before any of it, unless
     ``rows`` to filter are at most ``_MAX_ROWS`` and ``nbytes`` held at once at most ``_MAX_BYTES``.
@@ -533,10 +546,11 @@ def synth_reference(
     fs = _scalar("fs", fs)
     if fs < 10.0 * fmax:
         raise ValueError(f"fs must be at least 10*fmax ({10.0 * fmax:.6g} Hz), got {fs:.6g}")
-    n = int(round(duration * fs)) + 1
+    n = round(duration * fs, 0) + 1  # a float, inf where the product overflows, until the budget passes it
     # tracemalloc reads 57 to 64 bytes a sample held at once (6.4 MB for
     # 100,001 samples): seven or eight float64 arrays of the record and temporaries.
     _budget("demo-ref", rows=n, nbytes=96 * n, advice="lower fs or duration")
+    n = int(n)
     t = np.arange(n) / fs
     t1, t2 = 0.28 * duration, 0.60 * duration
     window = (t > t1) & (t < t2)

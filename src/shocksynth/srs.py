@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .signal_core import (
-    TWO_PI, Signal, SignalFormatError, _budget, _frozen, _read_pairs, _ring_down_factor, _scalar, _segments, _write_table,
+    TWO_PI, Signal, SignalFormatError, _budget, _frozen, _grid, _read_pairs, _ring_down_factor, _scalar, _segments,
+    _write_table,
 )
 
 __all__ = [
@@ -40,8 +41,8 @@ class SrsSpec:
     """Breakpoint SRS specification with a pass/fail tolerance in dB.
 
     ``breakpoints`` is an (n, 2) array of (frequency Hz, peak acceleration
-    m/s^2) rows with strictly increasing frequencies, n >= 2, and positive
-    accelerations.
+    m/s^2) rows, n >= 2: the frequencies a list by ``signal_core._grid``'s
+    rule, the accelerations finite and positive.
     """
 
     breakpoints: np.ndarray
@@ -51,12 +52,9 @@ class SrsSpec:
         bp = np.atleast_2d(np.asarray(self.breakpoints, dtype=float))
         if bp.ndim != 2 or bp.shape[1] != 2 or bp.shape[0] < 2:
             raise ValueError(f"breakpoints must be an (n>=2, 2) array, got shape {bp.shape}")
-        if not np.all(np.isfinite(bp)):
-            raise ValueError("breakpoints must be finite")
-        if np.any(np.diff(bp[:, 0]) <= 0.0):
-            raise ValueError("breakpoint frequencies must be strictly increasing")
-        if np.any(bp[:, 0] <= 0.0) or np.any(bp[:, 1] <= 0.0):
-            raise ValueError("breakpoint frequencies and accelerations must be positive")
+        _grid("breakpoint frequencies", bp[:, 0])
+        if not (np.isfinite(bp[:, 1]).all() and (bp[:, 1] > 0.0).all()):
+            raise ValueError("breakpoint accelerations must be finite and positive")
         object.__setattr__(self, "breakpoints", _frozen(bp))
         object.__setattr__(self, "tolerance_db", _scalar("tolerance_db", self.tolerance_db, above=0.0))
 
@@ -78,14 +76,10 @@ class SrsCurve:
     q_srs: float = 10.0
 
     def __post_init__(self):
-        freqs = np.atleast_1d(np.asarray(self.freqs, dtype=float))
+        freqs = _grid("freqs", self.freqs)
         values = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if freqs.ndim != 1 or freqs.size == 0:
-            raise ValueError("freqs must be a non-empty 1-D array")
         if values.shape != freqs.shape:
             raise ValueError("freqs and values must have matching shapes")
-        if not (np.isfinite(freqs).all() and (freqs > 0.0).all() and (np.diff(freqs) > 0.0).all()):
-            raise ValueError("freqs must be finite, positive and strictly increasing")
         if not np.all(np.isfinite(values)) or np.any(values < 0.0):
             raise ValueError("values must be finite and non-negative")
         object.__setattr__(self, "freqs", _frozen(freqs))
@@ -129,16 +123,13 @@ def _sdof_coeffs(fn: float, q_srs: float, dt: float):
     return b, a
 
 
-def _check_freqs(freqs: np.ndarray, fs: float, q_srs: float) -> None:
-    """Reject a q_srs or natural frequencies the SRS cannot use, before any filtering."""
+def _check_freqs(freqs, fs: float, q_srs: float) -> np.ndarray:
+    """``freqs`` checked by ``signal_core._grid``, and with ``q_srs`` by what the SRS can use, before any filtering."""
     _scalar("q_srs", q_srs, above=0.5)
-    if not (np.isfinite(freqs).all() and (freqs > 0.0).all()):
-        raise ValueError("natural frequencies must be finite and positive")
-    if np.any(freqs >= fs / 2.0):
-        worst = float(np.max(freqs))
-        raise ValueError(
-            f"natural frequency {worst:.6g} Hz is at or above Nyquist ({fs / 2.0:.6g} Hz)"
-        )
+    freqs = _grid("freqs", freqs)
+    if freqs[-1] >= fs / 2.0:
+        raise ValueError(f"natural frequency {freqs[-1]:.6g} Hz is at or above Nyquist ({fs / 2.0:.6g} Hz)")
+    return freqs
 
 
 def _ring_down_samples(fn, q_srs: float, fs: float):
@@ -151,13 +142,13 @@ def _ring_down_samples(fn, q_srs: float, fs: float):
         return np.ceil(_ring_down_factor(1) * 2.0 * q_srs / (TWO_PI * np.asarray(fn)) * fs)
 
 
-def _srs_rows(n: int, freqs, q_srs: float, fs: float) -> np.ndarray:
-    """Each oscillator's rows, n samples plus its ring-down pad, after ``_check_freqs`` and ``_budget`` of their sum."""
-    _check_freqs(freqs, fs, q_srs)
+def _srs_rows(n: int, freqs, q_srs: float, fs: float) -> tuple[np.ndarray, np.ndarray]:
+    """``freqs`` checked by ``_check_freqs``, and each oscillator's rows, n samples plus its ring-down pad, after ``_budget`` of their sum."""
+    freqs = _check_freqs(freqs, fs, q_srs)
     rows = n + _ring_down_samples(freqs, q_srs, fs)
-    advice = f"lower q_srs ({q_srs:.6g}) or raise the lowest frequency ({np.min(freqs):.6g} Hz)"
+    advice = f"lower q_srs ({q_srs:.6g}) or raise the lowest frequency ({freqs[0]:.6g} Hz)"
     _budget("SRS", rows=rows.sum(), advice=advice)
-    return rows
+    return freqs, rows
 
 
 def srs(sig: Signal, freqs, q_srs: float = 10.0) -> SrsCurve:
@@ -172,9 +163,7 @@ def srs(sig: Signal, freqs, q_srs: float = 10.0) -> SrsCurve:
     the whole run, bit for bit, and memory does not grow with the pad.  Their
     rows in all are checked by ``signal_core._budget`` before any filtering.
     """
-    freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
-    fs = sig.sample_rate
-    rows = _srs_rows(len(sig), freqs, q_srs, fs)
+    freqs, rows = _srs_rows(len(sig), freqs, q_srs, sig.sample_rate)
     values = [
         max(np.abs(y).max() for y in _segments(np.concatenate(_sdof_coeffs(fn, q_srs, sig.dt)), sig.samples, total))
         for fn, total in zip(freqs, rows.astype(int).tolist())
@@ -193,15 +182,21 @@ def srs_oracle(sig: Signal, fn: float, q_srs: float = 10.0) -> float:
     base acceleration as piecewise linear between samples (the same input
     model the ramp-invariant recursion assumes).  The absolute
     acceleration -( (wn/q_srs) z' + wn^2 z ) is recorded on the signal's
-    own sample grid over the record plus ring-down pad.
+    own sample grid over the record plus ring-down pad.  Its steps, and
+    the arrays it holds (tracemalloc reads 70 to 89 bytes a step), are
+    charged to ``signal_core._budget`` at 96 bytes a step before any of
+    them is allocated.
     """
     fn = float(fn)
-    _check_freqs(np.array([fn]), sig.sample_rate, q_srs)
+    _check_freqs(fn, sig.sample_rate, q_srs)
     dt = sig.dt
     sub = max(1, int(np.ceil(20.0 * fn * dt)))
     h = dt / sub
 
-    u = np.concatenate([sig.samples, np.zeros(int(_ring_down_samples(fn, q_srs, sig.sample_rate)))])
+    pad = _ring_down_samples(fn, q_srs, sig.sample_rate)  # a float, inf where it overflows, until charged
+    steps = (len(sig) - 1 + pad) * sub
+    _budget("SRS oracle", rows=steps, nbytes=96 * (steps + 1), advice=f"lower q_srs ({q_srs:.6g}) or raise fn ({fn:.6g} Hz)")
+    u = np.concatenate([sig.samples, np.zeros(int(pad))])
     n_steps = (u.size - 1) * sub
     t_fine = np.arange(n_steps + 1) * h
     u_fine = np.interp(t_fine, np.arange(u.size) * dt, u)
@@ -247,13 +242,9 @@ def spec_interpolate(spec: SrsSpec, freqs) -> SrsCurve:
     Frequencies outside the breakpoint range are clamped to the end values
     with a warning.
     """
-    freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
-    if freqs.size == 0:
-        raise ValueError("freqs must be non-empty")
-    if np.any(freqs <= 0.0):
-        raise ValueError("freqs must be positive")
+    freqs = _grid("freqs", freqs)
     lo, hi = spec.freqs[0], spec.freqs[-1]
-    if np.any(freqs < lo) or np.any(freqs > hi):
+    if freqs[0] < lo or freqs[-1] > hi:
         warnings.warn(
             f"interpolation frequencies outside spec range [{lo:.6g}, {hi:.6g}] Hz "
             f"are clamped to the end values",

@@ -505,6 +505,23 @@ def test_atomic_unique_temp_and_cleanup(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
 
 
+def test_atomic_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # the temp file gets a plain open's mode without reading the umask, which means setting it
+    from shocksynth.cli import _atomic
+
+    plain = tmp_path / "plain.txt"
+    plain.write_text("x", encoding="utf-8")
+
+    def umask(mask):
+        raise AssertionError("the process umask was set")
+
+    monkeypatch.setattr(os, "umask", umask)
+    _atomic(tmp_path / "out.txt", lambda p: p.write_text("y", encoding="utf-8"))
+    assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "y"
+    assert (tmp_path / "out.txt").stat().st_mode == plain.stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "plain.txt"]
+
+
 # Valid arguments of each command; each float flag is then given a bad value.
 _BASE_ARGS = {
     "srs": ["{d}/ref.csv", "--out", "{o}/out.csv"],
@@ -777,6 +794,14 @@ def test_demo_ref_too_short_for_its_correction_pulses_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
     assert main(["demo-ref", "--duration", "6e-5", "--out", str(tmp_path / "x.csv")], standalone_mode=False) is None
     assert (tmp_path / "x.csv").exists()
+
+
+def test_demo_ref_whose_sample_count_overflows_exits_2(tmp_path, capsys):
+    argv = ["demo-ref", "--duration", "1e300", "--fs", "1e10", "--fmax", "1e9", "--out", tmp_path / "x.csv"]
+    code, err = _run_in_process(argv, capsys)
+    assert code == 2
+    assert err == "error: demo-ref would filter inf rows, over the 1,000,000,000-row limit; lower fs or duration\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bank_over_budget_exits_2_before_designing_a_filter(tmp_path, capsys, monkeypatch):

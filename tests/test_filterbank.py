@@ -66,6 +66,13 @@ def test_layout_validation():
         make_layout(100.0, 1000.0, 0)
 
 
+def test_layout_refuses_centers_out_of_order():
+    # build_basis checks the rate against the last center as the top one, so
+    # these centers passed it at 100 kHz, where the same centers ascending fail it
+    with pytest.raises(ValueError, match="^centers must be finite, positive and strictly increasing"):
+        filterbank.BankLayout(100.0, 45_000.0, 6, [45_000.0, 100.0])
+
+
 @pytest.fixture(scope="module")
 def small_case():
     ref = synth_reference(fs=50_000.0, duration=0.02, fmax=5000.0, seed=2)

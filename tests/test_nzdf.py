@@ -457,6 +457,14 @@ def test_gammatone_impulse_is_refused_before_it_is_sampled(monkeypatch):
     assert g.samples.nbytes < peak <= 40 * len(g), peak / len(g)
 
 
+def test_sample_counts_that_overflow_are_refused_by_the_budget():
+    # duration * fs overflows to inf: the budget refuses it before it is an int
+    with pytest.raises(ValueError, match=r"^impulse response at center_freq=1000 Hz with q=5 would hold inf bytes"):
+        impulse_response(discretize(NzdfParams(1000.0), 1e5), 1e305)
+    with pytest.raises(ValueError, match=r"^gammatone impulse would hold inf bytes"):
+        gammatone_impulse(GammatoneParams(1000.0, 600.0), 1e10, 1e300)
+
+
 def test_gammatone_samples():
     gp = GammatoneParams(center_freq=900.0, bandwidth=600.0, order=2, amplitude=3.0, phase=0.4)
     fs = 40_000.0

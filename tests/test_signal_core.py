@@ -635,6 +635,14 @@ def test_synth_reference_is_sized_before_it_starts(monkeypatch):
     assert len(synth_reference(duration=0.1)) == 10_001
 
 
+def test_synth_reference_sample_count_that_overflows_is_refused_by_the_budget():
+    # 1e300 s at 10 GHz: the sample count overflows to inf before it is an int
+    with pytest.raises(ValueError, match=re.escape(
+        "demo-ref would filter inf rows, over the 1,000,000,000-row limit; lower fs or duration"
+    )):
+        synth_reference(fs=1e10, duration=1e300, fmax=1e9)
+
+
 @pytest.mark.parametrize("duration", [0.2, 1.0])
 def test_synth_reference_peak_is_within_its_budget_estimate(monkeypatch, duration):
     asked = []

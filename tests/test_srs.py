@@ -1,6 +1,8 @@
 """SRS engines, breakpoint specs, dB errors, and spectrum file I/O."""
 
+import importlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +22,8 @@ from shocksynth import (
     synth_reference,
     write_curve,
 )
-from shocksynth.filterbank import make_layout
+from shocksynth import signal_core
+from shocksynth.filterbank import BankLayout, make_layout
 from shocksynth.signal_core import _MAX_ROWS, _SEGMENT_ROWS, _run, _write_table
 from shocksynth.srs import _ring_down_samples, _sdof_coeffs
 
@@ -192,6 +195,74 @@ def test_srs_validation():
         srs_oracle(sig, 6000.0)
 
 
+_GRID_RULE = "must be finite, positive and strictly increasing, in a non-empty 1-D list"
+
+
+@pytest.mark.parametrize("grid", [
+    [], [1000.0, 100.0], [100.0, 100.0], [0.0, 100.0], [-5.0], [100.0, float("nan")], [100.0, float("inf")],
+    [[100.0, 200.0]],
+], ids=["empty", "descending", "duplicated", "zero", "negative", "nan", "inf", "2-D"])
+def test_every_frequency_list_is_refused_by_one_rule_before_any_work(monkeypatch, grid):
+    # srs used to run every oscillator before SrsCurve refused a descending
+    # grid, and an empty grid failed in numpy's min; spec_interpolate warned
+    # of clamping before refusing
+    def oscillator(*args):
+        raise AssertionError("an oscillator ran before the grid was checked")
+
+    monkeypatch.setattr(importlib.import_module("shocksynth.srs"), "_segments", oscillator)
+    sig = Signal(10_000.0, np.ones(32))
+    spec = SrsSpec([[150.0, 300.0], [300.0, 600.0]])
+    callers = {
+        "freqs": [lambda: srs(sig, grid), lambda: SrsCurve(grid, np.ones(np.shape(grid))),
+                  lambda: spec_interpolate(spec, grid)],
+        "centers": [lambda: BankLayout(100.0, 1000.0, 6, grid)],
+    }
+    if np.shape(grid) == (2,):
+        callers["breakpoint frequencies"] = [lambda: SrsSpec(np.column_stack([grid, [300.0, 400.0]]))]
+    for name, calls in callers.items():
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError) as info:
+                    call()
+            assert str(info.value) == f"{name} {_GRID_RULE}"
+
+
+def test_spec_accelerations_are_checked_after_the_frequencies():
+    with pytest.raises(ValueError, match="^breakpoint accelerations must be finite and positive$"):
+        SrsSpec([[100.0, 300.0], [200.0, float("nan")]])
+    with pytest.raises(ValueError, match=f"^breakpoint frequencies {_GRID_RULE}$"):
+        SrsSpec([[200.0, 300.0], [100.0, -1.0]])
+
+
+def test_srs_oracle_is_charged_before_it_allocates(monkeypatch):
+    # 100 Hz at Q = 10 on 1,000 samples at 10 kHz: 999 + 2,229 pad rows, one
+    # step each, charged at 96 bytes a step
+    sig = Signal(10_000.0, np.ones(1000))
+    monkeypatch.setattr(signal_core, "_MAX_BYTES", 100_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^SRS oracle would hold 3\.1e\+05 bytes, .*; lower q_srs \(10\) or raise fn \(100 Hz\)$"):
+            srs_oracle(sig, 100.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(sig), peak
+    with pytest.raises(ValueError, match=r"^SRS oracle would filter 2\.23e\+305 rows"):
+        srs_oracle(sig, 1e-300)  # a pad no int of it could allocate
+    monkeypatch.undo()
+    asked = []
+    monkeypatch.setattr(importlib.import_module("shocksynth.srs"), "_budget",
+                        lambda what, rows=0, nbytes=0, advice="": asked.append(nbytes))
+    tracemalloc.start()
+    try:
+        srs_oracle(sig, 100.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert asked == [96 * 3229] and peak <= asked[0], (peak, asked)
+
+
 _S = _SEGMENT_ROWS
 
 
@@ -326,10 +397,10 @@ def test_read_spec_checks_random_tables(tmp_path_factory, freqs, peaks, shape):
     f, a = [r[0] for r in rows], [r[1] for r in rows]
     if len(rows) < 2:
         message = "need at least 2 breakpoints"
-    elif any(hi <= lo for lo, hi in zip(f, f[1:])):
-        message = "breakpoint frequencies must be strictly increasing"
-    elif min(f) <= 0.0 or min(a) <= 0.0:
-        message = "breakpoint frequencies and accelerations must be positive"
+    elif min(f) <= 0.0 or any(hi <= lo for lo, hi in zip(f, f[1:])):
+        message = "breakpoint frequencies must be finite, positive and strictly increasing, in a non-empty 1-D list"
+    elif min(a) <= 0.0:
+        message = "breakpoint accelerations must be finite and positive"
     else:
         spec = read_spec(path)
         assert spec.breakpoints.tobytes() == np.array(rows).tobytes()
