@@ -4,7 +4,8 @@ synthesis, verification, and surrogate generation.
 Exit codes: 0 success (all pass flags true), 1 completed but tolerance or
 net-zero unmet (including an infeasible spec), 2 usage or input errors,
 non-finite or out-of-range numbers and exhausted memory among them.  One
-handler around command dispatch maps errors to exit codes.  All outputs are
+handler around command dispatch maps errors to exit codes and prints each
+warning as one ``warning: <message>`` line.  All outputs are
 written atomically (temp file + rename) and are byte-reproducible given
 identical flags and seeds.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import click
@@ -44,9 +46,11 @@ _BANK_ROWS_PER_FILTER = 31_250
 
 
 class _Commands(click.Group):
-    """The command group, with the one mapping of errors to exit codes."""
+    """The command group, with the one mapping of errors to exit codes and of warnings to plain lines."""
 
     def invoke(self, ctx):
+        format_warning = warnings.formatwarning  # restored, so a library caller's warnings keep their own format
+        warnings.formatwarning = lambda message, *args, **kwargs: f"warning: {message}\n"
         try:
             return super().invoke(ctx)
         except NoBandEnergyError as exc:
@@ -59,6 +63,8 @@ class _Commands(click.Group):
             name = ctx.invoked_subcommand
             click.echo(f"error: {name} ran out of memory; {_MEMORY_ADVICE[name]}", err=True)
             sys.exit(2)
+        finally:
+            warnings.formatwarning = format_warning
 
 
 def _atomic(path, write_fn) -> None:

@@ -1,11 +1,8 @@
 """Shock response spectra and dB error metrics against breakpoint specs.
 
-The production path computes the maximax absolute-acceleration SRS with the
-ramp-invariant recursive filter of Smallwood (1980), the standard digital
-method in shock testing (see also ISO 18431-4).  An independent fixed-step
-4th order ODE integrator over the relative-coordinate SDOF equation serves
-as a cross-check oracle: the two share nothing but the input samples, so
-mutual agreement validates both.
+The maximax absolute-acceleration SRS is computed with the ramp-invariant
+recursive filter of Smallwood (1980), the standard digital method in shock
+testing (see also ISO 18431-4).
 
 Specifications are piecewise log-log linear breakpoint curves; errors are
 reported in amplitude dB, 20*log10(actual/target).
@@ -29,7 +26,6 @@ __all__ = [
     "SrsCurve",
     "DbErrorReport",
     "srs",
-    "srs_oracle",
     "spec_interpolate",
     "db_error",
     "read_spec",
@@ -123,15 +119,6 @@ def _sdof_coeffs(fn: float, q_srs: float, dt: float):
     return b, a
 
 
-def _check_freqs(freqs, fs: float, q_srs: float) -> np.ndarray:
-    """``freqs`` checked by ``signal_core._grid``, and with ``q_srs`` by what the SRS can use, before any filtering."""
-    _scalar("q_srs", q_srs, above=0.5)
-    freqs = _grid("freqs", freqs)
-    if freqs[-1] >= fs / 2.0:
-        raise ValueError(f"natural frequency {freqs[-1]:.6g} Hz is at or above Nyquist ({fs / 2.0:.6g} Hz)")
-    return freqs
-
-
 def _ring_down_samples(fn, q_srs: float, fs: float):
     """Samples of free decay after the record, by the package's one ring-down rule.
 
@@ -143,8 +130,11 @@ def _ring_down_samples(fn, q_srs: float, fs: float):
 
 
 def _srs_rows(n: int, freqs, q_srs: float, fs: float) -> tuple[np.ndarray, np.ndarray]:
-    """``freqs`` checked by ``_check_freqs``, and each oscillator's rows, n samples plus its ring-down pad, after ``_budget`` of their sum."""
-    freqs = _check_freqs(freqs, fs, q_srs)
+    """``freqs`` checked by ``signal_core._grid`` and below Nyquist, and each oscillator's rows, n samples plus its ring-down pad, after ``_budget`` of their sum."""
+    _scalar("q_srs", q_srs, above=0.5)
+    freqs = _grid("freqs", freqs)
+    if freqs[-1] >= fs / 2.0:
+        raise ValueError(f"natural frequency {freqs[-1]:.6g} Hz is at or above Nyquist ({fs / 2.0:.6g} Hz)")
     rows = n + _ring_down_samples(freqs, q_srs, fs)
     advice = f"lower q_srs ({q_srs:.6g}) or raise the lowest frequency ({freqs[0]:.6g} Hz)"
     _budget("SRS", rows=rows.sum(), advice=advice)
@@ -169,71 +159,6 @@ def srs(sig: Signal, freqs, q_srs: float = 10.0) -> SrsCurve:
         for fn, total in zip(freqs, rows.astype(int).tolist())
     ]
     return SrsCurve(freqs, values, q_srs)
-
-
-def srs_oracle(sig: Signal, fn: float, q_srs: float = 10.0) -> float:
-    """Maximax absolute acceleration from direct ODE integration.
-
-    Integrates the relative-coordinate SDOF equation
-
-        z'' + (wn/q_srs) z' + wn^2 z = -a_base(t)
-
-    with classical fixed-step RK4 at >= 20 steps per period, treating the
-    base acceleration as piecewise linear between samples (the same input
-    model the ramp-invariant recursion assumes).  The absolute
-    acceleration -( (wn/q_srs) z' + wn^2 z ) is recorded on the signal's
-    own sample grid over the record plus ring-down pad.  Its steps, and
-    the arrays it holds (tracemalloc reads 70 to 89 bytes a step), are
-    charged to ``signal_core._budget`` at 96 bytes a step before any of
-    them is allocated.
-    """
-    fn = float(fn)
-    _check_freqs(fn, sig.sample_rate, q_srs)
-    dt = sig.dt
-    sub = max(1, int(np.ceil(20.0 * fn * dt)))
-    h = dt / sub
-
-    pad = _ring_down_samples(fn, q_srs, sig.sample_rate)  # a float, inf where it overflows, until charged
-    steps = (len(sig) - 1 + pad) * sub
-    _budget("SRS oracle", rows=steps, nbytes=96 * (steps + 1), advice=f"lower q_srs ({q_srs:.6g}) or raise fn ({fn:.6g} Hz)")
-    u = np.concatenate([sig.samples, np.zeros(int(pad))])
-    n_steps = (u.size - 1) * sub
-    t_fine = np.arange(n_steps + 1) * h
-    u_fine = np.interp(t_fine, np.arange(u.size) * dt, u)
-
-    zeta = 0.5 / q_srs
-    wn = TWO_PI * fn
-    f_mat = np.array([[0.0, 1.0], [-wn * wn, -2.0 * zeta * wn]])
-
-    eye = np.eye(2)
-    f2 = f_mat @ f_mat
-    f3 = f2 @ f_mat
-    f4 = f3 @ f_mat
-    phi = eye + h * f_mat + h * h / 2.0 * f2 + h ** 3 / 6.0 * f3 + h ** 4 / 24.0 * f4
-    # Forcing weights of one RK4 step for g sampled at t, t+h/2, t+h.
-    a0 = h / 6.0 * (eye + h * f_mat + h * h / 2.0 * f2 + h ** 3 / 4.0 * f3)
-    ah = h / 6.0 * (4.0 * eye + 2.0 * h * f_mat + h * h / 2.0 * f2)
-    a1 = h / 6.0 * eye
-
-    # g(t) = [0, -u(t)]: only the second column of each weight matrix acts.
-    u0 = u_fine[:-1]
-    u1 = u_fine[1:]
-    uh = 0.5 * (u0 + u1)  # midpoint of a piecewise-linear segment
-    wz = -(a0[0, 1] * u0 + ah[0, 1] * uh + a1[0, 1] * u1)
-    wv = -(a0[1, 1] * u0 + ah[1, 1] * uh + a1[1, 1] * u1)
-
-    p00, p01 = phi[0]
-    p10, p11 = phi[1]
-    zs = np.empty(n_steps + 1)
-    vs = np.empty(n_steps + 1)
-    z = v = 0.0
-    zs[0] = vs[0] = 0.0
-    for n in range(n_steps):
-        z, v = p00 * z + p01 * v + wz[n], p10 * z + p11 * v + wv[n]
-        zs[n + 1] = z
-        vs[n + 1] = v
-    acc = -(2.0 * zeta * wn * vs[::sub] + wn * wn * zs[::sub])
-    return float(np.max(np.abs(acc)))
 
 
 def spec_interpolate(spec: SrsSpec, freqs) -> SrsCurve:

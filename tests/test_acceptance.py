@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import write_spec_csv
+from conftest import foh_srs, smooth_noise, write_spec_csv
 from shocksynth import (
     GammatoneParams,
     NzdfParams,
@@ -28,7 +28,6 @@ from shocksynth import (
     read_signal,
     residual_motion,
     srs,
-    srs_oracle,
     synth_reference,
     validate_order,
 )
@@ -206,37 +205,31 @@ def test_criterion_05_order_bounds():
     print("criterion 5: validate_order truth table exact")
 
 
-def _smooth_noise(rng, n, fs):
-    x = rng.normal(size=n)
-    for _ in range(2):
-        x = np.convolve(x, np.ones(5) / 5.0, mode="same")
-    return Signal(fs, x)
-
-
 def test_criterion_06_srs_engine():
     rng = np.random.default_rng(6)
     fs = 20_000.0
     worst = 0.0
     for _ in range(50):
-        sig = _smooth_noise(rng, 1200 + int(rng.uniform(0, 800)), fs)
+        sig = smooth_noise(rng, 1200 + int(rng.uniform(0, 800)), fs)
         fn = float(np.exp(rng.uniform(np.log(60.0), np.log(7000.0))))
         fast = srs(sig, [fn]).values[0]
-        slow = srs_oracle(sig, fn)
-        worst = max(worst, abs(fast - slow) / slow)
+        exact = foh_srs(sig, fn)
+        worst = max(worst, abs(fast - exact) / exact)
     assert worst < 0.01
+    assert worst <= 1e-9  # both are exact for a base acceleration linear between samples
 
     t = np.arange(101) / 100_000.0
     half_sine = Signal(100_000.0, 500.0 * np.sin(np.pi * t / 1e-3))
     for fn in (8000.0, 10_000.0):
         assert srs(half_sine, [fn]).values[0] == pytest.approx(500.0, rel=0.05)
 
-    sig = _smooth_noise(rng, 900, fs)
+    sig = smooth_noise(rng, 900, fs)
     freqs = [100.0, 700.0, 3000.0]
     base = srs(sig, freqs).values
     for alpha in (2.5, -3.0):
         scaled = srs(sig.with_samples(alpha * sig.samples), freqs).values
         np.testing.assert_allclose(scaled, abs(alpha) * base, rtol=1e-9)
-    print(f"criterion 6: worst oracle deviation over 50 cases = {worst * 100:.3f}% (required 1%)")
+    print(f"criterion 6: worst deviation from the exact FOH solution over 50 cases = {worst * 100:.3g}% (required 1%)")
 
 
 def test_criterion_07_gammatone_contrast():

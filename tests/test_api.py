@@ -17,7 +17,7 @@ PUBLIC = {
     "BankLayout", "BasisMatrix", "NoBandEnergyError", "make_layout", "build_basis",
     "four_coordinate_check",
     # srs
-    "SrsSpec", "SrsCurve", "DbErrorReport", "srs", "srs_oracle", "spec_interpolate", "db_error",
+    "SrsSpec", "SrsCurve", "DbErrorReport", "srs", "spec_interpolate", "db_error",
     "read_spec", "write_curve",
     # synthesis
     "PsoConfig", "SynthesisResult", "objective", "pso_minimize", "synthesize", "verify",
@@ -27,7 +27,7 @@ PUBLIC = {
 
 
 def test_public_names():
-    assert len(PUBLIC) == 47
+    assert len(PUBLIC) == 46
     assert set(shocksynth.__all__) == PUBLIC
     assert len(shocksynth.__all__) == len(PUBLIC)
     namespace = {}

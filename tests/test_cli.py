@@ -12,6 +12,7 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import click
 import numpy as np
@@ -20,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import write_spec_csv
+from shocksynth import signal_core
 from shocksynth.cli import main
 from shocksynth.signal_core import Signal, read_signal, residual_motion, synth_reference, write_signal
 
@@ -106,6 +108,33 @@ def test_bank_command(run_cli, tmp_path):
     assert len(header) == 1 + 41
     assert header[1] == "mag_db_100"
     assert len(lines) == 1 + 481
+
+
+_BANK_WARNING = "warning: fs=100000 is below 10*fc=101594; expect bilinear warping distortion on the upper skirt\n"
+
+
+def test_warnings_print_as_one_plain_line(cli_env, tmp_path):
+    # the top default center, 10,159 Hz, is over fs / 10; Python's own format
+    # would print the warning's file, line number and source line
+    env = {k: v for k, v in cli_env.items() if k != "PYTHONWARNINGS"}
+    r = subprocess.run([sys.executable, "-m", "shocksynth.cli", "bank", "--out", str(tmp_path / "b.csv")],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == _BANK_WARNING
+
+
+def test_warning_format_is_restored_after_a_command(tmp_path, capsys):
+    # a showwarning that prints through formatwarning, as Python's default does
+    def printed(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    original = warnings.formatwarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = printed
+        code, err = _run_in_process(["bank", "--out", tmp_path / "b.csv"], capsys)
+    assert (code, err) == (0, _BANK_WARNING)
+    assert warnings.formatwarning is original
 
 
 @pytest.fixture(scope="module")
@@ -923,3 +952,64 @@ def test_synth_on_a_reference_with_no_band_energy_is_infeasible(breakpoints, amp
         assert code == 1
         assert err.startswith("synthesis infeasible: "), err
         assert sorted(p.name for p in Path(d).iterdir()) == ["ref.csv", "spec.csv"]
+
+
+# Numbers at and past the edge of what some input accepts.
+_EDGE = st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -1.0, 5e-324, 1e300])
+
+
+def _maybe_edge(draw, values):
+    """``values`` with, one time in four, one of them replaced by an edge number."""
+    values = list(values)
+    if values and draw(st.integers(0, 3)) == 3:
+        values[draw(st.integers(0, len(values) - 1))] = draw(_EDGE)
+    return values
+
+
+def _csv(header, columns):
+    return header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in zip(*columns))
+
+
+@st.composite
+def _cli_case(draw, command):
+    """A record and a spec as CSV text, and flags of ``command``, drawn small, valid or not."""
+    n = draw(st.one_of(st.integers(2, 60), st.sampled_from([0, 1])))
+    [dt] = _maybe_edge(draw, [draw(st.sampled_from([1e-5, 2e-5]))])
+    record = _csv("time_s,accel_m_s2", [[i * dt for i in range(n)],
+                                        _maybe_edge(draw, draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))])
+    m = draw(st.integers(2, 4))
+    freqs = draw(st.lists(st.floats(50.0, 5e3), min_size=m, max_size=m, unique=True))
+    if draw(st.integers(0, 3)) < 3:
+        freqs.sort()
+    rows = _maybe_edge(draw, freqs + draw(st.lists(st.floats(1.0, 1e4), min_size=m, max_size=m)))
+    spec = _csv("freq_hz,peak_accel_m_s2", [rows[:m], rows[m:]])
+    flags = []
+    for option in main.commands[command].params:  # each float flag near its default (--fc near 1 kHz), or an edge
+        if option.type is click.FLOAT and draw(st.booleans()):
+            default = 1000.0 if option.required else option.default
+            [value] = _maybe_edge(draw, [default * draw(st.floats(0.5, 2.0))])
+            flags += [option.opts[0], repr(value)]
+    for flag, values, commands in [("--ppo", [1, 3, 0, 10**12], {"srs", "bank", "synth", "verify"}),
+                                   ("--seed", [1, -1, 2**70], {"synth", "demo-ref"})]:
+        if command in commands and draw(st.booleans()):
+            flags += [flag, str(draw(st.sampled_from(values)))]
+    return record, spec, flags
+
+
+@pytest.mark.parametrize("command", sorted(_BASE_ARGS))
+@settings(max_examples=7, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_command_exits_0_1_or_2_with_one_error_line(command, data, capsys):
+    # the CLI contract over drawn inputs; the lowered limits keep each example
+    # small and send the over-budget ones down the exit-2 path
+    record, spec, flags = data.draw(_cli_case(command))
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(signal_core, "_MAX_ROWS", 2_000_000), \
+            mock.patch.object(signal_core, "_MAX_BYTES", 32 << 20):
+        (Path(d) / "ref.csv").write_text(record, encoding="utf-8")
+        (Path(d) / "spec.csv").write_text(spec, encoding="utf-8")
+        argv = [command] + [a.format(d=d, o=d) for a in _BASE_ARGS[command]] + flags
+        code, err, _ = _in_process(argv, capsys)
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err, (argv, err)
+    if code == 2:
+        assert [line.lower().startswith("error:") for line in err.splitlines()].count(True) == 1, (argv, err)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import foh_srs, smooth_noise
 from shocksynth import (
     Signal,
     SignalFormatError,
@@ -18,11 +19,9 @@ from shocksynth import (
     read_spec,
     spec_interpolate,
     srs,
-    srs_oracle,
     synth_reference,
     write_curve,
 )
-from shocksynth import signal_core
 from shocksynth.filterbank import BankLayout, make_layout
 from shocksynth.signal_core import _MAX_ROWS, _SEGMENT_ROWS, _run, _write_table
 from shocksynth.srs import _ring_down_samples, _sdof_coeffs
@@ -164,23 +163,17 @@ def test_srs_homogeneity(seed, n, fn, scale, negative):
     np.testing.assert_allclose(scaled, abs(c) * base, rtol=1e-12, atol=0.0)
 
 
-def _smooth_noise(rng, n, fs):
-    x = rng.normal(size=n)
-    for _ in range(2):
-        x = np.convolve(x, np.ones(5) / 5.0, mode="same")
-    return Signal(fs, x)
-
-
 def test_srs_matches_ode_oracle():
-    # the recursion and the RK4 integrator share nothing but the input
+    # the recursion and scipy's matrix-exponential lsim share nothing but the
+    # input, and both are exact for a base acceleration linear between samples
     rng = np.random.default_rng(11)
     fs = 20_000.0
     for _ in range(8):
-        sig = _smooth_noise(rng, 1500 + int(rng.uniform(0, 500)), fs)
+        sig = smooth_noise(rng, 1500 + int(rng.uniform(0, 500)), fs)
         fn = float(np.exp(rng.uniform(np.log(60.0), np.log(7000.0))))
         fast = srs(sig, [fn]).values[0]
-        slow = srs_oracle(sig, fn)
-        assert abs(fast - slow) / slow < 0.01, fn
+        exact = foh_srs(sig, fn)
+        assert abs(fast - exact) / exact <= 1e-9, fn
 
 
 def test_srs_validation():
@@ -191,8 +184,6 @@ def test_srs_validation():
         srs(sig, [-5.0])
     with pytest.raises(ValueError):
         srs(sig, [100.0], q_srs=0.2)
-    with pytest.raises(ValueError, match="Nyquist"):
-        srs_oracle(sig, 6000.0)
 
 
 _GRID_RULE = "must be finite, positive and strictly increasing, in a non-empty 1-D list"
@@ -233,34 +224,6 @@ def test_spec_accelerations_are_checked_after_the_frequencies():
         SrsSpec([[100.0, 300.0], [200.0, float("nan")]])
     with pytest.raises(ValueError, match=f"^breakpoint frequencies {_GRID_RULE}$"):
         SrsSpec([[200.0, 300.0], [100.0, -1.0]])
-
-
-def test_srs_oracle_is_charged_before_it_allocates(monkeypatch):
-    # 100 Hz at Q = 10 on 1,000 samples at 10 kHz: 999 + 2,229 pad rows, one
-    # step each, charged at 96 bytes a step
-    sig = Signal(10_000.0, np.ones(1000))
-    monkeypatch.setattr(signal_core, "_MAX_BYTES", 100_000)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=r"^SRS oracle would hold 3\.1e\+05 bytes, .*; lower q_srs \(10\) or raise fn \(100 Hz\)$"):
-            srs_oracle(sig, 100.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * len(sig), peak
-    with pytest.raises(ValueError, match=r"^SRS oracle would filter 2\.23e\+305 rows"):
-        srs_oracle(sig, 1e-300)  # a pad no int of it could allocate
-    monkeypatch.undo()
-    asked = []
-    monkeypatch.setattr(importlib.import_module("shocksynth.srs"), "_budget",
-                        lambda what, rows=0, nbytes=0, advice="": asked.append(nbytes))
-    tracemalloc.start()
-    try:
-        srs_oracle(sig, 100.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert asked == [96 * 3229] and peak <= asked[0], (peak, asked)
 
 
 _S = _SEGMENT_ROWS
