@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from .nzdf import NzdfParams, _run_size, apply_filter, discretize
-from .signal_core import TWO_PI, Signal, _budget, _frozen, _grid, _scalar, motion_of
+from .signal_core import TWO_PI, Signal, _budget, _frozen, _grid, _scalar, _whole, motion_of
 
 __all__ = [
     "BankLayout",
@@ -58,6 +58,7 @@ class BankLayout:
     centers: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "points_per_octave", _whole("points_per_octave", self.points_per_octave, at_least=1))
         object.__setattr__(self, "centers", _frozen(_grid("centers", self.centers)))
 
 
@@ -71,9 +72,7 @@ def make_layout(fmin: float, fmax: float, ppo: int = 6) -> BankLayout:
     fmax = _scalar("fmax", fmax)
     if fmax <= fmin:
         raise ValueError(f"fmax must exceed fmin, got fmin={fmin}, fmax={fmax}")
-    ppo = int(ppo)
-    if ppo < 1:
-        raise ValueError(f"points_per_octave must be >= 1, got {ppo}")
+    ppo = _whole("points_per_octave", ppo, at_least=1)
     # A difference of logs stays finite where fmax / fmin would overflow.
     octaves = np.log2(fmax) - np.log2(fmin)
     if ppo > _MAX_GRID_POINTS or ppo * octaves > _MAX_GRID_POINTS:  # no float overflows for any int ppo

@@ -32,7 +32,7 @@ import warnings
 import numpy as np
 
 from .signal_core import (
-    TWO_PI, _SEGMENT_ROWS, Signal, _bilinear_pole_pair, _budget, _frozen, _ring_down_factor, _scalar, _segments,
+    TWO_PI, _SEGMENT_ROWS, Signal, _bilinear_pole_pair, _budget, _frozen, _ring_down_factor, _scalar, _segments, _whole,
 )
 
 __all__ = [
@@ -64,12 +64,7 @@ def validate_order(numerator_power: int, order: int) -> bool:
     at least 2 so velocity and displacement both return to zero, and at
     most 2*order - 1 so the magnitude still falls off above the band.
     """
-    m = int(numerator_power)
-    n = int(order)
-    if m != numerator_power or n != order:
-        raise TypeError("numerator_power and order must be integers")
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
+    m, n = _whole("numerator_power", numerator_power), _whole("order", order, at_least=1)
     return 2 <= m <= 2 * n - 1
 
 
@@ -105,8 +100,8 @@ class NzdfParams:
             )
         object.__setattr__(self, "center_freq", fc)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "order", int(self.order))
-        object.__setattr__(self, "numerator_power", int(self.numerator_power))
+        for name in ("order", "numerator_power"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
 
     @property
     def omega(self) -> float:
@@ -199,11 +194,7 @@ class DigitalNzdf:
             raise ValueError(f"sos must have shape (n_sections, 6), got {sos.shape}")
         if np.any(sos[:, 3] != 1.0):
             raise ValueError("every section's a0 (sos[:, 3]) must be 1")
-        # Jury's test: both roots of z^2 + a1 z + a2 lie strictly inside the
-        # unit circle iff |a2| < 1 and |a1| < 1 + a2.  A NaN fails it.
-        a1, a2 = sos[:, 4], sos[:, 5]
-        if not np.all((np.abs(a2) < 1.0) & (np.abs(a1) < 1.0 + a2)):
-            raise ValueError("discretized section has a pole on or outside the unit circle")
+        _check_poles(sos[:, 4], sos[:, 5])
         object.__setattr__(self, "sos", sos)
         object.__setattr__(self, "sample_rate", float(self.sample_rate))
 
@@ -211,6 +202,13 @@ class DigitalNzdf:
         """Complex response of the cascade at the given frequencies in Hz."""
         w = TWO_PI * np.asarray(freqs, dtype=float) / self.sample_rate
         return _sos_response(self.sos, w)
+
+
+def _check_poles(a1, a2) -> None:
+    """Jury's test: ``ValueError`` unless every z^2 + a1 z + a2 has both roots strictly inside the
+    unit circle, which holds iff |a2| < 1 and |a1| < 1 + a2.  A NaN fails it."""
+    if not np.all((np.abs(a2) < 1.0) & (np.abs(a1) < 1.0 + a2)):
+        raise ValueError("discretized section has a pole on or outside the unit circle")
 
 
 def _sos_response(sos: np.ndarray, w) -> np.ndarray:
@@ -245,6 +243,7 @@ def discretize(params: NzdfParams, fs: float) -> DigitalNzdf:
     w = params.omega
     q = params.q
     c, den = _bilinear_pole_pair(w, q, fs)
+    _check_poles(den[1] / den[0], den[2] / den[0])  # every section's, before the pin divides by the response at fc
 
     sections = []
     for m in _numerator_powers(params):
@@ -331,9 +330,7 @@ class GammatoneParams:
     def __post_init__(self):
         for name, above in (("center_freq", 0.0), ("bandwidth", 0.0), ("amplitude", -np.inf), ("phase", -np.inf)):
             object.__setattr__(self, name, _scalar(name, getattr(self, name), above))
-        if int(self.order) < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        object.__setattr__(self, "order", int(self.order))
+        object.__setattr__(self, "order", _whole("order", self.order, at_least=1))
 
 
 def gammatone_impulse(gp: GammatoneParams, fs: float, duration: float) -> Signal:

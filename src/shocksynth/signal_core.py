@@ -49,8 +49,8 @@ _DT_REL_TOL = 1e-6
 # cache, where a whole padded record's would not.  A block of CSV text is two segments' cells.
 _SEGMENT_ROWS = 16_384
 
-# Bytes of a CSV file read at a time to count its lines before the parse,
-# and the longest line the parse accepts.
+# The longest line of a CSV file the parse accepts, in characters; its lines
+# are counted before the parse a sixteenth of that at a time.
 _TEXT_BLOCK = 1 << 20
 
 # What one call may ask for, checked by ``_budget`` before any work: rows
@@ -89,6 +89,24 @@ def _scalar(name: str, value, above: float = -math.inf, at_least: float = -math.
     bound = f" and > {above:.6g}" if above > -math.inf else ""
     bound += f" and >= {at_least:.6g}" if at_least > -math.inf else ""
     raise ValueError(f"{name} must be finite{bound}, got {x:.6g}")
+
+
+def _whole(name: str, value, at_least: float = -math.inf) -> int:
+    """``value`` as an int, checked by the package's one rule for whole-number parameters.
+
+    Raises ``ValueError`` naming ``name`` and the value unless ``int(value)``
+    equals it (an int, a numpy int or a float with no fraction) and is at
+    least ``at_least``.
+    """
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):  # NaN, +-inf, a string that is no int
+        n = None
+    if n is None or n != value:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if n < at_least:
+        raise ValueError(f"{name} must be >= {at_least}, got {n}")
+    return n
 
 
 def _grid(name: str, values) -> np.ndarray:
@@ -272,11 +290,10 @@ def _read_pairs(path: Path, header: str, advice: str) -> np.ndarray:
 
     The parse holds about 40 bytes a line at once (numpy's reader and the
     checks after it), and about 6 bytes a byte of one long line.  The file's
-    size is charged first, at 2 bytes a byte; then one pass over its bytes,
-    ``_TEXT_BLOCK`` at a time into one buffer, counts the lines as universal
-    newlines break them (LF, CR or CRLF), and the larger of the two charges
-    is checked, naming ``advice``.  :class:`SignalFormatError` names the
-    first line longer than a block.  The buffer is dropped before the parse.
+    size is charged first, at 2 bytes a byte; then one pass over its text,
+    64 Ki characters at a time, counts the lines, and the larger of the two
+    charges is checked, naming ``advice``.  :class:`SignalFormatError` names
+    the first line longer than ``_TEXT_BLOCK`` characters.
 
     Blank lines are skipped, and line 1 may be ``header`` (compared without
     case or spaces).  Every other line must hold exactly two finite
@@ -290,28 +307,18 @@ def _read_pairs(path: Path, header: str, advice: str) -> np.ndarray:
     what, size = f"reading {path.name}", path.stat().st_size
     _budget(what, nbytes=2 * size, advice=advice)
     # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes;
-    # universal newlines make a lone \r a line break.  The count reads the
-    # bytes under the text layer; numpy reads the open handle: given the
-    # path, it would open the file again through its DataSource, which
-    # imports gzip.
+    # universal newlines make every line break, LF, CR or CRLF, one \n for
+    # the count, numpy and the per-line pass.  numpy reads the open handle:
+    # given the path, it would open the file again through its DataSource,
+    # which imports gzip.
     with path.open(encoding="utf-8-sig") as fh:
-        block = bytearray(_TEXT_BLOCK)
-        breaks, run, after_cr = 0, 0, False  # line breaks so far, bytes since the last, whether it was a CR
-        while n := fh.buffer.readinto(block):
-            if n < len(block):
-                del block[n:]
-            lf, cr = block.find(b"\n"), block.find(b"\r")
-            first = n if lf < 0 and cr < 0 else min(i for i in (lf, cr) if i >= 0)
-            if run + first > _TEXT_BLOCK:
-                raise SignalFormatError(f"{path.name}: line {breaks + 1} is longer than {_TEXT_BLOCK:,} bytes")
-            breaks += block.count(b"\n") - (after_cr and lf == 0)  # the LF of a CRLF across blocks ends no line
-            last = block.rfind(b"\n")
-            if cr >= 0:  # CRs break lines too, less the LF of each CRLF
-                breaks += block.count(b"\r") - block.count(b"\r\n")
-                last = max(last, block.rfind(b"\r"))
-            run = run + n if last < 0 else n - 1 - last
-            after_cr = block[-1] == 13
-        del block
+        breaks, run = 0, 0  # line breaks so far, characters since the last
+        while piece := fh.read(_TEXT_BLOCK >> 4):
+            first, last = piece.find("\n"), piece.rfind("\n")
+            if run + (len(piece) if first < 0 else first) > _TEXT_BLOCK:
+                raise SignalFormatError(f"{path.name}: line {breaks + 1} is longer than {_TEXT_BLOCK:,} characters")
+            breaks += piece.count("\n")
+            run = run + len(piece) if last < 0 else len(piece) - 1 - last
         _budget(what, nbytes=max(2 * size, 40 * (breaks + 1)), advice=advice)
         fh.seek(0)
         skip = fh.readline().strip().lower().replace(" ", "") == header
@@ -377,7 +384,7 @@ def read_signal(path) -> Signal:
     rows, empty files, or non-uniform time steps; the message names the
     offending line number.  Raises ``ValueError`` before parsing when the
     file is over ``_budget``, and with :class:`SignalFormatError` on a line
-    longer than ``_TEXT_BLOCK`` bytes.
+    longer than ``_TEXT_BLOCK`` characters.
     """
     path = Path(path)
     pairs = _read_pairs(path, "time_s,accel_m_s2", advice="shorten or decimate the record")
@@ -535,12 +542,14 @@ def synth_reference(
     pulses are fitted so the terminal velocity and displacement vanish to
     machine precision.  The result is peak-normalized to 1000 m/s^2.
 
-    Raises ``ValueError`` when ``fs < 10 * fmax`` (the sweep needs headroom
-    below Nyquist), when ``fmax < 200`` Hz (the sweep starts at 45 Hz and
-    must cover at least a couple of octaves), when fewer than two samples
-    fall inside the correction pulses' window, 0.28 to 0.60 of ``duration``,
-    or, before any work, when the record is over ``_budget``.
+    Raises ``ValueError`` when ``seed`` is not a whole number >= 0, when
+    ``fs < 10 * fmax`` (the sweep needs headroom below Nyquist), when
+    ``fmax < 200`` Hz (the sweep starts at 45 Hz and must cover at least a
+    couple of octaves), when fewer than two samples fall inside the
+    correction pulses' window, 0.28 to 0.60 of ``duration``, or, before any
+    work, when the record is over ``_budget``.
     """
+    seed = _whole("seed", seed, at_least=0)
     fmax = _scalar("fmax", fmax, at_least=200.0)
     duration = _scalar("duration", duration, above=0.0)
     fs = _scalar("fs", fs)

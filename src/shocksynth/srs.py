@@ -190,8 +190,11 @@ def db_error(actual: SrsCurve, target: SrsCurve, tolerance_db: float = 3.0) -> D
         raise ValueError("target SRS values must be positive")
     tolerance_db = _scalar("tolerance_db", tolerance_db, above=0.0)
     floor_hit = bool(np.any(actual.values == 0.0))
-    with np.errstate(divide="ignore"):
-        per_db = 20.0 * np.log10(actual.values / target.values)
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = actual.values / target.values
+        per_db = 20.0 * np.log10(ratio)
+    off = (actual.values > 0.0) & ((ratio == 0.0) | np.isinf(ratio))  # the ratio left float range: a difference of logs
+    per_db[off] = 20.0 * (np.log10(actual.values[off]) - np.log10(target.values[off]))
     max_abs = float(np.max(np.abs(per_db)))
     passed = (not floor_hit) and max_abs <= tolerance_db
     return DbErrorReport(per_db, max_abs, tolerance_db, passed, floor_hit)

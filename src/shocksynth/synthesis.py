@@ -50,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .filterbank import BankLayout, BasisMatrix, _basis_rows, build_basis, make_layout
-from .signal_core import ResidualReport, Signal, _budget, _frozen, _run, _scalar, residual_motion
+from .signal_core import ResidualReport, Signal, _budget, _frozen, _run, _scalar, _whole, residual_motion
 from .srs import DbErrorReport, SrsCurve, SrsSpec, _sdof_coeffs, _srs_rows, db_error, spec_interpolate, srs
 
 __all__ = [
@@ -123,15 +123,8 @@ class PsoConfig:
     stall_tol = 1e-4
 
     def __post_init__(self):
-        if int(self.swarm_size) < 10:
-            raise ValueError(f"swarm_size must be >= 10, got {self.swarm_size}")
-        if int(self.max_iters) < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if int(self.seed) < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        object.__setattr__(self, "swarm_size", int(self.swarm_size))
-        object.__setattr__(self, "max_iters", int(self.max_iters))
-        object.__setattr__(self, "seed", int(self.seed))
+        for name, at_least in (("swarm_size", 10), ("max_iters", 1), ("seed", 0)):
+            object.__setattr__(self, name, _whole(name, getattr(self, name), at_least))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -196,9 +189,7 @@ def pso_minimize(dim, eval_batch, bounds, cfg: PsoConfig, initial_positions=None
     are clamped to 20% of the box width per dimension.  Returns
     (best position, best value, evaluation sweeps used).
     """
-    dim = int(dim)
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    dim = _whole("dim", dim, at_least=1)
     bounds = np.asarray(bounds, dtype=float)
     if bounds.shape != (dim, 2):
         raise ValueError(f"bounds must have shape ({dim}, 2), got {bounds.shape}")

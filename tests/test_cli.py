@@ -789,6 +789,22 @@ def test_negative_seed_is_refused_before_any_work(workdir, tmp_path, capsys, mon
     assert list(tmp_path.iterdir()) == []
 
 
+def test_demo_ref_negative_seed_is_refused_by_name(tmp_path, capsys):
+    code, err = _run_in_process(["demo-ref", "--seed", "-1", "--out", tmp_path / "ref.csv"], capsys)
+    assert code == 2
+    assert err == "error: seed must be >= 0, got -1\n", err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_filter_with_a_pole_on_the_unit_circle_prints_one_error_line(workdir, tmp_path, capsys):
+    # at q = 1e300 the pole pair's a2 rounds to 1: refused before the gain pin divides by zero
+    argv = ["filter", workdir / "ref.csv", "--fc", "1000", "--q", "1e300", "--out", tmp_path / "f.csv"]
+    code, err = _run_in_process(argv, capsys)
+    assert code == 2
+    assert err == "error: discretized section has a pole on or outside the unit circle\n", err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("lowest", [1.0, 2.0, 5.0])
 def test_synth_over_budget_refuses_before_the_basis(demo_ref, tmp_path, capsys, monkeypatch, lowest):
     # the basis and cache a low first breakpoint needs are sized up front

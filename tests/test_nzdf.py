@@ -44,7 +44,7 @@ def test_validate_order_table():
 def test_validate_order_errors():
     with pytest.raises(ValueError):
         validate_order(2, 0)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         validate_order(2.5, 2)
 
 
@@ -180,6 +180,14 @@ def test_discretize_rate_guards():
         discretize(p, 2000.0)
     with pytest.warns(UserWarning, match="below 10"):
         discretize(p, 8000.0)
+
+
+@pytest.mark.parametrize("params", [NzdfParams(1000.0, q=1e300), NzdfParams(1e-300)], ids=["q=1e300", "fc=1e-300"])
+def test_a_pole_pair_on_the_unit_circle_is_refused_before_the_gain_pin(params):
+    # a2 rounds to exactly 1, so the pin would divide by a zero response at fc;
+    # tier-1 turns the RuntimeWarning it would raise into an error
+    with pytest.raises(ValueError, match="^discretized section has a pole on or outside the unit circle$"):
+        discretize(params, 1e5)
 
 
 def test_digital_sos_pole_check():

@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from scipy import integrate as sci_integrate
 from scipy import signal as sci_signal
 
 from shocksynth import (
+    BankLayout,
     GammatoneParams,
     NzdfParams,
+    PsoConfig,
     Signal,
     SignalFormatError,
     SrsCurve,
@@ -29,6 +32,7 @@ from shocksynth import (
     integrate,
     make_layout,
     motion_of,
+    pso_minimize,
     read_signal,
     read_spec,
     residual_motion,
@@ -47,6 +51,7 @@ from shocksynth.signal_core import (
     _run,
     _scalar,
     _segments,
+    _whole,
     _write_table,
 )
 from shocksynth.srs import _sdof_coeffs
@@ -438,7 +443,7 @@ def test_a_line_longer_than_a_block_is_refused_before_the_parse(tmp_path, head, 
     path.write_bytes(head + b"1" * 5_000_000)
     tracemalloc.start()
     try:
-        with pytest.raises(SignalFormatError, match=rf"^one\.csv: line {lineno} is longer than 1,048,576 bytes$"):
+        with pytest.raises(SignalFormatError, match=rf"^one\.csv: line {lineno} is longer than 1,048,576 characters$"):
             read_signal(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -705,6 +710,82 @@ def test_scalars_are_finite_or_rejected_with_value_error(name, data):
     arity, build = _SCALAR_TAKERS[name]
     args = data.draw(st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * arity))
     _assert_finite_or_value_error(build, args)
+
+
+def test_whole_rule_names_the_parameter_and_the_value():
+    assert _whole("n", 5) == 5 and type(_whole("n", np.int64(5))) is int and type(_whole("n", 5.0)) is int
+    for value, bound, message in [
+        (10.7, -math.inf, "n must be a whole number, got 10.7"),
+        (math.inf, -math.inf, "n must be a whole number, got inf"),
+        ("5", -math.inf, "n must be a whole number, got '5'"),
+        (-1, 0, "n must be >= 0, got -1"),
+        (9.0, 10, "n must be >= 10, got 9"),
+    ]:
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            _whole("n", value, bound)
+
+
+def _pso_dim(dim):
+    """The ``dim`` pso_minimize kept, as its bounds check names it: bounds of no rows fit no dim."""
+    try:
+        pso_minimize(dim, None, np.empty((0, 2)), PsoConfig())
+    except ValueError as exc:
+        kept = re.fullmatch(r"bounds must have shape \((\d+), 2\), got \(0, 2\)", str(exc))
+        if kept is None:
+            raise
+        return int(kept.group(1))
+
+
+class _Seeded(Exception):
+    pass
+
+
+def _reference_seed(seed):
+    """The seed synth_reference hands numpy's generator, which stops it there."""
+    def stop(s):
+        raise _Seeded(s)
+
+    with mock.patch.object(np.random, "default_rng", stop), pytest.raises(_Seeded) as info:
+        synth_reference(seed=seed)
+    return info.value.args[0]
+
+
+# Every whole-number parameter: the names its refusals may give, and what a build with it keeps.
+_WHOLE_TAKERS = {
+    "PsoConfig.swarm_size": ("swarm_size", lambda n: PsoConfig(swarm_size=n).swarm_size),
+    "PsoConfig.max_iters": ("max_iters", lambda n: PsoConfig(max_iters=n).max_iters),
+    "PsoConfig.seed": ("seed", lambda n: PsoConfig(seed=n).seed),
+    "pso_minimize.dim": ("dim", _pso_dim),
+    "make_layout.ppo": ("points_per_octave|ppo", lambda n: make_layout(100.0, 1000.0, n).points_per_octave),
+    "BankLayout.points_per_octave": ("points_per_octave", lambda n: BankLayout(100.0, 200.0, n, [100.0, 200.0]).points_per_octave),
+    "NzdfParams.order": ("order", lambda n: NzdfParams(1000.0, order=n).order),
+    "NzdfParams.numerator_power": ("numerator_power", lambda n: NzdfParams(1000.0, numerator_power=n).numerator_power),
+    "GammatoneParams.order": ("order", lambda n: GammatoneParams(1000.0, 100.0, order=n).order),
+    "synth_reference.seed": ("seed", _reference_seed),
+}
+
+_WHOLE_DRAWS = st.one_of(
+    st.integers(-(2**80), 2**80),
+    st.integers(-3, 12),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(-3, 12).map(float),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.5, 10.7, -1e300, 1e300, sys.float_info.max]),
+    st.text(max_size=3),
+)
+
+
+@pytest.mark.parametrize("taker", sorted(_WHOLE_TAKERS))
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(value=_WHOLE_DRAWS)
+def test_whole_numbers_are_kept_exactly_or_rejected_with_value_error(taker, value):
+    name, build = _WHOLE_TAKERS[taker]
+    try:
+        kept = build(value)
+    except ValueError as exc:
+        assert re.search(rf"\b({name})\b", str(exc)), (value, str(exc))
+        return
+    assert type(kept) is int and kept == value, (value, kept)
 
 
 def test_layout_over_the_whole_float_range_is_finite_or_rejected():

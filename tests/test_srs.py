@@ -104,6 +104,17 @@ def test_db_error_floor():
     assert np.isneginf(rep.per_freq_db[1])
 
 
+def test_db_error_past_the_float_range_of_the_ratio():
+    # 1e3 / 1e-306 overflows; the error is the finite difference of the logs
+    rep = db_error(SrsCurve([100.0, 200.0], [1e3, 1e3]), SrsCurve([100.0, 200.0], [1e-306, 1.0]))
+    np.testing.assert_allclose(rep.per_freq_db, [6180.0, 60.0], rtol=1e-12)
+    assert rep.max_abs_db == rep.per_freq_db[0] and not rep.passed and not rep.floor_hit
+    # 5e-324 / 1e3 underflows to 0, an SRS of 0 stays -inf
+    rep = db_error(SrsCurve([100.0, 200.0], [5e-324, 0.0]), SrsCurve([100.0, 200.0], [1e3, 1.0]))
+    assert np.isfinite(rep.per_freq_db[0]) and rep.per_freq_db[0] < -6000.0
+    assert np.isneginf(rep.per_freq_db[1]) and rep.floor_hit and not rep.passed
+
+
 def test_db_error_validation():
     a = SrsCurve([100.0, 200.0], [1.0, 1.0])
     b = SrsCurve([100.0, 300.0], [1.0, 1.0])
