@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from .nzdf import NzdfParams, _run_size, apply_filter, discretize
-from .signal_core import TWO_PI, Signal, _budget, _frozen, _grid, _scalar, _whole, motion_of
+from .signal_core import TWO_PI, Signal, _budget, _frozen, _grid, _scalar, _values, _whole, motion_of
 
 __all__ = [
     "BankLayout",
@@ -105,17 +105,10 @@ class BasisMatrix:
     norms: np.ndarray
 
     def __post_init__(self):
-        cols = _frozen(self.columns)
-        norms = _frozen(self.norms)
-        if cols.ndim != 2 or cols.shape[1] != self.layout.centers.size:
-            raise ValueError(
-                f"columns must be (n_samples, {self.layout.centers.size}), got {cols.shape}"
-            )
-        if norms.shape != (cols.shape[1],):
-            raise ValueError("norms must hold one value per column")
-        object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "norms", norms)
-        object.__setattr__(self, "sample_rate", float(self.sample_rate))
+        m = self.layout.centers.size
+        object.__setattr__(self, "columns", _frozen(_values("columns", self.columns, (None, m))))
+        object.__setattr__(self, "norms", _frozen(_values("norms", self.norms, (m,), above=0.0)))
+        object.__setattr__(self, "sample_rate", _scalar("sample_rate", self.sample_rate, above=0.0))
 
     @property
     def n_columns(self) -> int:

@@ -32,7 +32,8 @@ import warnings
 import numpy as np
 
 from .signal_core import (
-    TWO_PI, _SEGMENT_ROWS, Signal, _bilinear_pole_pair, _budget, _frozen, _ring_down_factor, _scalar, _segments, _whole,
+    TWO_PI, _SEGMENT_ROWS, Signal, _bilinear_pole_pair, _budget, _frozen, _ring_down_factor, _scalar, _segments,
+    _values, _whole,
 )
 
 __all__ = [
@@ -189,14 +190,12 @@ class DigitalNzdf:
     sos: np.ndarray
 
     def __post_init__(self):
-        sos = _frozen(self.sos)
-        if sos.ndim != 2 or sos.shape[1] != 6:
-            raise ValueError(f"sos must have shape (n_sections, 6), got {sos.shape}")
+        sos = _frozen(_values("sos", self.sos, (None, 6)))
         if np.any(sos[:, 3] != 1.0):
             raise ValueError("every section's a0 (sos[:, 3]) must be 1")
         _check_poles(sos[:, 4], sos[:, 5])
         object.__setattr__(self, "sos", sos)
-        object.__setattr__(self, "sample_rate", float(self.sample_rate))
+        object.__setattr__(self, "sample_rate", _scalar("sample_rate", self.sample_rate, above=0.0))
 
     def frequency_response(self, freqs) -> np.ndarray:
         """Complex response of the cascade at the given frequencies in Hz."""

@@ -81,14 +81,36 @@ def _scalar(name: str, value, above: float = -math.inf, at_least: float = -math.
     """``value`` as a float, checked by the package's one rule for scalar parameters.
 
     Raises ``ValueError`` naming ``name`` and the value unless it is finite,
-    greater than ``above`` and at least ``at_least``.
+    greater than ``above`` and at least ``at_least``: :func:`_values`' range, at shape ().
     """
-    x = float(value)
-    if math.isfinite(x) and x > above and x >= at_least:
+    return float(_values(name, float(value), (), above, at_least))
+
+
+def _values(name: str, values, shape=(None,), above: float = -math.inf, at_least: float = -math.inf) -> np.ndarray:
+    """``values`` as a float array of ``shape``, checked by the package's one rule for array parameters.
+
+    A ``None`` in ``shape`` is any length of at least 1.  Raises ``ValueError`` naming ``name``
+    unless ``values`` is an array of numbers of that shape whose values are finite, greater than
+    ``above`` and at least ``at_least``; the message names the first value that is not, and where.
+    Its min and max, in which a NaN propagates, check them: nothing the size of the array is held.
+    """
+    want = str(tuple("n" if s is None else s for s in shape)).replace("'", "")
+    try:
+        x = np.asarray(values)
+    except ValueError:  # a ragged list
+        x = None
+    if x is None or x.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be an array of numbers of shape {want}")
+    x = x.astype(float, copy=False)
+    if x.ndim != len(shape) or any(n < 1 if s is None else n != s for n, s in zip(x.shape, shape)):
+        raise ValueError(f"{name} must have shape {want}, got {x.shape}")
+    lo, hi = x.min(), x.max()
+    if math.isfinite(lo) and math.isfinite(hi) and lo > above and lo >= at_least:
         return x
+    at = [int(i) for i in np.argwhere(~(np.isfinite(x) & (x > above) & (x >= at_least)))[0]]
     bound = f" and > {above:.6g}" if above > -math.inf else ""
     bound += f" and >= {at_least:.6g}" if at_least > -math.inf else ""
-    raise ValueError(f"{name} must be finite{bound}, got {x:.6g}")
+    raise ValueError(f"{name} must be finite{bound}, got {x[tuple(at)]:.6g}" + (f" at {at}" if at else ""))
 
 
 def _whole(name: str, value, at_least: float = -math.inf) -> int:
@@ -172,14 +194,7 @@ class Signal:
 
     def __post_init__(self):
         object.__setattr__(self, "sample_rate", _scalar("sample_rate", self.sample_rate, above=0.0))
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 1:
-            raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
-        if samples.size == 0:
-            raise ValueError("samples must contain at least one value")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite")
-        object.__setattr__(self, "samples", _frozen(samples))
+        object.__setattr__(self, "samples", _frozen(_values("samples", self.samples)))
         object.__setattr__(self, "t0", _scalar("t0", self.t0))
 
     def __len__(self) -> int:
@@ -500,10 +515,14 @@ def _bilinear_pole_pair(w: float, q: float, fs: float) -> tuple[float, np.ndarra
 
     Returns the warp constant c = w / tan(w / (2 fs)), with which
     s = c (1 - 1/z) / (1 + 1/z) maps j*w exactly onto exp(j w / fs), and
-    the image's z^-1 coefficients (a0, a1, a2), not yet divided by a0.
+    the image's z^-1 coefficients (a0, a1, a2), not yet divided by a0.  Raises ``ValueError``
+    naming ``fs`` where they overflow: c is about 2 fs, and c^2 leaves float range past 1e154 Hz.
     """
-    c = w / np.tan(w / fs / 2.0)
-    den = np.array([c * c + (w / q) * c + w * w, 2.0 * (w * w - c * c), c * c - (w / q) * c + w * w])
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = w / np.tan(w / fs / 2.0)
+        den = np.array([c * c + (w / q) * c + w * w, 2.0 * (w * w - c * c), c * c - (w / q) * c + w * w])
+    if not np.isfinite(den).all():
+        raise ValueError(f"fs={fs:.6g} Hz overflows the bilinear transform of a {w / TWO_PI:.6g} Hz pole pair")
     return c, den
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .signal_core import (
     TWO_PI, Signal, SignalFormatError, _budget, _frozen, _grid, _read_pairs, _ring_down_factor, _scalar, _segments,
-    _write_table,
+    _values, _write_table,
 )
 
 __all__ = [
@@ -49,8 +49,7 @@ class SrsSpec:
         if bp.ndim != 2 or bp.shape[1] != 2 or bp.shape[0] < 2:
             raise ValueError(f"breakpoints must be an (n>=2, 2) array, got shape {bp.shape}")
         _grid("breakpoint frequencies", bp[:, 0])
-        if not (np.isfinite(bp[:, 1]).all() and (bp[:, 1] > 0.0).all()):
-            raise ValueError("breakpoint accelerations must be finite and positive")
+        _values("breakpoint accelerations", bp[:, 1], above=0.0)
         object.__setattr__(self, "breakpoints", _frozen(bp))
         object.__setattr__(self, "tolerance_db", _scalar("tolerance_db", self.tolerance_db, above=0.0))
 
@@ -73,13 +72,8 @@ class SrsCurve:
 
     def __post_init__(self):
         freqs = _grid("freqs", self.freqs)
-        values = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if values.shape != freqs.shape:
-            raise ValueError("freqs and values must have matching shapes")
-        if not np.all(np.isfinite(values)) or np.any(values < 0.0):
-            raise ValueError("values must be finite and non-negative")
         object.__setattr__(self, "freqs", _frozen(freqs))
-        object.__setattr__(self, "values", _frozen(values))
+        object.__setattr__(self, "values", _frozen(_values("values", self.values, freqs.shape, at_least=0.0)))
         object.__setattr__(self, "q_srs", _scalar("q_srs", self.q_srs, above=0.5))
 
 

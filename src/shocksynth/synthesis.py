@@ -50,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .filterbank import BankLayout, BasisMatrix, _basis_rows, build_basis, make_layout
-from .signal_core import ResidualReport, Signal, _budget, _frozen, _run, _scalar, _whole, residual_motion
+from .signal_core import ResidualReport, Signal, _budget, _frozen, _run, _scalar, _values, _whole, residual_motion
 from .srs import DbErrorReport, SrsCurve, SrsSpec, _sdof_coeffs, _srs_rows, db_error, spec_interpolate, srs
 
 __all__ = [
@@ -164,9 +164,7 @@ def _target_curve(spec: SrsSpec, layout: BankLayout) -> SrsCurve:
 
 def objective(x, basis: BasisMatrix, target: SrsCurve, q_srs: float = 10.0) -> float:
     """Euclidean norm of the log10 SRS error of A @ x on the target grid."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (basis.n_columns,):
-        raise ValueError(f"x must have shape ({basis.n_columns},), got {x.shape}")
+    x = _values("x", x, (basis.n_columns,))
     sig = Signal(basis.sample_rate, basis.columns @ x)
     return _log_error_norm(srs(sig, target.freqs, q_srs).values, target)
 
@@ -190,12 +188,10 @@ def pso_minimize(dim, eval_batch, bounds, cfg: PsoConfig, initial_positions=None
     (best position, best value, evaluation sweeps used).
     """
     dim = _whole("dim", dim, at_least=1)
-    bounds = np.asarray(bounds, dtype=float)
-    if bounds.shape != (dim, 2):
-        raise ValueError(f"bounds must have shape ({dim}, 2), got {bounds.shape}")
+    bounds = _values("bounds", bounds, (dim, 2))
     lo, hi = bounds[:, 0], bounds[:, 1]
-    if not np.all(np.isfinite(bounds)) or np.any(hi <= lo):
-        raise ValueError("bounds must be finite with hi > lo")
+    if np.any(hi <= lo):
+        raise ValueError("bounds must have hi > lo in every row")
 
     # Imported here: a command that runs no swarm neither compiles nor holds it.
     from ._philox import PhiloxStreams
@@ -204,11 +200,9 @@ def pso_minimize(dim, eval_batch, bounds, cfg: PsoConfig, initial_positions=None
     streams = PhiloxStreams(cfg.seed, n)
     pos = lo + (hi - lo) * streams.random(dim)
     if initial_positions is not None:
-        init = np.atleast_2d(np.asarray(initial_positions, dtype=float))
-        if init.shape[1] != dim or init.shape[0] > n:
-            raise ValueError(
-                f"initial_positions must be (k <= {n}, {dim}), got {init.shape}"
-            )
+        init = _values("initial_positions", initial_positions, (None, dim))
+        if len(init) > n:
+            raise ValueError(f"initial_positions must have at most swarm_size = {n} rows, got {len(init)}")
         pos[: init.shape[0]] = np.clip(init, lo, hi)
     vel = np.zeros((n, dim))
     v_max = 0.2 * (hi - lo)

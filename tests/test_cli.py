@@ -805,6 +805,14 @@ def test_filter_with_a_pole_on_the_unit_circle_prints_one_error_line(workdir, tm
     assert list(tmp_path.iterdir()) == []
 
 
+def test_bank_at_a_rate_that_overflows_the_bilinear_transform_prints_one_error_line(tmp_path, capsys):
+    # the warp constant's square leaves float range: refused by name, not by two warnings and the pole test
+    code, err = _run_in_process(["bank", "--fs", "1e155", "--out", tmp_path / "b.csv"], capsys)
+    assert code == 2
+    assert err == "error: fs=1e+155 Hz overflows the bilinear transform of a 100 Hz pole pair\n", err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("lowest", [1.0, 2.0, 5.0])
 def test_synth_over_budget_refuses_before_the_basis(demo_ref, tmp_path, capsys, monkeypatch, lowest):
     # the basis and cache a low first breakpoint needs are sized up front

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shocksynth import (
+    BasisMatrix,
     NoBandEnergyError,
     NzdfParams,
     Signal,
@@ -207,6 +208,17 @@ def test_frozen_aliases_only_a_read_only_owning_float64_array():
         assert out is not values and not np.shares_memory(out, np.asarray(values))
         assert type(out) is np.ndarray and out.dtype == np.float64 and not out.flags.writeable
         np.testing.assert_array_equal(out, np.asarray(values, dtype=float))
+
+
+def test_basis_matrix_refuses_a_nan_column_an_inf_norm_and_a_nan_rate():
+    layout, cols, norms = make_layout(100.0, 200.0, 1), np.ones((4, 2)), np.ones(2)
+    for args, message in [
+        ((1000.0, np.where(np.eye(4, 2) > 0.0, np.nan, cols), norms), "columns must be finite, got nan at [0, 0]"),
+        ((1000.0, cols, [1.0, np.inf]), "norms must be finite and > 0, got inf at [1]"),
+        ((np.nan, cols, norms), "sample_rate must be finite and > 0, got nan"),
+    ]:
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            BasisMatrix(layout, *args)
 
 
 def test_basis_rate_guards():

@@ -198,9 +198,27 @@ def test_digital_sos_pole_check():
     unnormalized = np.array([[1.0, 0.0, 0.0, 2.0, -1.0, 0.25]])
     with pytest.raises(ValueError, match="a0"):
         DigitalNzdf(p, 100_000.0, unnormalized)
-    for a1, a2 in ((np.nan, 0.25), (-1.0, np.nan), (np.inf, 0.25)):
-        with pytest.raises(ValueError, match="unit circle"):
+    # a non-finite coefficient is refused by the array rule, before the pole test
+    for a1, a2, at in ((np.nan, 0.25, "nan at [0, 4]"), (-1.0, np.nan, "nan at [0, 5]"), (np.inf, 0.25, "inf at [0, 4]")):
+        with pytest.raises(ValueError, match=re.escape(f"sos must be finite, got {at}") + "$"):
             DigitalNzdf(p, 100_000.0, np.array([[1.0, 0.0, 0.0, 1.0, a1, a2]]))
+
+
+def test_digital_nzdf_refuses_a_nan_numerator_and_a_nan_rate():
+    p = NzdfParams(1000.0)
+    sos = discretize(p, 100_000.0).sos.copy()
+    with pytest.raises(ValueError, match="^sample_rate must be finite and > 0, got nan$"):
+        DigitalNzdf(p, np.nan, sos)
+    sos[0, 0] = np.nan
+    with pytest.raises(ValueError, match=r"^sos must be finite, got nan at \[0, 0\]$"):
+        DigitalNzdf(p, 100_000.0, sos)
+
+
+def test_a_rate_that_overflows_the_bilinear_transform_is_refused_by_name():
+    # the warp constant is about 2 fs, and its square leaves float range past
+    # 1e154 Hz; tier-1 turns the RuntimeWarning it would raise into an error
+    with pytest.raises(ValueError, match=r"^fs=1e\+155 Hz overflows the bilinear transform of a 1000 Hz pole pair$"):
+        discretize(NzdfParams(1000.0), 1e155)
 
 
 @pytest.mark.filterwarnings("ignore:fs=")

@@ -15,11 +15,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate as sci_integrate
 from scipy import signal as sci_signal
 
 from shocksynth import (
     BankLayout,
+    BasisMatrix,
+    DigitalNzdf,
     GammatoneParams,
     NzdfParams,
     PsoConfig,
@@ -32,6 +35,7 @@ from shocksynth import (
     integrate,
     make_layout,
     motion_of,
+    objective,
     pso_minimize,
     read_signal,
     read_spec,
@@ -40,10 +44,11 @@ from shocksynth import (
     synth_reference,
     write_signal,
 )
-from shocksynth import signal_core
+from shocksynth import signal_core, synthesis
 from shocksynth.signal_core import (
     _SEGMENT_ROWS,
     _cumulative_trapezoid,
+    _frozen,
     _linear_filter,
     _load_linear_filter,
     _median,
@@ -51,6 +56,7 @@ from shocksynth.signal_core import (
     _run,
     _scalar,
     _segments,
+    _values,
     _whole,
     _write_table,
 )
@@ -786,6 +792,139 @@ def test_whole_numbers_are_kept_exactly_or_rejected_with_value_error(taker, valu
         assert re.search(rf"\b({name})\b", str(exc)), (value, str(exc))
         return
     assert type(kept) is int and kept == value, (value, kept)
+
+
+def test_values_rule_names_the_parameter_and_the_value():
+    kept = _values("v", [1, 2])
+    assert kept.dtype == np.float64 and kept.tolist() == [1.0, 2.0]
+    frozen = _frozen(np.ones((3, 2)))
+    assert _values("v", frozen, (None, 2)) is frozen  # kept without a copy
+    for args, message in [
+        (("v", "abc"), "v must be an array of numbers of shape (n,)"),
+        (("v", [[1.0], [1.0, 2.0]], (None, 2)), "v must be an array of numbers of shape (n, 2)"),
+        (("v", ["1", "2"]), "v must be an array of numbers of shape (n,)"),
+        (("v", []), "v must have shape (n,), got (0,)"),
+        (("v", np.float64(1.0)), "v must have shape (n,), got ()"),
+        (("v", np.ones(3), (2, 3)), "v must have shape (2, 3), got (3,)"),
+        (("v", [1.0, np.nan]), "v must be finite, got nan at [1]"),
+        (("v", [[1.0, 2.0], [3.0, 0.0]], (None, 2), 0.0), "v must be finite and > 0, got 0 at [1, 1]"),
+        (("v", [1.0, -1.0], (2,), -math.inf, 0.0), "v must be finite and >= 0, got -1 at [1]"),
+    ]:
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            _values(*args)
+
+
+def test_values_rule_holds_nothing_the_size_of_the_array():
+    # the values are checked through their min and max, not a mask of the array
+    x = _frozen(np.ones(1_000_000))
+    tracemalloc.start()
+    try:
+        _values("x", x, above=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes // 100, peak
+
+
+def _first_positions(dim, bounds, initial):
+    """The swarm's first positions for ``bounds`` and ``initial_positions``: its first batch, which stops it there."""
+    def stop(block):
+        raise _Seeded(block)
+
+    with pytest.raises(_Seeded) as info:
+        pso_minimize(dim, stop, bounds, PsoConfig(), initial)
+    return info.value.args[0]
+
+
+def _pso_bounds(bounds):
+    """The ``bounds`` pso_minimize kept: its first two positions, seeded at every lo and every hi."""
+    try:
+        seeds = np.asarray(bounds, dtype=float).T
+    except ValueError:  # no table of numbers: refused before the seeds are read
+        seeds = None
+    return _first_positions(3, bounds, seeds)[:2].T
+
+
+def _objective_samples(x):
+    """The record objective hands the SRS for ``x``: A @ x, with A the identity."""
+    def stop(sig, *args):
+        raise _Seeded(sig.samples)
+
+    basis = BasisMatrix(_LAYOUT_2, 1000.0, np.eye(2), [1.0, 1.0])
+    with mock.patch.object(synthesis, "srs", stop), pytest.raises(_Seeded) as info:
+        objective(x, basis, _CURVE)
+    return info.value.args[0]
+
+
+_LAYOUT_2 = BankLayout(100.0, 200.0, 1, [100.0, 200.0])
+_BOX_3 = np.full((3, 2), [-1e7, 1e7])
+_ONE_DIM = ("valid", "list", "values", "non-finite", "length", "empty")
+
+# Every array parameter: the names its refusals may give, what a build with it keeps, a valid value, and the
+# draws it takes.  SrsSpec's accelerations are the second column of its table, so they are drawn as 1-D numbers.
+_VALUES_TAKERS = {
+    "Signal.samples": ("samples", lambda v: Signal(1000.0, v).samples, [0.0, 1.5, -2.0], None),
+    "SrsSpec accelerations": (
+        "breakpoint accelerations|breakpoints",
+        lambda v: SrsSpec(np.column_stack([100.0 * np.arange(1, len(v) + 1), v])).peaks, [300.0, 400.0, 5.0], _ONE_DIM),
+    "SrsCurve.values": ("values", lambda v: SrsCurve([100.0, 200.0, 300.0], v).values, [1.0, 2.0, 0.0], None),
+    "BasisMatrix.columns": (
+        "columns", lambda v: BasisMatrix(_LAYOUT_2, 1000.0, v, [1.0, 1.0]).columns, [[0.5, -1.0], [1.0, 0.0]], None),
+    "BasisMatrix.norms": ("norms", lambda v: BasisMatrix(_LAYOUT_2, 1000.0, np.eye(2), v).norms, [2.0, 3.0], None),
+    # the a0 and pole tests follow the rule, on values it kept
+    "DigitalNzdf.sos": ("sos|pole", lambda v: DigitalNzdf(NzdfParams(1000.0), 1e5, v).sos,
+                        discretize(NzdfParams(1000.0), 1e5).sos, None),
+    "pso_minimize.bounds": ("bounds", _pso_bounds, [[-1.0, 1.0], [0.0, 2.0], [-5.0, 5.0]], None),
+    "pso_minimize.initial_positions": (
+        "initial_positions", lambda v: _first_positions(3, _BOX_3, v)[: len(v)], [[0.1, 0.2, 0.3], [1.0, 2.0, 3.0]], None),
+    "objective.x": ("x", _objective_samples, [0.5, -2.0], None),
+}
+
+
+@st.composite
+def _array_draw(draw, good, kinds=None):
+    """A value for an array parameter whose valid value is ``good``: that value, other numbers of its
+    shape, one value not finite, another length, another rank, empty, ragged, a string or a numpy scalar."""
+    good = np.array(good, dtype=float)
+    kind = draw(st.sampled_from(kinds or _ONE_DIM + ("rank", "ragged", "string", "scalar")))
+    if kind == "valid":
+        return good
+    if kind == "list":
+        return good.tolist()
+    if kind == "values":
+        return draw(hnp.arrays(np.float64, good.shape, elements=st.floats(-1e6, 1e6)))
+    if kind == "non-finite":
+        good.flat[draw(st.integers(0, good.size - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        return good
+    if kind == "length":
+        shape = list(good.shape)
+        shape[draw(st.integers(0, good.ndim - 1))] += draw(st.sampled_from([-1, 1, 40]))
+        return np.resize(good, shape)
+    if kind == "empty":
+        return draw(st.sampled_from([[], np.empty((0,) + good.shape[1:])]))
+    if kind == "rank":
+        return draw(st.sampled_from([good[None], good[..., None], good.ravel() if good.ndim > 1 else good[0]]))
+    if kind == "ragged":
+        return draw(st.sampled_from([[[1.0], [1.0, 2.0]], [1.0, [2.0]], [1.0, None]]))
+    if kind == "string":
+        return draw(st.one_of(st.text(max_size=3), st.just(["1", "2"])))
+    return draw(st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(np.float64), st.integers(-3, 3).map(np.int64)))
+
+
+@pytest.mark.parametrize("taker", sorted(_VALUES_TAKERS))
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_array_values_are_kept_or_rejected_with_value_error(taker, data):
+    name, build, good, kinds = _VALUES_TAKERS[taker]
+    value = data.draw(_array_draw(good, kinds))
+    try:
+        kept = build(value)
+    except ValueError as exc:
+        assert re.search(rf"\b({name})\b", str(exc)), (value, str(exc))
+        return
+    drawn = np.asarray(value, dtype=float)
+    assert type(kept) is np.ndarray and kept.dtype == np.float64, (value, kept)
+    assert kept.shape == drawn.shape and np.array_equal(kept, drawn), (value, kept)
 
 
 def test_layout_over_the_whole_float_range_is_finite_or_rejected():

@@ -231,7 +231,7 @@ def test_every_frequency_list_is_refused_by_one_rule_before_any_work(monkeypatch
 
 
 def test_spec_accelerations_are_checked_after_the_frequencies():
-    with pytest.raises(ValueError, match="^breakpoint accelerations must be finite and positive$"):
+    with pytest.raises(ValueError, match=r"^breakpoint accelerations must be finite and > 0, got nan at \[1\]$"):
         SrsSpec([[100.0, 300.0], [200.0, float("nan")]])
     with pytest.raises(ValueError, match=f"^breakpoint frequencies {_GRID_RULE}$"):
         SrsSpec([[200.0, 300.0], [100.0, -1.0]])
@@ -374,7 +374,8 @@ def test_read_spec_checks_random_tables(tmp_path_factory, freqs, peaks, shape):
     elif min(f) <= 0.0 or any(hi <= lo for lo, hi in zip(f, f[1:])):
         message = "breakpoint frequencies must be finite, positive and strictly increasing, in a non-empty 1-D list"
     elif min(a) <= 0.0:
-        message = "breakpoint accelerations must be finite and positive"
+        i = next(i for i, v in enumerate(a) if v <= 0.0)
+        message = f"breakpoint accelerations must be finite and > 0, got {a[i]:.6g} at [{i}]"
     else:
         spec = read_spec(path)
         assert spec.breakpoints.tobytes() == np.array(rows).tobytes()

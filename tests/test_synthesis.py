@@ -106,6 +106,13 @@ def test_pso_validation():
         pso_minimize(5, lambda block: np.zeros(3), _BOX, cfg)
 
 
+def test_pso_refuses_a_nan_initial_position():
+    # np.clip keeps a NaN, so the swarm used to start a particle there
+    cfg = PsoConfig(swarm_size=12, max_iters=5)
+    with pytest.raises(ValueError, match=r"^initial_positions must be finite, got nan at \[0, 2\]$"):
+        pso_minimize(5, _sphere, _BOX, cfg, initial_positions=[[0.0, 0.0, np.nan, 0.0, 0.0]])
+
+
 @pytest.fixture(scope="module")
 def small_problem():
     ref = synth_reference(fs=5e4, duration=0.02, fmax=5000.0, seed=2)
