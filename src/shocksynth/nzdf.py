@@ -32,7 +32,7 @@ import warnings
 import numpy as np
 
 from .signal_core import (
-    TWO_PI, _SEGMENT_ROWS, Signal, _bilinear_pole_pair, _budget, _frozen, _ring_down_factor, _scalar, _segments,
+    TWO_PI, _SEGMENT_ROWS, Signal, _bilinear_biquad, _budget, _frozen, _ring_down_factor, _scalar, _segments,
     _values, _whole,
 )
 
@@ -150,7 +150,7 @@ def q_to_beta(q: float) -> float:
 
 def beta_to_q(beta: float) -> float:
     """The exact inverse of :func:`q_to_beta`, for q in [0.8, 1e4]."""
-    beta = float(beta)
+    beta = _scalar("beta", beta)
     b_hi = q_to_beta(_Q_LO)
     b_lo = q_to_beta(_Q_HI)
     if not (b_lo <= beta <= b_hi):
@@ -239,22 +239,10 @@ def discretize(params: NzdfParams, fs: float) -> DigitalNzdf:
             f"distortion on the upper skirt",
             stacklevel=2,
         )
-    w = params.omega
-    q = params.q
-    c, den = _bilinear_pole_pair(w, q, fs)
-    _check_poles(den[1] / den[0], den[2] / den[0])  # every section's, before the pin divides by the response at fc
-
-    sections = []
-    for m in _numerator_powers(params):
-        g = w ** (2 - m) / q
-        if m == 0:
-            num = g * np.array([1.0, 2.0, 1.0])
-        elif m == 1:
-            num = g * c * np.array([1.0, 0.0, -1.0])
-        else:
-            num = g * c * c * np.array([1.0, -2.0, 1.0])
-        sections.append(np.hstack([num / den[0], den / den[0]]))
-    sos = np.asarray(sections)
+    w, q = params.omega, params.q
+    # each section is w^(2 - m) / q s^m over one pole pair, so the cascade's gain is K
+    sos = np.array([_bilinear_biquad(w, q, fs, m, w ** (2 - m) / q) for m in _numerator_powers(params)])
+    _check_poles(sos[:, 4], sos[:, 5])  # before the pin divides by the response at fc
 
     # Pin exact unity gain at the center against accumulated rounding.
     sos[0, :3] /= np.abs(_sos_response(sos, [w / fs])[0])

@@ -83,7 +83,11 @@ def _scalar(name: str, value, above: float = -math.inf, at_least: float = -math.
     Raises ``ValueError`` naming ``name`` and the value unless it is finite,
     greater than ``above`` and at least ``at_least``: :func:`_values`' range, at shape ().
     """
-    return float(_values(name, float(value), (), above, at_least))
+    try:
+        value = float(value)
+    except (TypeError, ValueError, OverflowError):  # a string, an object that is no number, an int past float range
+        raise ValueError(f"{name} must be a finite real number, got {value!r}") from None
+    return float(_values(name, value, (), above, at_least))
 
 
 def _values(name: str, values, shape=(None,), above: float = -math.inf, at_least: float = -math.inf) -> np.ndarray:
@@ -163,14 +167,18 @@ def _ring_down_factor(order: int) -> float:
     has fallen 60 dB below its peak, rounded up to half a time constant: 7
     for one pair (the SRS oscillator), 10.5 for two (the default NZDF).
     """
-    # Past the peak at k = N - 1, u = t / tau solves u - k ln u =
-    # ln 1000 + k - k ln k; the iteration u <- c + k ln u contracts there.
+    # Past the envelope's peak at k = N - 1, t / tau = k (1 + x) where
+    # h(x) = x - ln(1 + x) - ln(1000) / k = 0.  h is convex and rises for x > 0,
+    # so Newton's steps fall monotonically onto the root from any start right
+    # of it, and this start is one: x - ln(1 + x) >= x^2 / (2 (1 + x)).
     k = order - 1
-    c = math.log(1000.0) + (k - k * math.log(k) if k else 0.0)
-    u = c + k
-    for _ in range(50):
-        u = c + k * math.log(u)
-    return math.ceil(2.0 * u) / 2.0
+    if not k:
+        return math.ceil(2.0 * math.log(1000.0)) / 2.0
+    a = math.log(1000.0) / k
+    x = a + math.sqrt(a * (a + 2.0))
+    while 0.0 < (nxt := x - (x - math.log1p(x) - a) * (1.0 + x) / x) < x:
+        x = nxt
+    return math.ceil(2.0 * k * (1.0 + x)) / 2.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -510,33 +518,26 @@ def _segments(sos, x: np.ndarray, rows: int):
         yield y
 
 
-def _bilinear_pole_pair(w: float, q: float, fs: float) -> tuple[float, np.ndarray]:
-    """Pre-warped bilinear image of the pole pair s^2 + (w/q) s + w^2 at rate ``fs``.
+# The bilinear image of s^m, over (1 + 1/z)^2 and c^m: (1 + 1/z)^(2 - m) (1 - 1/z)^m, for m = 0, 1, 2.
+_BILINEAR_TAPS = np.array([[1.0, 2.0, 1.0], [1.0, 0.0, -1.0], [1.0, -2.0, 1.0]])
 
-    Returns the warp constant c = w / tan(w / (2 fs)), with which
-    s = c (1 - 1/z) / (1 + 1/z) maps j*w exactly onto exp(j w / fs), and
-    the image's z^-1 coefficients (a0, a1, a2), not yet divided by a0.  Raises ``ValueError``
-    naming ``fs`` where they overflow: c is about 2 fs, and c^2 leaves float range past 1e154 Hz.
+
+def _bilinear_biquad(w: float, q: float, fs: float, zeros: int, gain: float) -> np.ndarray:
+    """One second-order section (b0, b1, b2, 1, a1, a2): gain s^zeros / (s^2 + (w/q) s + w^2) at rate ``fs``.
+
+    The bilinear transform s = c (1 - 1/z) / (1 + 1/z), pre-warped by c = w / tan(w / (2 fs)) so that j*w
+    maps exactly onto exp(j w / fs); ``zeros`` is 0, 1 or 2.  Raises ``ValueError`` naming ``fs`` where the
+    pole polynomial overflows: c is about 2 fs, and c^2 leaves float range past 1e154 Hz.  The poles are not
+    tested here: far above w they round onto z = 1 (from about 1.7e10 Hz for the reference's 45 Hz high-pass).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         c = w / np.tan(w / fs / 2.0)
         den = np.array([c * c + (w / q) * c + w * w, 2.0 * (w * w - c * c), c * c - (w / q) * c + w * w])
     if not np.isfinite(den).all():
         raise ValueError(f"fs={fs:.6g} Hz overflows the bilinear transform of a {w / TWO_PI:.6g} Hz pole pair")
-    return c, den
-
-
-def _highpass_ba(corner_hz: float, fs: float) -> tuple[np.ndarray, np.ndarray]:
-    """Second order high-pass with a double zero at z = 1.
-
-    Bilinear image of s^2 / (s^2 + (w/q) s + w^2) with q = 1/sqrt(2),
-    pre-warped so the analog corner lands exactly at ``corner_hz``.
-    The double zero at z = 1 forces the output's zeroth and first moments
-    to vanish, which is what makes the corrected reference integrate back
-    to zero net velocity and displacement.
-    """
-    c, den = _bilinear_pole_pair(TWO_PI * corner_hz, 1.0 / np.sqrt(2.0), fs)
-    return c * c * np.array([1.0, -2.0, 1.0]) / den[0], den / den[0]
+    for _ in range(zeros):  # ((gain c) c) taps: the products in one order for every caller
+        gain *= c
+    return np.hstack([gain * _BILINEAR_TAPS[zeros] / den[0], den / den[0]])
 
 
 def synth_reference(
@@ -622,7 +623,9 @@ def synth_reference(
     env *= np.cos(theta, out=theta)
     del t_sweep, theta, color  # only the burst goes through the high-pass
 
-    x = np.concatenate(list(_segments(np.concatenate(_highpass_ba(45.0, fs)), env, n)))
+    # The drift high-pass s^2 / (s^2 + (w/q) s + w^2), q = 1/sqrt(2): its double zero at z = 1 makes the
+    # output's zeroth and first moments vanish, so the reference integrates back to no net velocity or displacement.
+    x = np.concatenate(list(_segments(_bilinear_biquad(TWO_PI * 45.0, 1.0 / np.sqrt(2.0), fs, 2, 1.0), env, n)))
     del env
 
     # Cancel the terminal velocity and displacement exactly with an even and

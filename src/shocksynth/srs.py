@@ -45,7 +45,10 @@ class SrsSpec:
     tolerance_db: float = 3.0
 
     def __post_init__(self):
-        bp = np.atleast_2d(np.asarray(self.breakpoints, dtype=float))
+        try:
+            bp = np.atleast_2d(np.asarray(self.breakpoints, dtype=float))
+        except (TypeError, ValueError):  # a string or a ragged table
+            raise ValueError("breakpoints must be an (n>=2, 2) array of numbers") from None
         if bp.ndim != 2 or bp.shape[1] != 2 or bp.shape[0] < 2:
             raise ValueError(f"breakpoints must be an (n>=2, 2) array, got shape {bp.shape}")
         _grid("breakpoint frequencies", bp[:, 0])

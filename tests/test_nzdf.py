@@ -1,10 +1,12 @@
 """Analog filter math, discretization, and the gammatone contrast."""
 
+import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import optimize as sci_optimize
 from scipy import signal as sci_signal
 
 from shocksynth import (
@@ -132,6 +134,12 @@ def test_beta_q_roundtrip_is_exact_over_the_documented_range():
     for q in np.geomspace(0.8, 1e4, 121):
         assert beta_to_q(q_to_beta(q)) == pytest.approx(q, rel=1e-13)
         assert q_to_beta(q) * q == pytest.approx(np.sqrt(np.sqrt(2.0) - 1.0), rel=1e-15)
+
+
+def test_beta_to_q_refuses_what_is_no_number_by_name():
+    for beta, shown in [("x", "'x'"), (None, "None"), (float("nan"), "finite, got nan")]:
+        with pytest.raises(ValueError, match=r"^beta must be .*" + re.escape(shown) + "$"):
+            beta_to_q(beta)
 
 
 def test_beta_to_q_range_errors():
@@ -400,6 +408,32 @@ def test_impulse_response_peak_and_ring_down():
 def test_ring_down_factor_values():
     assert _ring_down_factor(1) == 7.0
     assert _ring_down_factor(2) == 10.5
+
+
+def test_ring_down_factor_is_the_envelopes_60_db_time_for_every_order():
+    # t^k exp(-t) with k = N - 1 peaks at t = k; past it, the 60 dB time solves
+    # u - k ln u = ln 1000 + k - k ln k, which brentq brackets between the
+    # peak and a point where the left side is already too large
+    big = math.log(1000.0)
+    for order in range(1, 2001):
+        k = order - 1
+        if k:
+            c = big + k - k * math.log(k)
+            u = sci_optimize.brentq(lambda u: u - k * math.log(u) - c, k, k + 2.0 * big + 2.0 * math.sqrt(k * big),
+                                    xtol=1e-12, rtol=1e-15)
+        else:
+            u = big
+        assert _ring_down_factor(order) == math.ceil(2.0 * u) / 2.0, order
+
+
+def test_high_orders_ring_down_and_filter():
+    # the ring-down rule used to raise a bare math domain error from N = 12
+    params = NzdfParams(1000.0, order=12)
+    assert params.ring_down_time == 28.5 * 2.0 * params.q / params.omega
+    filt = discretize(params, 100_000.0)
+    h = impulse_response(filt, duration=1e-3)
+    assert len(h) == 101 + math.ceil(params.ring_down_time * 100_000.0)
+    assert len(apply_filter(filt, Signal(100_000.0, [0.0, 1.0, 0.0]))) == 3 + math.ceil(params.ring_down_time * 100_000.0)
 
 
 @pytest.mark.parametrize("order,numerator_power", [(3, 2), (3, 4), (4, 2), (4, 7)])

@@ -47,6 +47,8 @@ from shocksynth import (
 from shocksynth import signal_core, synthesis
 from shocksynth.signal_core import (
     _SEGMENT_ROWS,
+    TWO_PI,
+    _bilinear_biquad,
     _cumulative_trapezoid,
     _frozen,
     _linear_filter,
@@ -950,6 +952,36 @@ def test_cumulative_trapezoid_is_scipys():
 
 def _sdof_bank(fs):
     return [_sdof_coeffs(fn, 10.0, 1.0 / fs) for fn in np.geomspace(100.0, 0.45 * fs, 13)]
+
+
+@pytest.mark.parametrize("zeros", [0, 1, 2])
+def test_bilinear_biquad_is_scipys_prewarped_bilinear(zeros):
+    # scipy's bilinear maps s to 2 fs' (z - 1) / (z + 1), so fs' = c / 2 is the
+    # map pre-warped at w; every row agrees to a few ulps of its largest coefficient
+    for fs in (1e3, 25_600.0, 1e5, 1e6):
+        for ratio in np.geomspace(1e-4, 0.45, 9):
+            for q in (0.6, 1.0 / np.sqrt(2.0), 5.0, 1e4):
+                w = TWO_PI * ratio * fs
+                gain = w ** (2 - zeros) / q
+                b, a = sci_signal.bilinear(np.r_[gain, np.zeros(zeros)], [1.0, w / q, w * w], fs=w / np.tan(w / fs / 2.0) / 2.0)
+                want = np.r_[b, a]
+                np.testing.assert_allclose(_bilinear_biquad(w, q, fs, zeros, gain), want, rtol=0.0,
+                                           atol=4.0 * np.finfo(float).eps * np.abs(want).max(), err_msg=str((fs, ratio, q)))
+
+
+@pytest.mark.parametrize("fs", [2e3, 25_600.0, 1e5, 1e6])
+def test_reference_drift_high_pass_is_a_45_hz_butterworth(fs):
+    sections = []
+
+    def spy(sos, x, rows):
+        sections.append(np.array(sos))
+        return _segments(sos, x, rows)
+
+    with mock.patch.object(signal_core, "_segments", spy):
+        synth_reference(fs=fs, duration=0.01, fmax=200.0)
+    [want] = sci_signal.butter(2, 45.0, "highpass", fs=fs, output="sos")
+    [got] = sections
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=4.0 * np.finfo(float).eps * np.abs(want).max())
 
 
 def test_iir2_matches_lfilter():

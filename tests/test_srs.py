@@ -42,6 +42,20 @@ def test_spec_validation():
         SrsSpec([[100.0, 300.0], [200.0, 400.0]], tolerance_db=0.0)
 
 
+@pytest.mark.parametrize("table", ["abc", [[100.0, 300.0], [200.0]], [[100.0, "x"], [200.0, 400.0]], None])
+def test_spec_that_is_no_table_of_numbers_is_refused_by_name(table):
+    # numpy's own "could not convert" and "inhomogeneous shape" errors named no parameter
+    with pytest.raises(ValueError, match=r"^breakpoints must be an \(n>=2, 2\) array"):
+        SrsSpec(table)
+
+
+def test_spec_names_a_bad_frequency_before_a_bad_acceleration():
+    with pytest.raises(ValueError, match="^breakpoint frequencies must be"):
+        SrsSpec([[200.0, -1.0], [100.0, 400.0]])
+    with pytest.raises(ValueError, match=r"^breakpoint accelerations must be finite and > 0, got -1 at \[0\]$"):
+        SrsSpec([[100.0, -1.0], [200.0, 400.0]])
+
+
 def test_spec_accessors():
     spec = SrsSpec([[100.0, 300.0], [1800.0, 10_000.0], [10_000.0, 10_000.0]])
     np.testing.assert_array_equal(spec.freqs, [100.0, 1800.0, 10_000.0])

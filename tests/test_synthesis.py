@@ -106,6 +106,26 @@ def test_pso_validation():
         pso_minimize(5, lambda block: np.zeros(3), _BOX, cfg)
 
 
+@pytest.mark.parametrize("bounds", [[[-1e308, 1e308]], [[-8e307, 8e307]], [[1e308, 1.7e308]]],
+                         ids=["width", "velocity", "move"])
+def test_pso_refuses_bounds_near_the_float_range_before_any_draw(bounds):
+    # each overflowed in the swarm's arithmetic (hi - lo, the velocity or pos + vel),
+    # which tier-1 turns into an error
+    def never(block):
+        raise AssertionError("evaluated")
+
+    with pytest.raises(ValueError, match=r"^bounds must have hi > lo in every row, within \+-2\.25e\+307$"):
+        pso_minimize(1, never, bounds, PsoConfig(swarm_size=10, max_iters=5))
+
+
+def test_pso_runs_over_the_widest_bounds_it_takes():
+    # no step leaves float range, so no RuntimeWarning, on the box at its limit and on one offset to its end
+    edge = synthesis._BOUND_MAX
+    for bounds in ([[-edge, edge]], [[edge / 2, edge]], [[-edge, -edge / 2]]):
+        pos, val, iters = pso_minimize(1, lambda p: -np.abs(p[:, 0]), bounds, PsoConfig(swarm_size=10, max_iters=40))
+        assert iters == 40 and bounds[0][0] <= pos[0] <= bounds[0][1] and val == -abs(pos[0])
+
+
 def test_pso_refuses_a_nan_initial_position():
     # np.clip keeps a NaN, so the swarm used to start a particle there
     cfg = PsoConfig(swarm_size=12, max_iters=5)
