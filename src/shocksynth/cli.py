@@ -143,7 +143,7 @@ def cmd_filter(input_csv, fc, q, out, bode_out):
 def cmd_bank(fmin, fmax, ppo, fs, q, out):
     """Dump the bank layout and each filter's magnitude response."""
     layout = make_layout(fmin, fmax, ppo)
-    fs = _scalar("fs", fs, above=2.0 * layout.centers[-1])  # before the frequency axis is built from it
+    fs = _scalar("fs", fs, above=2.0 * layout.centers[-1], kind="frequency")  # before the frequency axis is built from it
     n = layout.centers.size
     _budget(f"bank of {n:,} filters", rows=n * _BANK_ROWS_PER_FILTER, advice=_MEMORY_ADVICE["bank"])
     table = np.empty((n + 1, 481))  # a column to a row: frequencies, then each filter's dB

@@ -49,7 +49,7 @@ class BankLayout:
 
     ``centers[k] = fmin * 2**(k / points_per_octave)``; the last center is
     the first grid point at or above ``fmax``.  The centers are a frequency
-    list by ``signal_core._grid``'s rule.
+    list by ``signal_core._grid``'s rule, and ``fmin`` and ``fmax`` frequencies.
     """
 
     fmin: float
@@ -58,6 +58,8 @@ class BankLayout:
     centers: np.ndarray
 
     def __post_init__(self):
+        for name in ("fmin", "fmax"):
+            object.__setattr__(self, name, _scalar(name, getattr(self, name), kind="frequency"))
         object.__setattr__(self, "points_per_octave", _whole("points_per_octave", self.points_per_octave, at_least=1))
         object.__setattr__(self, "centers", _frozen(_grid("centers", self.centers)))
 
@@ -68,12 +70,11 @@ def make_layout(fmin: float, fmax: float, ppo: int = 6) -> BankLayout:
     Raises ``ValueError`` before allocating when ppo, or the grid's
     ppo * log2(fmax / fmin) steps, exceed ``_MAX_GRID_POINTS``.
     """
-    fmin = _scalar("fmin", fmin, above=0.0)
-    fmax = _scalar("fmax", fmax)
+    fmin = _scalar("fmin", fmin, above=0.0, kind="frequency")
+    fmax = _scalar("fmax", fmax, kind="frequency")
     if fmax <= fmin:
         raise ValueError(f"fmax must exceed fmin, got fmin={fmin}, fmax={fmax}")
     ppo = _whole("points_per_octave", ppo, at_least=1)
-    # A difference of logs stays finite where fmax / fmin would overflow.
     octaves = np.log2(fmax) - np.log2(fmin)
     if ppo > _MAX_GRID_POINTS or ppo * octaves > _MAX_GRID_POINTS:  # no float overflows for any int ppo
         raise ValueError(
@@ -82,11 +83,7 @@ def make_layout(fmin: float, fmax: float, ppo: int = 6) -> BankLayout:
         )
     # Small backoff so an fmax exactly on the grid does not gain an extra point.
     k_last = int(np.ceil(ppo * octaves - 1e-9))
-    with np.errstate(over="ignore"):
-        centers = fmin * 2.0 ** (np.arange(k_last + 1) / ppo)
-    if not np.isfinite(centers[-1]):
-        raise ValueError(f"fmin={fmin:.6g} to fmax={fmax:.6g} spans too many octaves for float64")
-    return BankLayout(fmin, fmax, ppo, centers)
+    return BankLayout(fmin, fmax, ppo, fmin * 2.0 ** (np.arange(k_last + 1) / ppo))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -108,7 +105,7 @@ class BasisMatrix:
         m = self.layout.centers.size
         object.__setattr__(self, "columns", _frozen(_values("columns", self.columns, (None, m))))
         object.__setattr__(self, "norms", _frozen(_values("norms", self.norms, (m,), above=0.0)))
-        object.__setattr__(self, "sample_rate", _scalar("sample_rate", self.sample_rate, above=0.0))
+        object.__setattr__(self, "sample_rate", _scalar("sample_rate", self.sample_rate, above=0.0, kind="frequency"))
 
     @property
     def n_columns(self) -> int:
@@ -189,7 +186,7 @@ def four_coordinate_check(column: Signal, fc: float) -> tuple[float, float]:
     (max|a| / (w max|v|), max|a| / (w^2 max|u|)); both near 1 when the
     narrowband assumption holds.
     """
-    w = TWO_PI * _scalar("fc", fc, above=0.0)
+    w = TWO_PI * _scalar("fc", fc, above=0.0, kind="frequency")
     m = motion_of(column)
     peak_a = float(np.max(np.abs(m.acceleration.samples)))
     peak_v = float(np.max(np.abs(m.velocity.samples)))

@@ -32,8 +32,8 @@ import warnings
 import numpy as np
 
 from .signal_core import (
-    TWO_PI, _SEGMENT_ROWS, Signal, _bilinear_biquad, _budget, _frozen, _ring_down_factor, _scalar, _segments,
-    _values, _whole,
+    _MAX_ORDER, TWO_PI, _SEGMENT_ROWS, Signal, _bilinear_biquad, _budget, _frozen, _ring_down_factor, _scalar,
+    _segments, _values, _whole,
 )
 
 __all__ = [
@@ -65,7 +65,7 @@ def validate_order(numerator_power: int, order: int) -> bool:
     at least 2 so velocity and displacement both return to zero, and at
     most 2*order - 1 so the magnitude still falls off above the band.
     """
-    m, n = _whole("numerator_power", numerator_power), _whole("order", order, at_least=1)
+    m, n = _whole("numerator_power", numerator_power), _whole("order", order, at_least=1, at_most=_MAX_ORDER)
     return 2 <= m <= 2 * n - 1
 
 
@@ -76,11 +76,11 @@ class NzdfParams:
     Parameters
     ----------
     center_freq : float
-        Center frequency fc in Hz, > 0.
+        Center frequency fc in Hz, in the frequency range.
     q : float, optional
-        Quality factor of each pole pair, > 0.5 (underdamped).
+        Quality factor of each pole pair, > 0.5 (underdamped) and <= 1e4.
     order : int, optional
-        Pole-pair multiplicity N, >= 1.
+        Pole-pair multiplicity N, 1 to ``signal_core._MAX_ORDER``.
     numerator_power : int, optional
         Zero multiplicity M at the origin; must satisfy
         2 <= M <= 2*N - 1.
@@ -92,17 +92,12 @@ class NzdfParams:
     numerator_power: int = 2
 
     def __post_init__(self):
-        fc = _scalar("center_freq", self.center_freq, above=0.0)
-        q = _scalar("q", self.q, above=0.5)  # underdamped
+        object.__setattr__(self, "center_freq", _scalar("center_freq", self.center_freq, above=0.0, kind="frequency"))
+        object.__setattr__(self, "q", _scalar("q", self.q, above=0.5, kind="q"))  # underdamped
         if not validate_order(self.numerator_power, self.order):
-            raise ValueError(
-                f"numerator_power={self.numerator_power} with order={self.order} "
-                f"violates 2 <= M <= 2*N - 1"
-            )
-        object.__setattr__(self, "center_freq", fc)
-        object.__setattr__(self, "q", q)
+            raise ValueError(f"numerator_power={self.numerator_power} with order={self.order} violates 2 <= M <= 2*N - 1")
         for name in ("order", "numerator_power"):
-            object.__setattr__(self, name, _whole(name, getattr(self, name)))
+            object.__setattr__(self, name, int(getattr(self, name)))  # whole numbers, as validate_order checked
 
     @property
     def omega(self) -> float:
@@ -126,15 +121,13 @@ class NzdfParams:
 def nzdf_gain(f_eval, params: NzdfParams):
     """Complex frequency response H(j 2 pi f).
 
-    ``f_eval`` may be a scalar or an array of frequencies in Hz.
+    ``f_eval`` may be a scalar or an array of frequencies in Hz, in the frequency range.
     """
-    s = 1j * TWO_PI * np.asarray(f_eval, dtype=float)
+    s = 1j * TWO_PI * _values("f_eval", f_eval, (None,) * np.ndim(f_eval), kind="frequency")
     w = params.omega
     den = (s * s + (w / params.q) * s + w * w) ** params.order
     h = params.gain * s ** params.numerator_power / den
-    if np.isscalar(f_eval):
-        return complex(h)
-    return h
+    return complex(h) if np.isscalar(f_eval) else h
 
 
 def q_to_beta(q: float) -> float:
@@ -145,7 +138,7 @@ def q_to_beta(q: float) -> float:
     sqrt(sqrt(2) - 1) x / q.  The two edges have x_hi x_lo = 1, so the
     bandwidth x_hi - x_lo is exactly sqrt(sqrt(2) - 1) / q.
     """
-    return float(_BETA_Q / _scalar("q", q, above=0.5))
+    return float(_BETA_Q / _scalar("q", q, above=0.5, kind="q"))
 
 
 def beta_to_q(beta: float) -> float:
@@ -193,9 +186,9 @@ class DigitalNzdf:
         sos = _frozen(_values("sos", self.sos, (None, 6)))
         if np.any(sos[:, 3] != 1.0):
             raise ValueError("every section's a0 (sos[:, 3]) must be 1")
-        _check_poles(sos[:, 4], sos[:, 5])
+        _check_poles(sos[:, 4], sos[:, 5], "sos")
         object.__setattr__(self, "sos", sos)
-        object.__setattr__(self, "sample_rate", _scalar("sample_rate", self.sample_rate, above=0.0))
+        object.__setattr__(self, "sample_rate", _scalar("sample_rate", self.sample_rate, above=0.0, kind="frequency"))
 
     def frequency_response(self, freqs) -> np.ndarray:
         """Complex response of the cascade at the given frequencies in Hz."""
@@ -203,11 +196,11 @@ class DigitalNzdf:
         return _sos_response(self.sos, w)
 
 
-def _check_poles(a1, a2) -> None:
-    """Jury's test: ``ValueError`` unless every z^2 + a1 z + a2 has both roots strictly inside the
-    unit circle, which holds iff |a2| < 1 and |a1| < 1 + a2.  A NaN fails it."""
+def _check_poles(a1, a2, what: str) -> None:
+    """Jury's test: ``ValueError`` naming ``what`` unless every z^2 + a1 z + a2 has both roots strictly
+    inside the unit circle, which holds iff |a2| < 1 and |a1| < 1 + a2.  A NaN fails it."""
     if not np.all((np.abs(a2) < 1.0) & (np.abs(a1) < 1.0 + a2)):
-        raise ValueError("discretized section has a pole on or outside the unit circle")
+        raise ValueError(f"{what} has a pole on or outside the unit circle")
 
 
 def _sos_response(sos: np.ndarray, w) -> np.ndarray:
@@ -232,7 +225,7 @@ def discretize(params: NzdfParams, fs: float) -> DigitalNzdf:
     compression noticeably reshapes the upper skirt.
     """
     fc = params.center_freq
-    fs = _scalar("fs", fs, above=2.0 * fc)
+    fs = _scalar("fs", fs, above=2.0 * fc, kind="frequency")
     if fs < 10.0 * fc:
         warnings.warn(
             f"fs={fs:.6g} is below 10*fc={10.0 * fc:.6g}; expect bilinear warping "
@@ -242,9 +235,9 @@ def discretize(params: NzdfParams, fs: float) -> DigitalNzdf:
     w, q = params.omega, params.q
     # each section is w^(2 - m) / q s^m over one pole pair, so the cascade's gain is K
     sos = np.array([_bilinear_biquad(w, q, fs, m, w ** (2 - m) / q) for m in _numerator_powers(params)])
-    _check_poles(sos[:, 4], sos[:, 5])  # before the pin divides by the response at fc
+    _check_poles(sos[:, 4], sos[:, 5], f"discretized at fs={fs:.6g} Hz, the center_freq={fc:.6g} Hz section")
 
-    # Pin exact unity gain at the center against accumulated rounding.
+    # Pin exact unity gain at the center against rounding; Jury's test above keeps it from dividing by zero.
     sos[0, :3] /= np.abs(_sos_response(sos, [w / fs])[0])
     return DigitalNzdf(params, fs, sos)
 
@@ -290,11 +283,11 @@ def impulse_response(filt: DigitalNzdf, duration: float) -> Signal:
     and the filter's run are checked by ``signal_core._budget`` before any
     of them is allocated.
     """
-    n = round(_scalar("duration", duration, above=0.0) * filt.sample_rate, 0) + 1  # a float until charged
+    n = round(_scalar("duration", duration, above=0.0, kind="duration") * filt.sample_rate) + 1
     p = filt.params
     _budget(f"impulse response at center_freq={p.center_freq:.6g} Hz with q={p.q:.6g}",
             nbytes=16 * n + _run_size(p, filt.sample_rate, n)[1], advice="shorten duration, lower q or raise center_freq")
-    x = np.zeros(int(n))
+    x = np.zeros(n)
     x[0] = filt.sample_rate
     return apply_filter(filt, Signal(filt.sample_rate, x))
 
@@ -315,9 +308,10 @@ class GammatoneParams:
     phase: float = 0.0
 
     def __post_init__(self):
-        for name, above in (("center_freq", 0.0), ("bandwidth", 0.0), ("amplitude", -np.inf), ("phase", -np.inf)):
-            object.__setattr__(self, name, _scalar(name, getattr(self, name), above))
-        object.__setattr__(self, "order", _whole("order", self.order, at_least=1))
+        for name, above, kind in (("center_freq", 0.0, "frequency"), ("bandwidth", 0.0, "frequency"),
+                                  ("amplitude", -np.inf, "amplitude"), ("phase", -np.inf, "amplitude")):
+            object.__setattr__(self, name, _scalar(name, getattr(self, name), above, kind=kind))
+        object.__setattr__(self, "order", _whole("order", self.order, at_least=1, at_most=_MAX_ORDER))
 
 
 def gammatone_impulse(gp: GammatoneParams, fs: float, duration: float) -> Signal:
@@ -326,10 +320,10 @@ def gammatone_impulse(gp: GammatoneParams, fs: float, duration: float) -> Signal
     tracemalloc reads 32 bytes a sample held at once (the times and three
     temporaries); ``signal_core._budget`` is charged 40 before any of them.
     """
-    fs = _scalar("fs", fs, above=0.0)
-    n = round(_scalar("duration", duration, above=0.0) * fs, 0) + 1  # a float until charged
+    fs = _scalar("fs", fs, above=0.0, kind="frequency")
+    n = round(_scalar("duration", duration, above=0.0, kind="duration") * fs) + 1
     _budget("gammatone impulse", nbytes=40 * n, advice="lower fs or shorten duration")
-    t = np.arange(int(n)) / fs
+    t = np.arange(n) / fs
     wc = TWO_PI * gp.center_freq
     env = gp.amplitude * t ** (gp.order - 1) * np.exp(-gp.bandwidth * t)
     return Signal(fs, env * np.cos(wc * t + gp.phase))

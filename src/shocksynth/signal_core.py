@@ -77,25 +77,38 @@ def _frozen(values) -> np.ndarray:
     return out
 
 
-def _scalar(name: str, value, above: float = -math.inf, at_least: float = -math.inf) -> float:
+# The physical range of each kind of quantity, checked by the four rules below where a value enters (a parameter
+# or a CSV cell) so that no arithmetic downstream leaves float range.  Frequencies (rates, centers, evaluation
+# frequencies, decay constants): the bilinear warp constant, about 2 fs, squares to under 5e18, and the reference's
+# drift high-pass passes Jury's test up to 1.6e10 Hz.  Q: underdamped, up to beta_to_q's ceiling.  Durations: at
+# most 1e15 samples at any rate, which the budget refuses.  Times: epoch stamps fit.  Amplitudes (every other number):
+# two running sums of 1e9 of them over 1e6 s steps stay finite; subnormals are data.  _MAX_ORDER is the largest N
+# for which K = w^(2N - M) / q^N and (s^2 + (w/q) s + w^2)^N stay finite for w, |s| <= 2 pi 1e9 and q > 0.5.
+_RANGES = {"frequency": (1e-6, 1e9, " Hz"), "q": (0.5, 1e4, ""), "duration": (1e-9, 1e6, " s"),
+           "time": (-1e12, 1e12, " s"), "amplitude": (-1e100, 1e100, "")}
+_MAX_ORDER = 15
+
+
+def _scalar(name: str, value, above: float = -math.inf, at_least: float = -math.inf, kind: str = "amplitude") -> float:
     """``value`` as a float, checked by the package's one rule for scalar parameters.
 
     Raises ``ValueError`` naming ``name`` and the value unless it is finite,
-    greater than ``above`` and at least ``at_least``: :func:`_values`' range, at shape ().
+    greater than ``above`` and at least ``at_least``: :func:`_values`' rule, at shape ().
     """
     try:
         value = float(value)
     except (TypeError, ValueError, OverflowError):  # a string, an object that is no number, an int past float range
         raise ValueError(f"{name} must be a finite real number, got {value!r}") from None
-    return float(_values(name, value, (), above, at_least))
+    return float(_values(name, value, (), above, at_least, kind))
 
 
-def _values(name: str, values, shape=(None,), above: float = -math.inf, at_least: float = -math.inf) -> np.ndarray:
+def _values(name: str, values, shape=(None,), above: float = -math.inf, at_least: float = -math.inf,
+            kind: str = "amplitude") -> np.ndarray:
     """``values`` as a float array of ``shape``, checked by the package's one rule for array parameters.
 
-    A ``None`` in ``shape`` is any length of at least 1.  Raises ``ValueError`` naming ``name``
-    unless ``values`` is an array of numbers of that shape whose values are finite, greater than
-    ``above`` and at least ``at_least``; the message names the first value that is not, and where.
+    A ``None`` in ``shape`` is any length of at least 1.  Raises ``ValueError`` naming ``name`` unless
+    ``values`` is an array of numbers of that shape whose values are greater than ``above``, at least
+    ``at_least`` and in ``kind``'s range; the message names the first value that is not, and where.
     Its min and max, in which a NaN propagates, check them: nothing the size of the array is held.
     """
     want = str(tuple("n" if s is None else s for s in shape)).replace("'", "")
@@ -109,20 +122,24 @@ def _values(name: str, values, shape=(None,), above: float = -math.inf, at_least
     if x.ndim != len(shape) or any(n < 1 if s is None else n != s for n, s in zip(x.shape, shape)):
         raise ValueError(f"{name} must have shape {want}, got {x.shape}")
     lo, hi = x.min(), x.max()
-    if math.isfinite(lo) and math.isfinite(hi) and lo > above and lo >= at_least:
+    floor, ceiling, unit = _RANGES[kind]
+    if floor <= lo and hi <= ceiling and lo > above and lo >= at_least:  # False for a NaN or an inf
         return x
-    at = [int(i) for i in np.argwhere(~(np.isfinite(x) & (x > above) & (x >= at_least)))[0]]
+    ok = np.isfinite(x) & (x > above) & (x >= at_least)
     bound = f" and > {above:.6g}" if above > -math.inf else ""
     bound += f" and >= {at_least:.6g}" if at_least > -math.inf else ""
+    if ok.all():  # finite and bounded, but out of kind's range
+        ok, bound = (x >= floor) & (x <= ceiling), f" and between {floor:.6g} and {ceiling:.6g}{unit}"
+    at = [int(i) for i in np.argwhere(~ok)[0]]
     raise ValueError(f"{name} must be finite{bound}, got {x[tuple(at)]:.6g}" + (f" at {at}" if at else ""))
 
 
-def _whole(name: str, value, at_least: float = -math.inf) -> int:
+def _whole(name: str, value, at_least: float = -math.inf, at_most: float = math.inf) -> int:
     """``value`` as an int, checked by the package's one rule for whole-number parameters.
 
     Raises ``ValueError`` naming ``name`` and the value unless ``int(value)``
     equals it (an int, a numpy int or a float with no fraction) and is at
-    least ``at_least``.
+    least ``at_least`` and at most ``at_most``.
     """
     try:
         n = int(value)
@@ -130,21 +147,20 @@ def _whole(name: str, value, at_least: float = -math.inf) -> int:
         n = None
     if n is None or n != value:
         raise ValueError(f"{name} must be a whole number, got {value!r}")
-    if n < at_least:
-        raise ValueError(f"{name} must be >= {at_least}, got {n}")
+    if not at_least <= n <= at_most:
+        raise ValueError(f"{name} must be " + (f">= {at_least}" if n < at_least else f"<= {at_most}") + f", got {n}")
     return n
 
 
 def _grid(name: str, values) -> np.ndarray:
     """``values`` as a 1-D float array, checked by the package's one rule for a frequency list.
 
-    Raises ``ValueError`` naming ``name`` unless it holds at least one value
-    and its values are finite, positive and strictly increasing; a scalar is
-    a list of one.
+    Raises ``ValueError`` naming ``name`` unless it holds at least one value and its
+    values are strictly increasing frequencies in range; a scalar is a list of one.
     """
     x = np.atleast_1d(np.asarray(values, dtype=float))
     if x.ndim == 1 and x.size and np.isfinite(x).all() and x[0] > 0.0 and (x[1:] > x[:-1]).all():
-        return x
+        return _values(name, x, kind="frequency")
     raise ValueError(f"{name} must be finite, positive and strictly increasing, in a non-empty 1-D list")
 
 
@@ -188,12 +204,12 @@ class Signal:
     Parameters
     ----------
     sample_rate : float
-        Sampling rate in Hz.  Must be finite and positive.
+        Sampling rate in Hz, in the frequency range.
     samples : ndarray
         1-D array of sample values (acceleration in m/s^2 unless noted).
-        Stored as a read-only float64 copy.
+        Stored as a read-only float64 copy; each in the amplitude range.
     t0 : float, optional
-        Time of the first sample in seconds.  Must be finite.
+        Time of the first sample in seconds, in the time range.
     """
 
     sample_rate: float
@@ -201,9 +217,9 @@ class Signal:
     t0: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "sample_rate", _scalar("sample_rate", self.sample_rate, above=0.0))
+        object.__setattr__(self, "sample_rate", _scalar("sample_rate", self.sample_rate, above=0.0, kind="frequency"))
         object.__setattr__(self, "samples", _frozen(_values("samples", self.samples)))
-        object.__setattr__(self, "t0", _scalar("t0", self.t0))
+        object.__setattr__(self, "t0", _scalar("t0", self.t0, kind="time"))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -267,7 +283,7 @@ def integrate(sig: Signal, initial_value: float = 0.0) -> Signal:
     The result has the same rate and length; its first sample equals
     ``initial_value``.
     """
-    return sig.with_samples(_cumulative_trapezoid(sig.samples, sig.dt) + initial_value)
+    return sig.with_samples(_cumulative_trapezoid(sig.samples, sig.dt) + _scalar("initial_value", initial_value))
 
 
 def _cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
@@ -308,7 +324,7 @@ def residual_motion(accel: Signal, tolerance: float = 1e-3) -> ResidualReport:
     return ResidualReport(rv, rd, tolerance, rv <= tolerance and rd <= tolerance)
 
 
-def _read_pairs(path: Path, header: str, advice: str) -> np.ndarray:
+def _read_pairs(path: Path, header: str, advice: str, kinds=("time", "amplitude")) -> np.ndarray:
     """Parse a two-column numeric CSV file into an (n, 2) float array, charged to ``_budget`` first.
 
     The parse holds about 40 bytes a line at once (numpy's reader and the
@@ -319,13 +335,13 @@ def _read_pairs(path: Path, header: str, advice: str) -> np.ndarray:
     the first line longer than ``_TEXT_BLOCK`` characters.
 
     Blank lines are skipped, and line 1 may be ``header`` (compared without
-    case or spaces).  Every other line must hold exactly two finite
-    numbers; :class:`SignalFormatError` names the first line that does not.
+    case or spaces).  Every other line must hold exactly two numbers, each in its
+    column's range of ``kinds``; :class:`SignalFormatError` names the first line that does not.
 
     numpy's compiled text reader parses every file it accepts whole: two
-    columns, at least one row, finite values.  Anything else, whitespace-only
-    lines and numbers only ``float`` reads (``1_000``) among them, goes to
-    the per-line pass :func:`_parse_lines`, which finds the first fault.
+    columns, at least one row, every value in its column's range.  Anything
+    else, whitespace-only lines and numbers only ``float`` reads (``1_000``)
+    among them, goes to the per-line pass :func:`_parse_lines`, which finds the first fault.
     """
     what, size = f"reading {path.name}", path.stat().st_size
     _budget(what, nbytes=2 * size, advice=advice)
@@ -350,15 +366,16 @@ def _read_pairs(path: Path, header: str, advice: str) -> np.ndarray:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # an empty file only warns
                 pairs = np.loadtxt(fh, delimiter=",", comments=None, skiprows=int(skip), ndmin=2)
-            if pairs.shape[1] == 2 and np.isfinite(pairs).all():
+            low, high = np.array([_RANGES[kind][:2] for kind in kinds]).T
+            if pairs.shape[1] == 2 and ((low <= pairs) & (pairs <= high)).all():  # False for a NaN
                 return pairs
         except (ValueError, Warning):
             pass
         fh.seek(0)
-        return _parse_lines(fh, skip, path.name)
+        return _parse_lines(fh, skip, path.name, kinds)
 
 
-def _parse_lines(lines, skip_header: bool, name: str) -> np.ndarray:
+def _parse_lines(lines, skip_header: bool, name: str, kinds=("time", "amplitude")) -> np.ndarray:
     """The line-by-line reading of :func:`_read_pairs` into one flat buffer, 16 bytes a row; raises on the first fault."""
     import array  # an extension module: loaded only for the files numpy's reader refuses
 
@@ -376,8 +393,9 @@ def _parse_lines(lines, skip_header: bool, name: str) -> np.ndarray:
             pair = (float(fields[0]), float(fields[1]))
         except ValueError:
             raise SignalFormatError(f"{name}: non-numeric value on line {lineno}: {line!r}") from None
-        if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
-            raise SignalFormatError(f"{name}: non-finite value on line {lineno}")
+        for value, (low, high, unit) in zip(pair, map(_RANGES.get, kinds)):
+            if not low <= value <= high:  # a NaN or an inf too
+                raise SignalFormatError(f"{name}: {value!r} on line {lineno} is outside {low:.6g} to {high:.6g}{unit}")
         values.extend(pair)
     return np.frombuffer(values, dtype=float).reshape(-1, 2)
 
@@ -404,10 +422,10 @@ def read_signal(path) -> Signal:
 
     The time column must be uniformly spaced to within a relative jitter of
     1e-6 of the median step.  Raises :class:`SignalFormatError` on malformed
-    rows, empty files, or non-uniform time steps; the message names the
-    offending line number.  Raises ``ValueError`` before parsing when the
-    file is over ``_budget``, and with :class:`SignalFormatError` on a line
-    longer than ``_TEXT_BLOCK`` characters.
+    rows, values out of range, empty files, or non-uniform time steps; the
+    message names the file and the offending line.  Raises ``ValueError`` for
+    a sample rate out of range, before parsing when the file is over ``_budget``,
+    and with :class:`SignalFormatError` on a line longer than ``_TEXT_BLOCK`` characters.
     """
     path = Path(path)
     pairs = _read_pairs(path, "time_s,accel_m_s2", advice="shorten or decimate the record")
@@ -525,16 +543,11 @@ _BILINEAR_TAPS = np.array([[1.0, 2.0, 1.0], [1.0, 0.0, -1.0], [1.0, -2.0, 1.0]])
 def _bilinear_biquad(w: float, q: float, fs: float, zeros: int, gain: float) -> np.ndarray:
     """One second-order section (b0, b1, b2, 1, a1, a2): gain s^zeros / (s^2 + (w/q) s + w^2) at rate ``fs``.
 
-    The bilinear transform s = c (1 - 1/z) / (1 + 1/z), pre-warped by c = w / tan(w / (2 fs)) so that j*w
-    maps exactly onto exp(j w / fs); ``zeros`` is 0, 1 or 2.  Raises ``ValueError`` naming ``fs`` where the
-    pole polynomial overflows: c is about 2 fs, and c^2 leaves float range past 1e154 Hz.  The poles are not
-    tested here: far above w they round onto z = 1 (from about 1.7e10 Hz for the reference's 45 Hz high-pass).
+    The bilinear transform s = c (1 - 1/z) / (1 + 1/z), pre-warped by c = w / tan(w / (2 fs)), maps j*w exactly
+    onto exp(j w / fs); ``zeros`` is 0, 1 or 2.  The poles are not tested here: far below fs, they round onto z = 1.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = w / np.tan(w / fs / 2.0)
-        den = np.array([c * c + (w / q) * c + w * w, 2.0 * (w * w - c * c), c * c - (w / q) * c + w * w])
-    if not np.isfinite(den).all():
-        raise ValueError(f"fs={fs:.6g} Hz overflows the bilinear transform of a {w / TWO_PI:.6g} Hz pole pair")
+    c = w / np.tan(w / fs / 2.0)
+    den = np.array([c * c + (w / q) * c + w * w, 2.0 * (w * w - c * c), c * c - (w / q) * c + w * w])
     for _ in range(zeros):  # ((gain c) c) taps: the products in one order for every caller
         gain *= c
     return np.hstack([gain * _BILINEAR_TAPS[zeros] / den[0], den / den[0]])
@@ -562,24 +575,22 @@ def synth_reference(
     pulses are fitted so the terminal velocity and displacement vanish to
     machine precision.  The result is peak-normalized to 1000 m/s^2.
 
-    Raises ``ValueError`` when ``seed`` is not a whole number >= 0, when
-    ``fs < 10 * fmax`` (the sweep needs headroom below Nyquist), when
-    ``fmax < 200`` Hz (the sweep starts at 45 Hz and must cover at least a
-    couple of octaves), when fewer than two samples fall inside the
-    correction pulses' window, 0.28 to 0.60 of ``duration``, or, before any
-    work, when the record is over ``_budget``.
+    Raises ``ValueError`` when ``seed`` is not a whole number >= 0, when ``fs``, ``fmax`` or ``duration``
+    is out of range, when ``fs < 10 * fmax`` (the sweep needs headroom below Nyquist), when ``fmax < 200``
+    Hz (the sweep starts at 45 Hz and must cover at least a couple of octaves), when fewer than two samples
+    fall inside the correction pulses' window, 0.28 to 0.60 of ``duration``, or, before any work, when the
+    record is over ``_budget``.
     """
     seed = _whole("seed", seed, at_least=0)
-    fmax = _scalar("fmax", fmax, at_least=200.0)
-    duration = _scalar("duration", duration, above=0.0)
-    fs = _scalar("fs", fs)
+    fs = _scalar("fs", fs, kind="frequency")
+    fmax = _scalar("fmax", fmax, at_least=200.0, kind="frequency")
+    duration = _scalar("duration", duration, above=0.0, kind="duration")
     if fs < 10.0 * fmax:
         raise ValueError(f"fs must be at least 10*fmax ({10.0 * fmax:.6g} Hz), got {fs:.6g}")
-    n = round(duration * fs, 0) + 1  # a float, inf where the product overflows, until the budget passes it
+    n = round(duration * fs) + 1
     # tracemalloc reads 57 to 64 bytes a sample held at once (6.4 MB for
     # 100,001 samples): seven or eight float64 arrays of the record and temporaries.
     _budget("demo-ref", rows=n, nbytes=96 * n, advice="lower fs or duration")
-    n = int(n)
     t = np.arange(n) / fs
     t1, t2 = 0.28 * duration, 0.60 * duration
     window = (t > t1) & (t < t2)

@@ -38,7 +38,7 @@ class SrsSpec:
 
     ``breakpoints`` is an (n, 2) array of (frequency Hz, peak acceleration
     m/s^2) rows, n >= 2: the frequencies a list by ``signal_core._grid``'s
-    rule, the accelerations finite and positive.
+    rule, the accelerations positive and in the amplitude range.
     """
 
     breakpoints: np.ndarray
@@ -77,7 +77,7 @@ class SrsCurve:
         freqs = _grid("freqs", self.freqs)
         object.__setattr__(self, "freqs", _frozen(freqs))
         object.__setattr__(self, "values", _frozen(_values("values", self.values, freqs.shape, at_least=0.0)))
-        object.__setattr__(self, "q_srs", _scalar("q_srs", self.q_srs, above=0.5))
+        object.__setattr__(self, "q_srs", _scalar("q_srs", self.q_srs, above=0.5, kind="q"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -120,15 +120,14 @@ def _ring_down_samples(fn, q_srs: float, fs: float):
     """Samples of free decay after the record, by the package's one ring-down rule.
 
     ``_ring_down_factor(1)`` = 7 time constants of 2 q_srs / wn: 60 dB down.
-    A whole number as a float, element-wise over ``fn``; inf where it overflows.
+    A whole number as a float, element-wise over ``fn``.
     """
-    with np.errstate(over="ignore"):
-        return np.ceil(_ring_down_factor(1) * 2.0 * q_srs / (TWO_PI * np.asarray(fn)) * fs)
+    return np.ceil(_ring_down_factor(1) * 2.0 * q_srs / (TWO_PI * np.asarray(fn)) * fs)
 
 
 def _srs_rows(n: int, freqs, q_srs: float, fs: float) -> tuple[np.ndarray, np.ndarray]:
     """``freqs`` checked by ``signal_core._grid`` and below Nyquist, and each oscillator's rows, n samples plus its ring-down pad, after ``_budget`` of their sum."""
-    _scalar("q_srs", q_srs, above=0.5)
+    _scalar("q_srs", q_srs, above=0.5, kind="q")
     freqs = _grid("freqs", freqs)
     if freqs[-1] >= fs / 2.0:
         raise ValueError(f"natural frequency {freqs[-1]:.6g} Hz is at or above Nyquist ({fs / 2.0:.6g} Hz)")
@@ -202,7 +201,7 @@ def read_spec(path, tolerance_db: float = 3.0) -> SrsSpec:
     # Before the file: the file's own faults are reported under its name.
     tolerance_db = _scalar("tolerance_db", tolerance_db, above=0.0)
     path = Path(path)
-    rows = _read_pairs(path, "freq_hz,peak_accel_m_s2", advice="list fewer breakpoints")
+    rows = _read_pairs(path, "freq_hz,peak_accel_m_s2", advice="list fewer breakpoints", kinds=("frequency", "amplitude"))
     if len(rows) < 2:
         raise SignalFormatError(f"{path.name}: need at least 2 breakpoints")
     try:

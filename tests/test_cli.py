@@ -642,7 +642,7 @@ def test_srs_out_of_memory_exits_2_naming_the_command_and_flags(workdir, tmp_pat
 
     monkeypatch.setattr(cli, "srs", exhausted)
     out = tmp_path / "o.csv"
-    code, err = _run_in_process(["srs", workdir / "ref.csv", "--q-srs", "1e12", "--out", out], capsys)
+    code, err = _run_in_process(["srs", workdir / "ref.csv", "--q-srs", "1e4", "--out", out], capsys)
     assert code == 2
     assert err == "error: srs ran out of memory; lower --q-srs or --ppo, or raise --fmin\n"
     assert not out.exists()
@@ -663,33 +663,43 @@ def test_out_of_memory_advice_names_only_the_commands_own_flags(workdir, tmp_pat
     assert flags and set(flags) <= {o for p in main.commands[command].params for o in p.opts}
 
 
+def _low_spec(path):
+    """A spec from 1/64 Hz to 4096 Hz, whose grids at 3 and 6 points per octave end on its last breakpoint."""
+    write_spec_csv(path, [(2.0**-6, 500.0), (2000.0, 800.0), (4096.0, 600.0)])
+    return path
+
+
 @pytest.mark.parametrize("command", ["srs", "verify"])
 def test_huge_q_srs_exits_2_at_once(workdir, tmp_path, capsys, command):
-    # the SRS sums its rows over the grid before it filters any of them
+    # the SRS sums its rows over the grid before it filters any of them: at the top of
+    # the q range from 1/64 Hz, 7e11 rows; past the range, q_srs is refused by name
     out = tmp_path / "o"
-    inputs = [workdir / "ref.csv"] + ([workdir / "spec.csv", "--out-report"] if command == "verify" else ["--out"])
+    low = ["--fmin", 2.0**-6, "--out"] if command == "srs" else [_low_spec(tmp_path / "low.csv"), "--out-report"]
     start = time.perf_counter()
-    code, err = _run_in_process([command, *inputs, out, "--q-srs", "1e12"], capsys)
+    code, err = _run_in_process([command, workdir / "ref.csv", *low, out, "--q-srs", "1e4"], capsys)
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert err.startswith("error: SRS would filter ")
-    lowest = "100 Hz" if command == "srs" else "1000 Hz"  # --fmin, or the spec's first breakpoint
-    assert err.endswith(f"row limit; lower q_srs (1e+12) or raise the lowest frequency ({lowest})\n")
+    assert err.endswith("row limit; lower q_srs (10000) or raise the lowest frequency (0.015625 Hz)\n")
+    code, err = _run_in_process([command, workdir / "ref.csv", *low, out, "--q-srs", "1e12"], capsys)
+    assert (code, err) == (2, "error: q_srs must be finite and between 0.5 and 10000, got 1e+12\n")
     assert not out.exists()
 
 
 def test_huge_filter_q_exits_2_at_once(workdir, tmp_path, capsys):
-    # 3.3e9 rows at 100 Hz, Q = 1e6: refused before any of them is filtered
+    # 1.7e8 rows at 10 Hz, Q = 1e4: refused before any of them is filtered; Q = 1e6 is past the q range
     out = tmp_path / "o.csv"
     start = time.perf_counter()
-    code, err = _run_in_process(["filter", workdir / "ref.csv", "--fc", "100", "--q", "1e6", "--out", out], capsys)
+    code, err = _run_in_process(["filter", workdir / "ref.csv", "--fc", "10", "--q", "1e4", "--out", out], capsys)
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert re.fullmatch(
-        r"error: filter at center_freq=100 Hz with q=1e\+06 would hold 2\.67e\+10 bytes, "
+        r"error: filter at center_freq=10 Hz with q=10000 would hold 2\.67e\+09 bytes, "
         r"over the 1,073,741,824-byte limit; lower q or raise center_freq\n",
         err,
     )
+    code, err = _run_in_process(["filter", workdir / "ref.csv", "--fc", "100", "--q", "1e6", "--out", out], capsys)
+    assert (code, err) == (2, "error: q must be finite and between 0.5 and 10000, got 1e+06\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -713,13 +723,16 @@ def _refused(argv, capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["srs", "verify", "filter"])
 def test_over_budget_commands_refuse_before_any_filtering(workdir, tmp_path, capsys, monkeypatch, command):
-    flags = {"srs": ["--q-srs", "1e12"], "verify": ["--q-srs", "1e12"], "filter": ["--fc", "100", "--q", "1e6"]}
+    # at the top of the q range: the SRS from 1/64 Hz, and a filter at 10 Hz
+    flags = {"srs": ["--q-srs", "1e4", "--fmin", 2.0**-6], "verify": ["--q-srs", "1e4"],
+             "filter": ["--fc", "10", "--q", "1e4"]}
+    spec = _low_spec(tmp_path / "low.csv")
     argv = [command] + [a.format(d=workdir, o=tmp_path) for a in _BASE_ARGS[command]] + flags[command]
-    code, err = _refused(argv, capsys, monkeypatch)
+    code, err = _refused([spec if a == f"{workdir}/spec.csv" else a for a in argv], capsys, monkeypatch)
     assert code == 2
     assert re.fullmatch(r"error: .* would (filter .* rows, over the 1,000,000,000-row|hold .* bytes, over the "
-                        r"1,073,741,824-byte) limit; lower q(_srs \(1e\+12\))? or raise .*\n", err), err
-    assert list(tmp_path.iterdir()) == []
+                        r"1,073,741,824-byte) limit; lower q(_srs \(10000\))? or raise .*\n", err), err
+    assert list(tmp_path.iterdir()) == [spec]
 
 
 def _refuse_to_parse(monkeypatch, name, what):
@@ -797,19 +810,24 @@ def test_demo_ref_negative_seed_is_refused_by_name(tmp_path, capsys):
 
 
 def test_filter_with_a_pole_on_the_unit_circle_prints_one_error_line(workdir, tmp_path, capsys):
-    # at q = 1e300 the pole pair's a2 rounds to 1: refused before the gain pin divides by zero
-    argv = ["filter", workdir / "ref.csv", "--fc", "1000", "--q", "1e300", "--out", tmp_path / "f.csv"]
+    # at 1 uHz and 50 kHz the pole pair's a2 rounds to 1: refused before the gain pin divides by zero;
+    # q = 1e300, which did the same, is past the q range
+    argv = ["filter", workdir / "ref.csv", "--fc", "1e-6", "--out", tmp_path / "f.csv"]
     code, err = _run_in_process(argv, capsys)
     assert code == 2
-    assert err == "error: discretized section has a pole on or outside the unit circle\n", err
+    assert err == ("error: discretized at fs=50000 Hz, the center_freq=1e-06 Hz section has a pole on or outside "
+                   "the unit circle\n"), err
+    code, err = _run_in_process(argv[:3] + ["1000", "--q", "1e300"] + argv[4:], capsys)
+    assert (code, err) == (2, "error: q must be finite and between 0.5 and 10000, got 1e+300\n")
     assert list(tmp_path.iterdir()) == []
 
 
 def test_bank_at_a_rate_that_overflows_the_bilinear_transform_prints_one_error_line(tmp_path, capsys):
-    # the warp constant's square leaves float range: refused by name, not by two warnings and the pole test
+    # the warp constant's square would leave float range: fs is refused by the rate range, not by
+    # two warnings and the pole test
     code, err = _run_in_process(["bank", "--fs", "1e155", "--out", tmp_path / "b.csv"], capsys)
     assert code == 2
-    assert err == "error: fs=1e+155 Hz overflows the bilinear transform of a 100 Hz pole pair\n", err
+    assert err == "error: fs must be finite and between 1e-06 and 1e+09 Hz, got 1e+155\n", err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -850,11 +868,35 @@ def test_demo_ref_too_short_for_its_correction_pulses_exits_2(tmp_path, capsys):
 
 
 def test_demo_ref_whose_sample_count_overflows_exits_2(tmp_path, capsys):
+    # 1e300 s at 10 GHz overflowed the sample count; the rate range refuses it, and the largest
+    # count in range, 1e6 s at 1 GHz, is refused by the budget
     argv = ["demo-ref", "--duration", "1e300", "--fs", "1e10", "--fmax", "1e9", "--out", tmp_path / "x.csv"]
     code, err = _run_in_process(argv, capsys)
+    assert (code, err) == (2, "error: fs must be finite and between 1e-06 and 1e+09 Hz, got 1e+10\n")
+    argv = ["demo-ref", "--duration", "1e6", "--fs", "1e9", "--fmax", "1e8", "--out", argv[-1]]
+    code, err = _run_in_process(argv, capsys)
     assert code == 2
-    assert err == "error: demo-ref would filter inf rows, over the 1,000,000,000-row limit; lower fs or duration\n"
+    assert err == "error: demo-ref would filter 1e+15 rows, over the 1,000,000,000-row limit; lower fs or duration\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--fs", "2e10"], ["--fs", "1e20", "--duration", "1e-15", "--fmax", "1e12"]],
+                         ids=["2e10", "1e20"])
+def test_demo_ref_past_the_rate_range_exits_2_naming_fs(tmp_path, capsys, argv):
+    # from about 1.6e10 Hz the drift high-pass fails Jury's test; at 1e20 Hz it was the identity, and ran
+    code, err = _run_in_process(["demo-ref", *argv, "--out", tmp_path / "x.csv"], capsys)
+    assert (code, err) == (2, f"error: fs must be finite and between 1e-06 and 1e+09 Hz, got {float(argv[1]):.6g}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_of_a_record_past_the_amplitude_range_names_the_file_and_line(workdir, tmp_path, capsys):
+    # 200 rows of +-1e308 plateaus: their SRS and motion would overflow; the reader refuses line 2
+    samples = [1e308] * 100 + [-1e308] * 100
+    (tmp_path / "rec.csv").write_text(_csv("time_s,accel_m_s2", [[i * 1e-5 for i in range(200)], samples]))
+    argv = ["verify", tmp_path / "rec.csv", workdir / "spec.csv", "--out-report", tmp_path / "r.json"]
+    code, err = _run_in_process(argv, capsys)
+    assert (code, err) == (2, "error: rec.csv: 1e+308 on line 2 is outside -1e+100 to 1e+100\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["rec.csv"]
 
 
 def test_bank_over_budget_exits_2_before_designing_a_filter(tmp_path, capsys, monkeypatch):

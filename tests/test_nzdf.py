@@ -190,12 +190,23 @@ def test_discretize_rate_guards():
         discretize(p, 8000.0)
 
 
-@pytest.mark.parametrize("params", [NzdfParams(1000.0, q=1e300), NzdfParams(1e-300)], ids=["q=1e300", "fc=1e-300"])
-def test_a_pole_pair_on_the_unit_circle_is_refused_before_the_gain_pin(params):
-    # a2 rounds to exactly 1, so the pin would divide by a zero response at fc;
-    # tier-1 turns the RuntimeWarning it would raise into an error
-    with pytest.raises(ValueError, match="^discretized section has a pole on or outside the unit circle$"):
-        discretize(params, 1e5)
+@pytest.mark.parametrize("fc,fs", [(1e-6, 1e9), (1e-5, 1e5)], ids=["1e-6 Hz at 1 GHz", "1e-5 Hz at 100 kHz"])
+def test_a_pole_pair_on_the_unit_circle_is_refused_before_the_gain_pin(fc, fs):
+    # in range, but so far below fs that a2 rounds to 1, and the pin would divide
+    # by a zero response at fc; tier-1 turns the RuntimeWarning it would raise into an error
+    message = (f"discretized at fs={fs:.6g} Hz, the center_freq={fc:.6g} Hz section has a pole on or outside "
+               "the unit circle")
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        discretize(NzdfParams(fc), fs)
+
+
+@pytest.mark.parametrize("params", [dict(center_freq=1000.0, q=1e300), dict(center_freq=1e-300)],
+                         ids=["q=1e300", "fc=1e-300"])
+def test_a_pole_pair_past_the_ranges_is_refused_by_name(params):
+    # these reached the pole test before the ranges refused them
+    name = "q" if "q" in params else "center_freq"
+    with pytest.raises(ValueError, match=f"^{name} must be finite and between "):
+        NzdfParams(**params)
 
 
 def test_digital_sos_pole_check():
@@ -223,9 +234,9 @@ def test_digital_nzdf_refuses_a_nan_numerator_and_a_nan_rate():
 
 
 def test_a_rate_that_overflows_the_bilinear_transform_is_refused_by_name():
-    # the warp constant is about 2 fs, and its square leaves float range past
-    # 1e154 Hz; tier-1 turns the RuntimeWarning it would raise into an error
-    with pytest.raises(ValueError, match=r"^fs=1e\+155 Hz overflows the bilinear transform of a 1000 Hz pole pair$"):
+    # the warp constant is about 2 fs, and its square would leave float range
+    # past 1e154 Hz; the rate range refuses fs before any of it is computed
+    with pytest.raises(ValueError, match=r"^fs must be finite and between 1e-06 and 1e\+09 Hz, got 1e\+155$"):
         discretize(NzdfParams(1000.0), 1e155)
 
 
@@ -317,7 +328,7 @@ def test_apply_filter_memory_is_twice_the_output():
 
 def test_apply_filter_rows_are_bounded_before_filtering():
     sig = Signal(100_000.0, np.ones(16))
-    for fc, q in [(100.0, 1e6), (0.01, 50.0)]:
+    for fc, q in [(10.0, 1e4), (0.01, 50.0)]:  # q = 1e4 is the top of the q range
         with pytest.raises(ValueError, match="over the 1,073,741,824-byte limit; lower q or raise center_freq$"):
             apply_filter(discretize(NzdfParams(fc, q=q), sig.sample_rate), sig)
     # room for a 1 Hz, Q = 50 filter of the 50 ms reference: 16 bytes a row
@@ -426,6 +437,36 @@ def test_ring_down_factor_is_the_envelopes_60_db_time_for_every_order():
         assert _ring_down_factor(order) == math.ceil(2.0 * u) / 2.0, order
 
 
+def test_orders_past_the_range_are_refused_by_name():
+    # K = w^(2N - M) / q^N in Python floats raised a bare OverflowError at 1 MHz from N = 24
+    for make in (lambda n: NzdfParams(1e6, order=n), lambda n: GammatoneParams(1e6, 1.0, order=n),
+                 lambda n: validate_order(2, n)):
+        with pytest.raises(ValueError, match=r"^order must be <= 15, got 24$"):
+            make(24)
+
+
+@pytest.mark.parametrize("q", [np.nextafter(0.5, 1.0), 1e4])
+@pytest.mark.parametrize("numerator_power", [2, 29])
+@pytest.mark.parametrize("fc", [1e-6, 1e9])
+def test_the_highest_order_stays_finite_over_the_ranges(fc, q, numerator_power):
+    # N = 15 at both ends of the frequency and q ranges, evaluated at both ends of the
+    # frequency range; tier-1 turns an overflow's RuntimeWarning into an error
+    params = NzdfParams(fc, q=q, order=15, numerator_power=numerator_power)
+    assert math.isfinite(params.gain) and math.isfinite(params.ring_down_time) and math.isfinite(group_delay(params))
+    assert np.isfinite(nzdf_gain(np.array([1e-6, fc, 1e9]), params)).all()
+    assert abs(nzdf_gain(fc, params)) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_evaluation_frequencies_past_the_range_are_refused_by_name():
+    # 1e300 Hz overflowed s^2; a center of 1e-320 Hz made the group delay inf
+    with pytest.raises(ValueError, match=r"^f_eval must be finite and between 1e-06 and 1e\+09 Hz, got 1e\+300$"):
+        nzdf_gain(1e300, NzdfParams(1000.0))
+    with pytest.raises(ValueError, match=r"^f_eval must be finite and between .*, got 0 at \[0\]$"):
+        nzdf_gain([0.0, 1000.0], NzdfParams(1000.0))
+    with pytest.raises(ValueError, match=r"^center_freq must be finite and between 1e-06 and 1e\+09 Hz, got 9\.99989e-321$"):
+        group_delay(NzdfParams(1e-320))
+
+
 def test_high_orders_ring_down_and_filter():
     # the ring-down rule used to raise a bare math domain error from N = 12
     params = NzdfParams(1000.0, order=12)
@@ -518,11 +559,14 @@ def test_gammatone_impulse_is_refused_before_it_is_sampled(monkeypatch):
 
 
 def test_sample_counts_that_overflow_are_refused_by_the_budget():
-    # duration * fs overflows to inf: the budget refuses it before it is an int
-    with pytest.raises(ValueError, match=r"^impulse response at center_freq=1000 Hz with q=5 would hold inf bytes"):
+    # duration * fs used to overflow to inf here; the duration and rate ranges refuse these by name
+    with pytest.raises(ValueError, match=r"^duration must be finite and between 1e-09 and 1e\+06 s, got 1e\+305$"):
         impulse_response(discretize(NzdfParams(1000.0), 1e5), 1e305)
-    with pytest.raises(ValueError, match=r"^gammatone impulse would hold inf bytes"):
+    with pytest.raises(ValueError, match=r"^fs must be finite and between 1e-06 and 1e\+09 Hz, got 1e\+10$"):
         gammatone_impulse(GammatoneParams(1000.0, 600.0), 1e10, 1e300)
+    # the largest count in range, an exact int, is refused by the budget (impulse_response's is above)
+    with pytest.raises(ValueError, match=r"^gammatone impulse would hold 4e\+16 bytes"):
+        gammatone_impulse(GammatoneParams(1000.0, 600.0), 1e9, 1e6)
 
 
 def test_gammatone_samples():

@@ -185,7 +185,7 @@ def test_read_signal_malformed(tmp_path):
         ("0,1\n", "at least 2 samples"),
         ("0,1\n1e-5,2,3\n", "expected 2"),
         ("0,1\n1e-5,abc\n", "non-numeric"),
-        ("0,1\n1e-5,inf\n", "non-finite"),
+        ("0,1\n1e-5,inf\n", "inf on line 2 is outside"),
         ("0,1\n1e-5,2\n3e-5,3\n", "non-uniform"),
         ("0,1\n-1e-5,2\n-2e-5,3\n", "increasing"),
     ]
@@ -207,8 +207,10 @@ def test_read_signal_first_fault_in_line_order(tmp_path):
     cases = [
         # a 3-field line then a 1-field line: 4 tokens over 2 lines, still wrong
         ("0,1\n1e-5,2,3\n2e-5\n", "expected 2 comma-separated fields on line 2, got 3"),
-        ("0,1\n1e-5,inf\n2e-5,2,3\n", "non-finite value on line 2"),
-        ("0,1\n1e-5,nan\n2e-5,abc\n", "non-finite value on line 2"),
+        ("0,1\n1e-5,inf\n2e-5,2,3\n", "inf on line 2 is outside -1e+100 to 1e+100"),
+        ("0,1\n1e-5,nan\n2e-5,abc\n", "nan on line 2 is outside -1e+100 to 1e+100"),
+        ("0,1\n1e-5,1e101\n2e-5,abc\n", "1e+101 on line 2 is outside -1e+100 to 1e+100"),
+        ("0,1\n2e12,1\n", "2000000000000.0 on line 2 is outside -1e+12 to 1e+12 s"),
         ("0,1\n1e-5,2,3\n2e-5,abc\n", "expected 2 comma-separated fields on line 2, got 3"),
         ("0,1\n1e-5,abc\n2e-5,inf\n", "non-numeric value on line 2: '1e-5,abc'"),
         ("0,1\n1e-5,{x}\n", "non-numeric value on line 2: '1e-5,{x}'"),
@@ -249,10 +251,12 @@ def test_read_signal_skips_utf8_byte_order_mark(tmp_path):
 _HEADER = "time_s,accel_m_s2"
 _ADVICE = "shorten or decimate the record"
 _finite = st.floats(allow_nan=False, allow_infinity=False)
+# the time and amplitude ranges, which a record's two columns must be in
+_CSV_RANGES = [(-1e12, 1e12, "-1e+12 to 1e+12 s"), (-1e100, 1e100, "-1e+100 to 1e+100")]
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
-@given(table=st.lists(st.tuples(_finite, _finite), max_size=40))
+@given(table=st.lists(st.tuples(st.floats(-1e12, 1e12), st.floats(-1e100, 1e100)), max_size=40))
 def test_write_table_reads_back_at_12_digits(tmp_path_factory, table):
     path = tmp_path_factory.mktemp("table") / "t.csv"
     _write_table(path, _HEADER, np.array(table, dtype=float).reshape(-1, 2).T)
@@ -276,8 +280,9 @@ def _csv_oracle(data: bytes, header: str):
             pair = [float(field) for field in fields]
         except ValueError:
             return None, f"non-numeric value on line {lineno}: {line!r}"
-        if not all(map(math.isfinite, pair)):
-            return None, f"non-finite value on line {lineno}"
+        for value, (low, high, text) in zip(pair, _CSV_RANGES):
+            if not low <= value <= high:
+                return None, f"{value!r} on line {lineno} is outside {text}"
         rows.append(pair)
     return rows, None
 
@@ -649,11 +654,14 @@ def test_synth_reference_is_sized_before_it_starts(monkeypatch):
 
 
 def test_synth_reference_sample_count_that_overflows_is_refused_by_the_budget():
-    # 1e300 s at 10 GHz: the sample count overflows to inf before it is an int
-    with pytest.raises(ValueError, match=re.escape(
-        "demo-ref would filter inf rows, over the 1,000,000,000-row limit; lower fs or duration"
-    )):
+    # 1e300 s at 10 GHz overflowed the sample count to inf: the rate range refuses it now,
+    # and the largest count in range, 1e6 s at 1 GHz, is an exact int the budget refuses
+    with pytest.raises(ValueError, match=r"^fs must be finite and between 1e-06 and 1e\+09 Hz, got 1e\+10$"):
         synth_reference(fs=1e10, duration=1e300, fmax=1e9)
+    with pytest.raises(ValueError, match=re.escape(
+        "demo-ref would filter 1e+15 rows, over the 1,000,000,000-row limit; lower fs or duration"
+    )):
+        synth_reference(fs=1e9, duration=1e6, fmax=1e8)
 
 
 @pytest.mark.parametrize("duration", [0.2, 1.0])
@@ -930,15 +938,16 @@ def test_array_values_are_kept_or_rejected_with_value_error(taker, data):
 
 
 def test_layout_over_the_whole_float_range_is_finite_or_rejected():
-    # fmax / fmin overflows here, and so does the top center 2**(k / ppo):
-    # rejected by a message naming both ends, with no numpy overflow warning
+    # fmax / fmin overflowed here, and so did the top center 2**(k / ppo): the
+    # frequency range refuses the end past it by name, with no numpy overflow warning
     tiny, huge = 5e-324, sys.float_info.max
     for fmin, fmax in [(tiny, huge), (1e-300, 1e300), (1.0, huge), (tiny, 1e10), (1e300, huge)]:
         _assert_finite_or_value_error(make_layout, (fmin, fmax))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            message = f"fmin={fmin:.6g} to fmax={fmax:.6g} spans too many octaves"
-            with pytest.raises(ValueError, match="^" + re.escape(message)):
+            name, value = ("fmin", fmin) if not 1e-6 <= fmin <= 1e9 else ("fmax", fmax)
+            message = f"{name} must be finite and between 1e-06 and 1e+09 Hz, got {value:.6g}"
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
                 make_layout(fmin, fmax)
 
 

@@ -317,7 +317,12 @@ def test_srs_memory_does_not_grow_with_the_pad():
 
 def test_srs_work_is_bounded_before_filtering():
     sig = Signal(100_000.0, np.ones(5001))
-    for q_srs, freqs in [(1e12, [100.0]), (1e300, [1e-300]), (10.0, [1e-3, 1.0])]:
+    # q_srs = 1e12 at 100 Hz and 1e300 at 1e-300 Hz also reached it; the ranges refuse them by name
+    with pytest.raises(ValueError, match=r"^q_srs must be finite and between 0\.5 and 10000, got 1e\+12$"):
+        srs(sig, [100.0], 1e12)
+    with pytest.raises(ValueError, match=r"^q_srs must be finite and between 0\.5 and 10000, got 1e\+300$"):
+        srs(sig, [1e-300], 1e300)
+    for q_srs, freqs in [(1e4, [0.01]), (10.0, [1e-6]), (10.0, [1e-3, 1.0])]:
         with pytest.raises(ValueError) as info:
             srs(sig, freqs, q_srs)
         assert str(info.value).endswith(
@@ -353,7 +358,8 @@ def test_spec_csv_errors(tmp_path):
         ("100,300\n200\n", "expected 2"),
         ("100,300\n200,abc\n", "non-numeric"),
         ("200,300\n100,400\n", "strictly increasing"),
-        ("100,300\n200,inf\n", "non-finite value on line 2"),
+        ("100,300\n200,inf\n", "inf on line 2 is outside -1e.100 to 1e.100$"),
+        ("100,300\n0,400\n", "0.0 on line 2 is outside 1e-06 to 1e.09 Hz$"),
         ("100,300\n200,400,1\n300\n", "expected 2 comma-separated fields on line 2"),
     ]
     for i, (content, fragment) in enumerate(cases):
@@ -383,7 +389,10 @@ def test_read_spec_checks_random_tables(tmp_path_factory, freqs, peaks, shape):
     _write_table(path, "freq_hz,peak_accel_m_s2", table.T)
     rows = [[float(f"{v:.12g}") for v in row] for row in table]
     f, a = [r[0] for r in rows], [r[1] for r in rows]
-    if len(rows) < 2:
+    out = [i for i, v in enumerate(f) if not 1e-6 <= v <= 1e9]  # the frequency range, checked as the file is read
+    if out:
+        message = f"{f[out[0]]!r} on line {out[0] + 2} is outside 1e-06 to 1e+09 Hz"
+    elif len(rows) < 2:
         message = "need at least 2 breakpoints"
     elif min(f) <= 0.0 or any(hi <= lo for lo, hi in zip(f, f[1:])):
         message = "breakpoint frequencies must be finite, positive and strictly increasing, in a non-empty 1-D list"

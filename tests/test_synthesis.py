@@ -110,17 +110,19 @@ def test_pso_validation():
                          ids=["width", "velocity", "move"])
 def test_pso_refuses_bounds_near_the_float_range_before_any_draw(bounds):
     # each overflowed in the swarm's arithmetic (hi - lo, the velocity or pos + vel),
-    # which tier-1 turns into an error
+    # which tier-1 turns into an error; the amplitude range refuses them by name
     def never(block):
         raise AssertionError("evaluated")
 
-    with pytest.raises(ValueError, match=r"^bounds must have hi > lo in every row, within \+-2\.25e\+307$"):
+    message = f"bounds must be finite and between -1e+100 and 1e+100, got {bounds[0][0]:.6g} at [0, 0]"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         pso_minimize(1, never, bounds, PsoConfig(swarm_size=10, max_iters=5))
 
 
 def test_pso_runs_over_the_widest_bounds_it_takes():
-    # no step leaves float range, so no RuntimeWarning, on the box at its limit and on one offset to its end
-    edge = synthesis._BOUND_MAX
+    # no step leaves float range, so no RuntimeWarning, on the box at the amplitude range's
+    # limit and on one offset to its end
+    edge = 1e100
     for bounds in ([[-edge, edge]], [[edge / 2, edge]], [[-edge, -edge / 2]]):
         pos, val, iters = pso_minimize(1, lambda p: -np.abs(p[:, 0]), bounds, PsoConfig(swarm_size=10, max_iters=40))
         assert iters == 40 and bounds[0][0] <= pos[0] <= bounds[0][1] and val == -abs(pos[0])
