@@ -8,6 +8,13 @@ handler around command dispatch maps errors to exit codes and prints each
 warning as one ``warning: <message>`` line.  All outputs are
 written atomically (temp file + rename) and are byte-reproducible given
 identical flags and seeds.
+
+click only turns text into numbers and paths.  Every refused value or input
+file exits 2 with one ``error:`` line naming it, from the library rule that
+guards it (``signal_core._scalar``, ``_whole`` and ``_read_pairs``), and
+every command checks each of its flags before it reads its record: ``synth``
+and ``verify`` read the spec first, whose reader checks ``--tolerance-db``
+before the file, and build the layout, which checks ``--ppo``, from it.
 """
 
 from __future__ import annotations
@@ -97,22 +104,23 @@ def main():
 
 
 @main.command(name="srs")
-@click.argument("input_csv", type=click.Path(exists=True, dir_okay=False))
+@click.argument("input_csv", type=click.Path())
 @click.option("--fmin", type=float, default=100.0, show_default=True, help="Lowest natural frequency (Hz).")
 @click.option("--fmax", type=float, default=10000.0, show_default=True, help="Highest natural frequency (Hz).")
-@click.option("--ppo", type=click.IntRange(min=1), default=6, show_default=True, help="Grid points per octave.")
+@click.option("--ppo", type=int, default=6, show_default=True, help="Grid points per octave.")
 @click.option("--q-srs", type=float, default=10.0, show_default=True, help="Analysis quality factor.")
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="Output SRS CSV path.")
 def cmd_srs(input_csv, fmin, fmax, ppo, q_srs, out):
     """Compute the maximax SRS of a signal on an octave-fraction grid."""
     layout = make_layout(fmin, fmax, ppo)
+    _scalar("q_srs", q_srs, above=0.5, kind="q")
     curve = srs(read_signal(input_csv), layout.centers, q_srs)
     _atomic(out, lambda p: write_curve(curve, p))
     click.echo(f"wrote SRS at {layout.centers.size} frequencies to {out}")
 
 
 @main.command(name="filter")
-@click.argument("input_csv", type=click.Path(exists=True, dir_okay=False))
+@click.argument("input_csv", type=click.Path())
 @click.option("--fc", type=float, required=True, help="Filter center frequency (Hz).")
 @click.option("--q", type=float, default=5.0, show_default=True, help="Filter quality factor.")
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="Filtered signal CSV path.")
@@ -136,7 +144,7 @@ def cmd_filter(input_csv, fc, q, out, bode_out):
 @main.command(name="bank")
 @click.option("--fmin", type=float, default=100.0, show_default=True, help="Lowest center (Hz).")
 @click.option("--fmax", type=float, default=10000.0, show_default=True, help="Highest center (Hz).")
-@click.option("--ppo", type=click.IntRange(min=1), default=6, show_default=True, help="Centers per octave.")
+@click.option("--ppo", type=int, default=6, show_default=True, help="Centers per octave.")
 @click.option("--fs", type=float, default=100000.0, show_default=True, help="Design sample rate (Hz).")
 @click.option("--q", type=float, default=5.0, show_default=True, help="Filter quality factor.")
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="Output magnitude-grid CSV path.")
@@ -157,24 +165,24 @@ def cmd_bank(fmin, fmax, ppo, fs, q, out):
 
 
 @main.command(name="synth")
-@click.argument("spec_csv", type=click.Path(exists=True, dir_okay=False))
-@click.argument("ref_csv", type=click.Path(exists=True, dir_okay=False))
+@click.argument("spec_csv", type=click.Path())
+@click.argument("ref_csv", type=click.Path())
 @click.option("--tolerance-db", type=float, default=3.0, show_default=True, help="Pass tolerance (dB).")
 @click.option("--seed", type=int, default=0, show_default=True, help="Optimizer RNG seed.")
 @click.option("--q-srs", type=float, default=10.0, show_default=True, help="Analysis quality factor.")
-@click.option("--ppo", type=click.IntRange(min=1), default=6, show_default=True, help="Bank centers per octave.")
-@click.option("--swarm-size", type=click.IntRange(min=10), default=32, show_default=True, help="PSO particles.")
-@click.option("--max-iters", type=click.IntRange(min=1), default=220, show_default=True, help="PSO iteration cap.")
+@click.option("--ppo", type=int, default=6, show_default=True, help="Bank centers per octave.")
+@click.option("--swarm-size", type=int, default=32, show_default=True, help="PSO particles.")
+@click.option("--max-iters", type=int, default=220, show_default=True, help="PSO iteration cap.")
 @click.option("--out-signal", type=click.Path(dir_okay=False), required=True, help="Synthesized signal CSV path.")
 @click.option("--out-report", type=click.Path(dir_okay=False), required=True, help="Verification report JSON path.")
 def cmd_synth(spec_csv, ref_csv, tolerance_db, seed, q_srs, ppo, swarm_size, max_iters,
               out_signal, out_report):
     """Synthesize a shock matching SPEC_CSV from the reference REF_CSV."""
-    cfg = PsoConfig(swarm_size=swarm_size, max_iters=max_iters, seed=seed)  # a negative seed, before any work
+    cfg = PsoConfig(swarm_size=swarm_size, max_iters=max_iters, seed=seed)
+    _scalar("q_srs", q_srs, above=0.5, kind="q")
     spec = read_spec(spec_csv, tolerance_db)
-    ref = read_signal(ref_csv)
     layout = make_layout(spec.freqs[0], spec.freqs[-1], ppo)
-    result = synthesize(spec, ref, layout, cfg, q_srs)
+    result = synthesize(spec, read_signal(ref_csv), layout, cfg, q_srs)
     report = build_report(
         result.achieved,
         result.target,
@@ -197,19 +205,22 @@ def cmd_synth(spec_csv, ref_csv, tolerance_db, seed, q_srs, ppo, swarm_size, max
 
 
 @main.command(name="verify")
-@click.argument("signal_csv", type=click.Path(exists=True, dir_okay=False))
-@click.argument("spec_csv", type=click.Path(exists=True, dir_okay=False))
+@click.argument("signal_csv", type=click.Path())
+@click.argument("spec_csv", type=click.Path())
 @click.option("--tolerance-db", type=float, default=3.0, show_default=True, help="Pass tolerance (dB).")
 @click.option("--q-srs", type=float, default=10.0, show_default=True, help="Analysis quality factor.")
-@click.option("--ppo", type=click.IntRange(min=1), default=6, show_default=True, help="Grid centers per octave.")
+@click.option("--ppo", type=int, default=6, show_default=True, help="Grid centers per octave.")
 @click.option("--net-zero-tol", type=float, default=1e-3, show_default=True, help="Residual motion tolerance.")
 @click.option("--out-report", type=click.Path(dir_okay=False), required=True, help="Report JSON path.")
 def cmd_verify(signal_csv, spec_csv, tolerance_db, q_srs, ppo, net_zero_tol, out_report):
     """Verify an existing signal file against a spec file."""
-    sig = read_signal(signal_csv)
+    _scalar("q_srs", q_srs, above=0.5, kind="q")
+    _scalar("net_zero_tol", net_zero_tol, above=0.0)
     spec = read_spec(spec_csv, tolerance_db)
+    layout = make_layout(spec.freqs[0], spec.freqs[-1], ppo)
+    sig = read_signal(signal_csv)
     srs_report, residuals = verify(sig, spec, q_srs, net_zero_tol, ppo)
-    target = _target_curve(spec, make_layout(spec.freqs[0], spec.freqs[-1], ppo))
+    target = _target_curve(spec, layout)
     report = build_report(srs(sig, target.freqs, q_srs), target, srs_report, residuals)
     _atomic(out_report, lambda p: write_report(report, p))
     ok = srs_report.passed and residuals.passed

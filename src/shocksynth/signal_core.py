@@ -108,7 +108,8 @@ def _values(name: str, values, shape=(None,), above: float = -math.inf, at_least
 
     A ``None`` in ``shape`` is any length of at least 1.  Raises ``ValueError`` naming ``name`` unless
     ``values`` is an array of numbers of that shape whose values are greater than ``above``, at least
-    ``at_least`` and in ``kind``'s range; the message names the first value that is not, and where.
+    ``at_least`` and in ``kind``'s range; the message names the first value that is not, and where, at
+    ``.6g`` or, where that text would pass, by its ``repr``.
     Its min and max, in which a NaN propagates, check them: nothing the size of the array is held.
     """
     want = str(tuple("n" if s is None else s for s in shape)).replace("'", "")
@@ -125,13 +126,15 @@ def _values(name: str, values, shape=(None,), above: float = -math.inf, at_least
     floor, ceiling, unit = _RANGES[kind]
     if floor <= lo and hi <= ceiling and lo > above and lo >= at_least:  # False for a NaN or an inf
         return x
-    ok = np.isfinite(x) & (x > above) & (x >= at_least)
+    ok = lambda v: np.isfinite(v) & (v > above) & (v >= at_least)
     bound = f" and > {above:.6g}" if above > -math.inf else ""
     bound += f" and >= {at_least:.6g}" if at_least > -math.inf else ""
-    if ok.all():  # finite and bounded, but out of kind's range
-        ok, bound = (x >= floor) & (x <= ceiling), f" and between {floor:.6g} and {ceiling:.6g}{unit}"
-    at = [int(i) for i in np.argwhere(~ok)[0]]
-    raise ValueError(f"{name} must be finite{bound}, got {x[tuple(at)]:.6g}" + (f" at {at}" if at else ""))
+    if ok(x).all():  # finite and bounded, but out of kind's range
+        ok, bound = lambda v: (v >= floor) & (v <= ceiling), f" and between {floor:.6g} and {ceiling:.6g}{unit}"
+    at = [int(i) for i in np.argwhere(~ok(x))[0]]
+    value = float(x[tuple(at)])
+    shown = repr(value) if ok(float(text := f"{value:.6g}")) else text
+    raise ValueError(f"{name} must be finite{bound}, got {shown}" + (f" at {at}" if at else ""))
 
 
 def _whole(name: str, value, at_least: float = -math.inf, at_most: float = math.inf) -> int:

@@ -632,6 +632,79 @@ def test_bad_tolerance_is_not_blamed_on_the_spec_file(workdir, tmp_path, capsys,
     assert err == "error: tolerance_db must be finite and > 0, got 0\n"
 
 
+# Flag values a library rule refuses, each with the one line that refuses it, before the record is read.  Every
+# integer flag but the seeds is here.
+_PPO_0 = "points_per_octave must be >= 1, got 0"
+_Q_SRS = "q_srs must be finite and > 0.5, got -1"
+_BAD_FLAGS = [
+    ("srs", "--ppo", "0", _PPO_0),
+    ("bank", "--ppo", "0", _PPO_0),
+    ("synth", "--ppo", "0", _PPO_0),
+    ("synth", "--swarm-size", "9", "swarm_size must be >= 10, got 9"),
+    ("synth", "--max-iters", "0", "max_iters must be >= 1, got 0"),
+    ("verify", "--ppo", "0", _PPO_0),
+    ("srs", "--q-srs", "-1", _Q_SRS),
+    ("synth", "--q-srs", "-1", _Q_SRS),
+    ("verify", "--q-srs", "-1", _Q_SRS),
+    ("verify", "--net-zero-tol", "0", "net_zero_tol must be finite and > 0, got 0"),
+    ("synth", "--tolerance-db", "0", "tolerance_db must be finite and > 0, got 0"),
+    ("verify", "--tolerance-db", "0", "tolerance_db must be finite and > 0, got 0"),
+    ("filter", "--fc", "0", "center_freq must be finite and > 0, got 0"),
+]
+_BAD_FLAG_RUNS = [(*case, record) for record in ("present", "missing") for case in _BAD_FLAGS
+                  if case[0] != "bank" or record == "present"]
+
+
+@pytest.fixture(scope="module")
+def clamping_spec(tmp_path_factory):
+    """A spec ending at 3 kHz, below its grid's top center at 3 per octave (3,175 Hz): ``spec_interpolate`` warns."""
+    path = tmp_path_factory.mktemp("clamping") / "spec.csv"
+    write_spec_csv(path, [(1000.0, 500.0), (3000.0, 600.0)])
+    return path
+
+
+def test_every_integer_flag_is_refused_by_its_library_rule():
+    # click only turns their text into ints: each range is stated once, in its library rule
+    flags = {(name, option.opts[0]): option.type for name, command in main.commands.items()
+             for option in command.params if isinstance(option.type, click.types.IntParamType)}
+    assert set(flags.values()) == {click.INT}
+    assert set(flags) - {("synth", "--seed"), ("demo-ref", "--seed")} <= {case[:2] for case in _BAD_FLAGS}
+
+
+@pytest.mark.parametrize("command,flag,value,line,record", _BAD_FLAG_RUNS,
+                         ids=[f"{c} {f} {r}" for c, f, _, _, r in _BAD_FLAG_RUNS])
+def test_a_bad_flag_exits_2_with_one_error_line_before_the_record_is_read(
+    workdir, clamping_spec, tmp_path, capsys, command, flag, value, line, record
+):
+    # and before the clamping warning the spec would give
+    record = workdir / "ref.csv" if record == "present" else tmp_path / "missing.csv"
+    files = {"{d}/spec.csv": clamping_spec, "{d}/ref.csv": record}
+    args = [files[a] if a in files else a.format(o=tmp_path) for a in _BASE_ARGS[command]]
+    code, err, caught = _in_process([command] + args + [flag, value], capsys)
+    assert (code, err, caught) == (2, f"error: {line}\n", [])
+    assert list(tmp_path.iterdir()) == []
+
+
+# Every input argument: its command and its entry in _BASE_ARGS.
+_INPUTS = [("srs", "{d}/ref.csv"), ("filter", "{d}/ref.csv"), ("synth", "{d}/spec.csv"), ("synth", "{d}/ref.csv"),
+           ("verify", "{d}/ref.csv"), ("verify", "{d}/spec.csv")]
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("command,arg", _INPUTS, ids=[f"{c} {a[4:]}" for c, a in _INPUTS])
+def test_a_missing_or_directory_input_exits_2_with_one_line_naming_it(workdir, tmp_path, capsys, command, arg, kind):
+    bad, out = tmp_path / "input.csv", tmp_path / "out"
+    out.mkdir()
+    if kind == "directory":
+        bad.mkdir()
+    args = [str(bad) if a == arg else a.format(d=workdir, o=out) for a in _BASE_ARGS[command]]
+    code, err = _run_in_process([command] + args, capsys)
+    assert code == 2
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and str(bad) in line, line
+    assert list(out.iterdir()) == []
+
+
 def test_srs_out_of_memory_exits_2_naming_the_command_and_flags(workdir, tmp_path, capsys, monkeypatch):
     # a command that runs out of memory exits 2; the failure is simulated
     # rather than allocated

@@ -207,6 +207,19 @@ def test_samples_near_the_float_range_are_refused_by_name(call):
         call(Signal(1000.0, np.full(10, 1e308)))
 
 
+def test_a_value_just_past_a_limit_is_printed_so_it_reads_past_it():
+    # at .6g both read as the limit itself; a value whose .6g text is refused keeps that text
+    with pytest.raises(ValueError, match=r"^sample_rate must be finite and between 1e-06 and 1e\+09 Hz, "
+                                         r"got 1000000000\.0000001$"):
+        Signal(math.nextafter(1e9, _UP), [0.0, 1.0])
+    with pytest.raises(ValueError, match=r"^samples must be finite and between -1e\+100 and 1e\+100, "
+                                         r"got 1\.0000000000000002e\+100 at \[1\]$"):
+        Signal(1000.0, [0.0, math.nextafter(1e100, _UP)])
+    with pytest.raises(ValueError, match=r"^samples must be finite and between -1e\+100 and 1e\+100, "
+                                         r"got 1\.23457e\+100 at \[1\]$"):
+        Signal(1000.0, [0.0, 1.234567891e100])
+
+
 def test_the_reference_drift_high_pass_is_stable_at_every_rate_demo_ref_accepts():
     # from 10 x 200 Hz, demo-ref's lowest rate, to the top of the rate range
     for fs in np.geomspace(2e3, signal_core._RANGES["frequency"][1], 400):
