@@ -9,12 +9,15 @@ warning as one ``warning: <message>`` line.  All outputs are
 written atomically (temp file + rename) and are byte-reproducible given
 identical flags and seeds.
 
-click only turns text into numbers and paths.  Every refused value or input
-file exits 2 with one ``error:`` line naming it, from the library rule that
-guards it (``signal_core._scalar``, ``_whole`` and ``_read_pairs``), and
-every command checks each of its flags before it reads its record: ``synth``
-and ``verify`` read the spec first, whose reader checks ``--tolerance-db``
+click only turns text into numbers and paths.  Every refused value, input
+file or output path exits 2 with one ``error:`` line naming it, and writes
+nothing.  Values and inputs are refused by the library rule that guards them
+(``signal_core._scalar``, ``_whole`` and ``_read_pairs``), and every command
+checks each of its flags before it reads its record: ``synth`` and
+``verify`` read the spec first, whose reader checks ``--tolerance-db``
 before the file, and build the layout, which checks ``--ppo``, from it.
+Output paths are refused first, by ``_output``, which click runs as it
+parses each output option.
 """
 
 from __future__ import annotations
@@ -80,16 +83,47 @@ def _atomic(path, write_fn) -> None:
     Concurrent writers of one target each get their own temp file, created
     exclusively under a random name with the mode a plain ``open`` gives
     (0666 less the umask), and a failed write leaves no temp file behind.
+    An operating-system error on the temp file, such as a full disk or a
+    directory removed mid-run, is raised naming the target.
     """
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    target = Path(path)
+    tmp = target.with_name(f"{target.name}.{os.urandom(8).hex()}.tmp")
     try:
-        write_fn(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        try:
+            write_fn(tmp)
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:  # the temp file stands for the target: name the target as given
+        if exc.errno is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+
+
+def _output(ctx, param, value):
+    """Refuse an output path that cannot be written, as click parses it: before any record is read.
+
+    A path that is a directory, or whose directory does not exist or is not
+    one, and a second output of the command on the same file are refused by
+    a ``ValueError`` naming the option and the path.  ``--bode-out`` defaults
+    to ``<out stem>_bode.csv`` beside ``--out``; that path is checked too.
+    """
+    if value is None:
+        out = Path(ctx.params["out"])
+        value = str(out.with_name(out.stem + "_bode.csv"))
+    path, option = Path(value), param.opts[0]
+    if path.is_dir():
+        raise ValueError(f"{option} {value!r} is a directory")
+    if not path.parent.is_dir():
+        state = "is not a directory" if path.parent.exists() else "does not exist"
+        raise ValueError(f"{option} {value!r} is in {str(path.parent)!r}, which {state}")
+    for other in ctx.command.params:
+        if other.callback is _output and ctx.params.get(other.name) is not None \
+                and Path(ctx.params[other.name]).resolve() == path.resolve():
+            raise ValueError(f"{option} {value!r} is the same file as {other.opts[0]}")
+    return value
 
 
 def _write_bode_csv(path, freqs, response) -> None:
@@ -104,12 +138,12 @@ def main():
 
 
 @main.command(name="srs")
-@click.argument("input_csv", type=click.Path())
+@click.argument("input_csv")
 @click.option("--fmin", type=float, default=100.0, show_default=True, help="Lowest natural frequency (Hz).")
 @click.option("--fmax", type=float, default=10000.0, show_default=True, help="Highest natural frequency (Hz).")
 @click.option("--ppo", type=int, default=6, show_default=True, help="Grid points per octave.")
 @click.option("--q-srs", type=float, default=10.0, show_default=True, help="Analysis quality factor.")
-@click.option("--out", type=click.Path(dir_okay=False), required=True, help="Output SRS CSV path.")
+@click.option("--out", callback=_output, metavar="FILE", required=True, help="Output SRS CSV path.")
 def cmd_srs(input_csv, fmin, fmax, ppo, q_srs, out):
     """Compute the maximax SRS of a signal on an octave-fraction grid."""
     layout = make_layout(fmin, fmax, ppo)
@@ -120,11 +154,11 @@ def cmd_srs(input_csv, fmin, fmax, ppo, q_srs, out):
 
 
 @main.command(name="filter")
-@click.argument("input_csv", type=click.Path())
+@click.argument("input_csv")
 @click.option("--fc", type=float, required=True, help="Filter center frequency (Hz).")
 @click.option("--q", type=float, default=5.0, show_default=True, help="Filter quality factor.")
-@click.option("--out", type=click.Path(dir_okay=False), required=True, help="Filtered signal CSV path.")
-@click.option("--bode-out", type=click.Path(dir_okay=False), default=None,
+@click.option("--out", callback=_output, metavar="FILE", required=True, help="Filtered signal CSV path.")
+@click.option("--bode-out", callback=_output, metavar="FILE",
               help="Bode CSV sidecar path [default: <out stem>_bode.csv].")
 def cmd_filter(input_csv, fc, q, out, bode_out):
     """Filter a signal through a single net-zero band-pass at --fc."""
@@ -133,9 +167,6 @@ def cmd_filter(input_csv, fc, q, out, bode_out):
     filt = discretize(params, sig.sample_rate)
     result = apply_filter(filt, sig)
     _atomic(out, lambda p: write_signal(result, p))
-    if bode_out is None:
-        out_path = Path(out)
-        bode_out = out_path.with_name(out_path.stem + "_bode.csv")
     freqs = np.geomspace(fc / 100.0, min(100.0 * fc, 0.49 * sig.sample_rate), 481)
     _atomic(bode_out, lambda p: _write_bode_csv(p, freqs, filt.frequency_response(freqs)))
     click.echo(f"wrote filtered signal to {out} and Bode data to {bode_out}")
@@ -147,7 +178,7 @@ def cmd_filter(input_csv, fc, q, out, bode_out):
 @click.option("--ppo", type=int, default=6, show_default=True, help="Centers per octave.")
 @click.option("--fs", type=float, default=100000.0, show_default=True, help="Design sample rate (Hz).")
 @click.option("--q", type=float, default=5.0, show_default=True, help="Filter quality factor.")
-@click.option("--out", type=click.Path(dir_okay=False), required=True, help="Output magnitude-grid CSV path.")
+@click.option("--out", callback=_output, metavar="FILE", required=True, help="Output magnitude-grid CSV path.")
 def cmd_bank(fmin, fmax, ppo, fs, q, out):
     """Dump the bank layout and each filter's magnitude response."""
     layout = make_layout(fmin, fmax, ppo)
@@ -165,16 +196,16 @@ def cmd_bank(fmin, fmax, ppo, fs, q, out):
 
 
 @main.command(name="synth")
-@click.argument("spec_csv", type=click.Path())
-@click.argument("ref_csv", type=click.Path())
+@click.argument("spec_csv")
+@click.argument("ref_csv")
 @click.option("--tolerance-db", type=float, default=3.0, show_default=True, help="Pass tolerance (dB).")
 @click.option("--seed", type=int, default=0, show_default=True, help="Optimizer RNG seed.")
 @click.option("--q-srs", type=float, default=10.0, show_default=True, help="Analysis quality factor.")
 @click.option("--ppo", type=int, default=6, show_default=True, help="Bank centers per octave.")
 @click.option("--swarm-size", type=int, default=32, show_default=True, help="PSO particles.")
 @click.option("--max-iters", type=int, default=220, show_default=True, help="PSO iteration cap.")
-@click.option("--out-signal", type=click.Path(dir_okay=False), required=True, help="Synthesized signal CSV path.")
-@click.option("--out-report", type=click.Path(dir_okay=False), required=True, help="Verification report JSON path.")
+@click.option("--out-signal", callback=_output, metavar="FILE", required=True, help="Synthesized signal CSV path.")
+@click.option("--out-report", callback=_output, metavar="FILE", required=True, help="Verification report JSON path.")
 def cmd_synth(spec_csv, ref_csv, tolerance_db, seed, q_srs, ppo, swarm_size, max_iters,
               out_signal, out_report):
     """Synthesize a shock matching SPEC_CSV from the reference REF_CSV."""
@@ -205,13 +236,13 @@ def cmd_synth(spec_csv, ref_csv, tolerance_db, seed, q_srs, ppo, swarm_size, max
 
 
 @main.command(name="verify")
-@click.argument("signal_csv", type=click.Path())
-@click.argument("spec_csv", type=click.Path())
+@click.argument("signal_csv")
+@click.argument("spec_csv")
 @click.option("--tolerance-db", type=float, default=3.0, show_default=True, help="Pass tolerance (dB).")
 @click.option("--q-srs", type=float, default=10.0, show_default=True, help="Analysis quality factor.")
 @click.option("--ppo", type=int, default=6, show_default=True, help="Grid centers per octave.")
 @click.option("--net-zero-tol", type=float, default=1e-3, show_default=True, help="Residual motion tolerance.")
-@click.option("--out-report", type=click.Path(dir_okay=False), required=True, help="Report JSON path.")
+@click.option("--out-report", callback=_output, metavar="FILE", required=True, help="Report JSON path.")
 def cmd_verify(signal_csv, spec_csv, tolerance_db, q_srs, ppo, net_zero_tol, out_report):
     """Verify an existing signal file against a spec file."""
     _scalar("q_srs", q_srs, above=0.5, kind="q")
@@ -237,7 +268,7 @@ def cmd_verify(signal_csv, spec_csv, tolerance_db, q_srs, ppo, net_zero_tol, out
 @click.option("--duration", type=float, default=0.05, show_default=True, help="Record length (s).")
 @click.option("--fmax", type=float, default=10000.0, show_default=True, help="Top of the swept frequency range (Hz).")
 @click.option("--seed", type=int, default=0, show_default=True, help="Generator RNG seed.")
-@click.option("--out", type=click.Path(dir_okay=False), required=True, help="Output signal CSV path.")
+@click.option("--out", callback=_output, metavar="FILE", required=True, help="Output signal CSV path.")
 def cmd_demo_ref(fs, duration, fmax, seed, out):
     """Generate a deterministic surrogate reference shock."""
     sig = synth_reference(fs, duration, fmax, seed)

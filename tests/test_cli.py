@@ -534,6 +534,27 @@ def test_atomic_unique_temp_and_cleanup(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
 
 
+def _full_disk(p):
+    p.write_text("partial", encoding="utf-8")
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("name,write_fn,error", [
+    ("nodir/out.csv", lambda p: p.write_text("x", encoding="utf-8"), FileNotFoundError),
+    ("late.csv", lambda p: (p.write_text("x", encoding="utf-8"), p.with_name("late.csv").mkdir()), IsADirectoryError),
+    ("full.csv", _full_disk, OSError),
+], ids=["missing directory", "directory made mid-run", "full disk"])
+def test_atomic_names_the_target_on_a_late_failure(tmp_path, name, write_fn, error):
+    # not the random temp file, which is removed
+    from shocksynth.cli import _atomic
+
+    target = str(tmp_path / name)
+    with pytest.raises(error) as exc_info:
+        _atomic(target, write_fn)
+    assert str(exc_info.value).endswith(f": {target!r}") and ".tmp" not in str(exc_info.value)
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
 def test_atomic_leaves_the_umask_alone(tmp_path, monkeypatch):
     # the temp file gets a plain open's mode without reading the umask, which means setting it
     from shocksynth.cli import _atomic
@@ -703,6 +724,86 @@ def test_a_missing_or_directory_input_exits_2_with_one_line_naming_it(workdir, t
     [line] = err.splitlines()
     assert line.startswith("error: ") and str(bad) in line, line
     assert list(out.iterdir()) == []
+
+
+# Every output option: its command and its flag.
+_OUTPUTS = [("srs", "--out"), ("filter", "--out"), ("filter", "--bode-out"), ("bank", "--out"),
+            ("synth", "--out-signal"), ("synth", "--out-report"), ("verify", "--out-report"), ("demo-ref", "--out")]
+
+
+def _args(command, workdir, spec, out, *given):
+    """``command`` and its ``_BASE_ARGS``, reading ``workdir``'s record and ``spec`` and writing into ``out``.
+
+    The flag and value pairs ``given`` come last, in place of those flags' own.
+    """
+    args = [str(spec) if a == "{d}/spec.csv" else a.format(d=workdir, o=out) for a in _BASE_ARGS[command]]
+    for flag in given[::2]:
+        if flag in args:
+            del args[args.index(flag):args.index(flag) + 2]
+    return [command] + args + list(map(str, given))
+
+
+def test_click_validates_nothing():
+    # click turns text into numbers and strings; every output option is refused by the one rule
+    from shocksynth.cli import _output
+
+    params = [(name, option) for name, command in main.commands.items() for option in command.params]
+    assert {option.type for _, option in params} == {click.STRING, click.INT, click.FLOAT}
+    assert sorted((name, option.opts[0]) for name, option in params if option.callback is _output) == sorted(_OUTPUTS)
+    assert all(option.callback in (None, _output) for _, option in params)
+
+
+@pytest.mark.parametrize("kind", ["missing directory", "directory", "under a file"])
+@pytest.mark.parametrize("command,flag", _OUTPUTS, ids=[f"{c} {f}" for c, f in _OUTPUTS])
+def test_a_bad_output_path_exits_2_with_one_line_naming_it_before_any_work(
+    workdir, clamping_spec, tmp_path, capsys, command, flag, kind
+):
+    # before the record is read, and before the clamping warning the spec would give
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "file.csv").write_text("x\n", encoding="utf-8")
+    bad, line = {
+        "missing directory": (tmp_path / "nodir" / "o.csv", f"is in {str(tmp_path / 'nodir')!r}, which does not exist"),
+        "directory": (tmp_path / "adir", "is a directory"),
+        "under a file": (tmp_path / "file.csv" / "o.csv", f"is in {str(tmp_path / 'file.csv')!r}, which is not a directory"),
+    }[kind]
+    code, err, caught = _in_process(_args(command, workdir, clamping_spec, tmp_path, flag, bad), capsys)
+    assert (code, err, caught) == (2, f"error: {flag} {str(bad)!r} {line}\n", [])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "file.csv"]
+    assert list((tmp_path / "adir").iterdir()) == []
+
+
+def test_synth_with_a_bad_report_path_writes_no_signal(workdir, run_cli, tmp_path):
+    report = tmp_path / "nodir" / "r.json"
+    r = run_cli("synth", workdir / "spec.csv", workdir / "ref.csv", "--out-signal", tmp_path / "s.csv",
+                "--out-report", report)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"error: --out-report {str(report)!r} is in {str(report.parent)!r}, which does not exist\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+# Each command with two outputs, given in each order: the second is refused, by the name it was given.
+_TWO_OUTPUTS = [("filter", "--out", "--bode-out"), ("filter", "--bode-out", "--out"),
+                ("synth", "--out-signal", "--out-report"), ("synth", "--out-report", "--out-signal")]
+
+
+@pytest.mark.parametrize("second", ["same.csv", "./same.csv"])
+@pytest.mark.parametrize("first", ["same.csv", "./same.csv"])
+@pytest.mark.parametrize("command,one,other", _TWO_OUTPUTS, ids=[f"{c} {a} then {b}" for c, a, b in _TWO_OUTPUTS])
+def test_two_outputs_on_one_file_exit_2_before_any_work(
+    workdir, clamping_spec, tmp_path, capsys, monkeypatch, command, one, other, first, second
+):
+    monkeypatch.chdir(tmp_path)
+    argv = _args(command, workdir, clamping_spec, tmp_path, one, first, other, second)
+    code, err, caught = _in_process(argv, capsys)
+    assert (code, err, caught) == (2, f"error: {other} {second!r} is the same file as {one}\n", [])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_filter_refuses_a_directory_at_its_default_bode_path(workdir, tmp_path, capsys):
+    (tmp_path / "a_bode.csv").mkdir()
+    code, err = _run_in_process(["filter", workdir / "ref.csv", "--fc", "1000", "--out", tmp_path / "a.csv"], capsys)
+    assert (code, err) == (2, f"error: --bode-out {str(tmp_path / 'a_bode.csv')!r} is a directory\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["a_bode.csv"]
 
 
 def test_srs_out_of_memory_exits_2_naming_the_command_and_flags(workdir, tmp_path, capsys, monkeypatch):
